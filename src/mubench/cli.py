@@ -7,11 +7,12 @@ Configs are JSON files whose fields can be overridden by flags. Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,11 @@ from .nn import ParameterVector
 from .store import CHECKPOINT_SENTINEL, StateStore, read_vector_file, write_vector_file
 
 STRATEGY_ALIASES = {"sisa": "prs"}
+
+
+def engine_strategy(name: str) -> str:
+    """The engine strategy behind a CLI strategy name or alias."""
+    return STRATEGY_ALIASES.get(name, name)
 
 
 @dataclass
@@ -61,39 +67,32 @@ class ExperimentConfig:
         return cls(**raw)
 
     def validate(self) -> None:
+        self.train_config().validate()
         checks = [
-            ("num_slices", self.num_slices >= 1, "must be >= 1"),
-            ("batch_size", self.batch_size >= 1, "must be >= 1"),
-            ("learning_rate", self.learning_rate > 0, "must be positive"),
-            ("epochs_per_slice", self.epochs_per_slice >= 1, "must be >= 1"),
-            ("phi", self.phi >= 0, "must be non-negative"),
-            ("seed", self.seed >= 0, "must be non-negative"),
             ("request_count", self.request_count >= 0, "must be non-negative"),
+            ("request_seed", self.request_seed >= 0, "must be non-negative"),
             ("eval_fraction", 0 < self.eval_fraction < 1, "must be in (0, 1)"),
             ("shadow_count", self.shadow_count >= 1, "must be >= 1"),
+            ("shadow_split_seed", self.shadow_split_seed >= 0, "must be non-negative"),
+            ("attack_seed", self.attack_seed >= 0, "must be non-negative"),
         ]
         for name, ok, rule in checks:
             if not ok:
                 raise ConfigError(f"config field {name!r} {rule}")
-        strategy = STRATEGY_ALIASES.get(self.strategy, self.strategy)
-        if strategy not in STRATEGIES:
+        if engine_strategy(self.strategy) not in STRATEGIES:
             raise ConfigError(
                 f"config field 'strategy' must be one of {STRATEGIES + ('sisa',)}"
             )
         kind = self.dataset.get("kind")
         if kind == "synthetic":
-            if int(self.dataset.get("n", 0)) < 2:
-                raise ConfigError("config field 'dataset.n' must be >= 2")
-            if int(self.dataset.get("dim", 0)) < 1:
-                raise ConfigError("config field 'dataset.dim' must be >= 1")
+            for name, low in (("n", 2), ("dim", 1), ("seed", 0)):
+                if int(self.dataset.get(name, 0)) < low:
+                    raise ConfigError(f"config field 'dataset.{name}' must be >= {low}")
         elif kind == "csv":
             if not self.dataset.get("path"):
                 raise ConfigError("config field 'dataset.path' is required for csv datasets")
         else:
             raise ConfigError("config field 'dataset.kind' must be 'synthetic' or 'csv'")
-
-    def engine_strategy(self) -> str:
-        return STRATEGY_ALIASES.get(self.strategy, self.strategy)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -146,7 +145,7 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
             setattr(config, name, value)
     if getattr(args, "synthetic", None):
         n, dim, seed = args.synthetic
-        config.dataset = {"kind": "synthetic", "n": int(n), "dim": int(dim), "seed": int(seed)}
+        config.dataset = {"kind": "synthetic", "n": n, "dim": dim, "seed": seed}
     if getattr(args, "csv", None):
         config.dataset = {"kind": "csv", "path": args.csv, "label_column": args.label_column}
     return config
@@ -210,7 +209,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     out = config.resolved_output_dir()
     engine, _, eval_ds = _load_engine(config)
     ids = sample_request_ids(engine.plan, config.request_count, config.request_seed)
-    requests = [UnlearnRequest(i, config.engine_strategy()) for i in ids]
+    requests = [UnlearnRequest(i, engine_strategy(config.strategy)) for i in ids]
     report = engine.process_stream(
         requests, eval_ds, strategy_label=config.strategy, config_hash=config.config_hash()
     )
@@ -241,31 +240,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
-        if STRATEGY_ALIASES.get(s, s) not in STRATEGIES:
+        if engine_strategy(s) not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r} in --strategies")
     slice_counts = [int(s) for s in args.slice_counts.split(",") if s.strip()]
     if not slice_counts:
         raise ConfigError("--slice-counts must name at least one S")
 
+    train_ds, eval_ds = config.build_datasets()
     rows = []
-    fingerprint = None
     for s_count in slice_counts:
         trained: dict[float, UnlearnEngine] = {}
         for strategy in strategies:
-            engine_strategy = STRATEGY_ALIASES.get(strategy, strategy)
-            phi = 0.0 if engine_strategy == "dpus" else config.phi
+            phi = 0.0 if engine_strategy(strategy) == "dpus" else config.phi
             if phi not in trained:
-                sub = ExperimentConfig(**{**config.to_dict(), "num_slices": s_count, "phi": phi})
-                train_ds, eval_ds = sub.build_datasets()
-                if fingerprint is None:
-                    fingerprint = train_ds.fingerprint()
-                elif fingerprint != train_ds.fingerprint():
-                    raise ConfigError("dataset fingerprint mismatch across compare runs")
-                trained[phi] = UnlearnEngine.train(train_ds, sub.train_config())
+                train_config = replace(config.train_config(), num_slices=s_count, phi=phi)
+                trained[phi] = UnlearnEngine.train(train_ds, train_config)
             engine = trained[phi].clone()
-            _, eval_ds = config.build_datasets()
             ids = sample_request_ids(engine.plan, config.request_count, config.request_seed)
-            requests = [UnlearnRequest(i, engine_strategy) for i in ids]
+            requests = [UnlearnRequest(i, engine_strategy(strategy)) for i in ids]
             report = engine.process_stream(requests, eval_ds, strategy_label=strategy)
             rows.append(
                 {
@@ -280,10 +272,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 }
             )
     _write_config_copy(config, out)
-    import csv as _csv
-
     with open(out / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
     payload = {
@@ -383,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shadow-count", dest="shadow_count", type=int)
         p.add_argument("--attack-seed", dest="attack_seed", type=int)
         p.add_argument(
-            "--synthetic", nargs=3, metavar=("N", "DIM", "SEED"),
+            "--synthetic", nargs=3, type=int, metavar=("N", "DIM", "SEED"),
             help="use a synthetic dataset",
         )
         p.add_argument("--csv", help="use a CSV dataset at this path")

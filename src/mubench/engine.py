@@ -2,15 +2,17 @@
 
 Training walks the slices in order, checkpointing parameters plus optimizer
 state after each one; for slices below the dispatch threshold it also records
-the summed per-batch parameter increment. Revocations are then served by:
+the summed per-batch parameter increment. Every revocation takes one of two
+paths:
 
-* ``prs``  - roll back to the checkpoint before the sample's slice, drop the
-  sample, retrain the suffix (the always-retrain flavor doubles as the SISA
-  baseline, shards fixed at one);
-* ``dpus`` - subtract the sample's batch increment from the final parameters;
-* ``hs``   - dispatch to dpus below the threshold, prs at or above it;
-* ``ohs``  - subtract the batch increment from an earlier checkpoint's
-  parameters, then retrain the trailing slices from that amended start.
+* partial retraining (``prs``, and ``hs``/``ohs`` at or above the threshold)
+  - roll back to the checkpoint before the sample's slice, drop the sample,
+  retrain the suffix (the always-retrain flavor doubles as the SISA baseline,
+  shards fixed at one);
+* amend at depth r - subtract the sample's recorded batch increment from the
+  final parameters (r = 0: ``dpus``, and ``hs`` below the threshold) or from
+  checkpoint S-r, then retrain the trailing r slices from that amended start
+  (``ohs`` below the threshold).
 
 All mutation (training, unlearning, store writes) is serialized on the engine
 instance; parameter snapshots handed out are safe to read concurrently.
@@ -18,9 +20,11 @@ instance; parameter snapshots handed out are safe to read concurrently.
 
 from __future__ import annotations
 
+import copy
+import math
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,8 +51,6 @@ from .nn import (
 )
 from .report import MetricsReport, RequestRow
 from .store import Checkpoint, StateStore
-
-F64 = np.float64
 
 STRATEGIES = ("prs", "dpus", "hs", "ohs")
 
@@ -87,12 +89,6 @@ class TrainConfig:
 @dataclass
 class Model:
     params: ParameterVector
-    layout: ModelLayout
-    plan_version: int
-    provenance: dict
-
-    def copy(self) -> "Model":
-        return Model(self.params.copy(), self.layout, self.plan_version, dict(self.provenance))
 
 
 @dataclass(frozen=True)
@@ -126,6 +122,34 @@ def sample_request_ids(plan: SlicePlan, count: int, seed: int) -> list[int]:
     return [int(x) for x in picked]
 
 
+def train_batches(
+    params: ParameterVector,
+    state: OptimizerState,
+    batches: Iterable[tuple[int, int, Batch]],
+    where: str,
+    deltas: np.ndarray | None = None,
+) -> tuple[ParameterVector, OptimizerState]:
+    """Take one Adam step per ``(epoch, j, batch)`` of ``batches``, in order.
+
+    A non-finite loss or gradient raises TrainingDiverged naming ``where``
+    and the epoch. With ``deltas`` given, each step's parameter change is
+    added to row ``deltas[j]``; Adam returns fresh vectors, so the step
+    before stays available for the difference without a copy.
+    """
+    for epoch, j, batch in batches:
+        loss, grad = loss_grad(params, batch)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"non-finite loss in {where}, epoch {epoch}")
+        try:
+            stepped, state = adam_step(params, state, grad)
+        except NumericError as exc:
+            raise TrainingDiverged(f"non-finite gradient in {where}, epoch {epoch}") from exc
+        if deltas is not None:
+            deltas[j] += stepped.values - params.values
+        params = stepped
+    return params, state
+
+
 class UnlearnEngine:
     """Owns the dataset view, slice plan, state store and current model."""
 
@@ -144,7 +168,6 @@ class UnlearnEngine:
         if not 0 <= self.default_ohs_depth <= config.num_slices:
             raise InvalidArgument("ohs_depth must be in [0, num_slices]")
         self.plan = make_slice_plan(dataset, config.num_slices, config.batch_size, config.seed)
-        self.plan_version = 0
         self.store = StateStore(
             layout=self.layout,
             num_slices=config.num_slices,
@@ -186,53 +209,45 @@ class UnlearnEngine:
         engine = cls(dataset, config, ohs_depth=ohs_depth)
         engine.store = store
         engine.threshold = store.threshold
-        engine.plan_version = store.plan_version
         for sid in store.tombstones:
             engine.plan = engine.plan.tombstone(sid)
-        final = store.get_checkpoint(store.num_slices)
-        engine.model = Model(
-            final.params.copy(),
-            store.layout,
-            store.plan_version,
-            {"dataset": dataset.name, "config": asdict(config)},
-        )
+        engine.model = Model(store.get_checkpoint(store.num_slices).params.copy())
         return engine
 
     def clone(self) -> "UnlearnEngine":
-        dup = UnlearnEngine.__new__(UnlearnEngine)
-        dup.dataset = self.dataset
-        dup.config = self.config
-        dup.layout = self.layout
-        dup.threshold = self.threshold
-        dup.default_ohs_depth = self.default_ohs_depth
-        dup.plan = self.plan
-        dup.plan_version = self.plan_version
+        dup = copy.copy(self)
         dup.store = self.store.clone()
-        dup.model = self.model.copy() if self.model is not None else None
+        if self.model is not None:
+            dup.model = Model(self.model.params.copy())
         return dup
 
     # ---- training -------------------------------------------------------
     def fit(self) -> Model:
         if self.model is not None:
             raise InvalidArgument("engine is already trained")
-        cfg = self.config
-        params = init_params(self.layout, cfg.seed)
-        state = OptimizerState.fresh(self.layout, cfg.hyper())
+        params = init_params(self.layout, self.config.seed)
+        state = OptimizerState.fresh(self.layout, self.config.hyper())
         self.store.set_tombstones(self.plan.tombstones)
-        self.store.put_checkpoint(Checkpoint(0, params.copy(), state.copy(), self.plan_version))
-        for i in range(1, cfg.num_slices + 1):
-            params, state = self._train_slice(params, state, i, record=i < self.threshold)
-            self.store.put_checkpoint(
-                Checkpoint(i, params.copy(), state.copy(), self.plan_version)
-            )
-        self.store.dataset_fingerprint = self.dataset.fingerprint()
-        self.model = Model(
-            params.copy(),
-            self.layout,
-            self.plan_version,
-            {"dataset": self.dataset.name, "config": asdict(cfg)},
+        self.store.put_checkpoint(
+            Checkpoint(0, params.copy(), state.copy(), self.store.plan_version)
         )
+        params, _ = self._train_slices(1, params, state)
+        self.store.dataset_fingerprint = self.dataset.fingerprint()
+        self.model = Model(params)
         return self.model
+
+    def _train_slices(
+        self, start_slice: int, params: ParameterVector, state: OptimizerState
+    ) -> tuple[ParameterVector, list[int]]:
+        """Train slices start_slice..S from (params, state), checkpointing each
+        one; return the final params and the slices trained."""
+        trained = list(range(start_slice, self.config.num_slices + 1))
+        for k in trained:
+            params, state = self._train_slice(params, state, k, record=k < self.threshold)
+            self.store.put_checkpoint(
+                Checkpoint(k, params.copy(), state.copy(), self.store.plan_version)
+            )
+        return params, trained
 
     def _train_slice(
         self, params: ParameterVector, state: OptimizerState, slice_index: int, record: bool
@@ -247,55 +262,24 @@ class UnlearnEngine:
         """
         cfg = self.config
         nb = self.plan.num_batches(slice_index)
-        acc = {j: np.zeros(self.layout.param_count, dtype=F64) for j in range(nb)} if record else None
-        for epoch in range(1, cfg.epochs_per_slice + 1):
-            order = np.random.default_rng((cfg.seed, slice_index, epoch)).permutation(nb)
-            for j0 in (int(j) for j in order):
-                ids = np.asarray(self.plan.batch_ids(slice_index, j0 + 1), dtype=np.int64)
-                batch = Batch(self.dataset.features[ids], self.dataset.labels[ids], ids)
-                loss, grad = loss_grad(params, batch)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss in slice {slice_index}, epoch {epoch}"
-                    )
-                before = params.values.astype(F64) if record else None
-                try:
-                    params, state = adam_step(params, state, grad)
-                except NumericError as exc:
-                    raise TrainingDiverged(
-                        f"non-finite gradient in slice {slice_index}, epoch {epoch}"
-                    ) from exc
-                if record:
-                    acc[j0] += params.values.astype(F64) - before
+
+        def batches():
+            for epoch in range(1, cfg.epochs_per_slice + 1):
+                order = np.random.default_rng((cfg.seed, slice_index, epoch)).permutation(nb)
+                for j0 in (int(j) for j in order):
+                    ids = np.asarray(self.plan.batch_ids(slice_index, j0 + 1), dtype=np.int64)
+                    batch = Batch(self.dataset.features[ids], self.dataset.labels[ids], ids)
+                    yield epoch, j0, batch
+
+        deltas = np.zeros((nb, self.layout.param_count)) if record else None
+        params, state = train_batches(params, state, batches(), f"slice {slice_index}", deltas)
         if record:
             self.store.drop_increments(slice_index)
             for j0 in range(nb):
-                delta = ParameterVector(acc[j0].astype(np.float32), self.layout)
+                delta = ParameterVector(deltas[j0].astype(np.float32), self.layout)
                 self.store.record_increment(slice_index, j0 + 1, delta)
             self.store.set_recorded_batches(slice_index, self.plan.slices[slice_index - 1])
         return params, state
-
-    def _retrain_from(
-        self,
-        start_slice: int,
-        params: ParameterVector | None = None,
-        state: OptimizerState | None = None,
-    ) -> list[int]:
-        """Retrain slices start_slice..S from checkpoint start_slice-1, or from
-        an explicitly supplied starting point (the amended one OHS builds)."""
-        if params is None or state is None:
-            cp = self.store.get_checkpoint(start_slice - 1)
-            params, state = cp.params.copy(), cp.opt_state.copy()
-        self.plan_version += 1
-        for k in range(start_slice, self.config.num_slices + 1):
-            params, state = self._train_slice(params, state, k, record=k < self.threshold)
-            self.store.put_checkpoint(
-                Checkpoint(k, params.copy(), state.copy(), self.plan_version)
-            )
-        self.store.plan_version = self.plan_version
-        self.model.params = params.copy()
-        self.model.plan_version = self.plan_version
-        return list(range(start_slice, self.config.num_slices + 1))
 
     def _tombstone(self, sample_id: int) -> None:
         self.plan = self.plan.tombstone(sample_id)
@@ -306,106 +290,83 @@ class UnlearnEngine:
             raise InvalidArgument("engine is not trained yet")
         return self.model
 
-    # ---- strategies -------------------------------------------------------
-    def unlearn_prs(self, sample_id: int) -> UnlearnOutcome:
-        """Partial retraining: tombstone, roll back, retrain the suffix."""
-        self._require_model()
-        t0 = time.perf_counter()
-        i, j = self.plan.locate(sample_id)
-        self._tombstone(sample_id)
-        rewritten = self._retrain_from(i)
-        return UnlearnOutcome(
-            "prs", (i, j), time.perf_counter() - t0, self.model.params.copy(), rewritten
-        )
+    # ---- revocation -------------------------------------------------------
+    def _unlearn(
+        self, sample_id: int, strategy: str, depth: int | None = None, force: bool = False
+    ) -> UnlearnOutcome:
+        """Serve one revocation; every strategy entry point lands here.
 
-    def unlearn_dpus(self, sample_id: int, force: bool = False) -> UnlearnOutcome:
-        """Direct parameter update: final params minus the sample's batch delta.
+        PRS, and HS or OHS at or above the threshold, tombstone the sample and
+        retrain from its slice i, starting at checkpoint i-1. Otherwise the
+        request amends at depth r (0 for DPUS and HS, the OHS depth for OHS):
+        the sample's recorded batch delta is subtracted from the served
+        parameters when r = 0, else from checkpoint S-r, which itself stays
+        pristine, before slices S-r+1..S are retrained. DPUS at or above the
+        threshold needs ``force``.
 
         The ledger is addressed by recording-time batch membership, since
         tombstoning re-chunks the live plan. A batch's delta is subtracted at
-        most once; a later request hitting a consumed batch only tombstones.
+        most once; at r = 0 a later request hitting a consumed batch only
+        tombstones.
         """
         model = self._require_model()
         t0 = time.perf_counter()
-        i, _ = self.plan.locate(sample_id)
-        if i >= self.threshold and not force:
+        num_slices = self.config.num_slices
+        r = 0
+        if strategy == "ohs":
+            r = self.default_ohs_depth if depth is None else int(depth)
+            if not 0 <= r <= num_slices:
+                raise InvalidArgument("ohs depth must be in [0, num_slices]")
+        i, j = self.plan.locate(sample_id)
+        if strategy == "dpus" and i >= self.threshold and not force:
             raise DispatchError(
                 f"sample {sample_id} sits in slice {i} >= threshold {self.threshold}; "
                 "direct update requires force=True there"
             )
-        j = self.store.recorded_batch_index(i, sample_id)
-        record = self.store.get_increment(i, j)
-        if record.consumed:
-            self._tombstone(sample_id)
-            return UnlearnOutcome(
-                "noop-consumed", (i, j), time.perf_counter() - t0, model.params.copy(), []
-            )
-        updated = combine(model.params, record.delta, "-")
-        self.store.mark_consumed(i, j)
+        amend = strategy == "dpus" or (strategy != "prs" and i < self.threshold)
+        start = num_slices - r + 1 if amend else i
+        base = self.store.get_checkpoint(start - 1) if start <= num_slices else None
+        params = model.params if base is None else base.params
+        executed = "prs"
+        if amend:
+            j = self.store.recorded_batch_index(i, sample_id)
+            record = self.store.get_increment(i, j)
+            executed = "ohs" if r else ("noop-consumed" if record.consumed else "dpus")
+            if not record.consumed:
+                params = combine(params, record.delta, "-")
+                self.store.mark_consumed(i, j)
         self._tombstone(sample_id)
-        model.params = updated
+        rewritten = []
+        if base is not None:
+            self.store.plan_version += 1
+            params, rewritten = self._train_slices(start, params, base.opt_state)
+        model.params = params
         return UnlearnOutcome(
-            "dpus", (i, j), time.perf_counter() - t0, updated.copy(), []
+            executed, (i, j), time.perf_counter() - t0, params.copy(), rewritten
         )
+
+    def unlearn_prs(self, sample_id: int) -> UnlearnOutcome:
+        """Partial retraining: tombstone, roll back, retrain the suffix."""
+        return self._unlearn(sample_id, "prs")
+
+    def unlearn_dpus(self, sample_id: int, force: bool = False) -> UnlearnOutcome:
+        """Direct parameter update: final params minus the sample's batch delta;
+        at or above the threshold only with ``force``."""
+        return self._unlearn(sample_id, "dpus", force=force)
 
     def unlearn_hs(self, sample_id: int) -> UnlearnOutcome:
         """Hybrid: direct update strictly below the threshold, else retraining."""
-        self._require_model()
-        t0 = time.perf_counter()
-        i, _ = self.plan.locate(sample_id)
-        if i < self.threshold:
-            outcome = self.unlearn_dpus(sample_id)
-        else:
-            outcome = self.unlearn_prs(sample_id)
-        outcome.wall_time = time.perf_counter() - t0
-        return outcome
+        return self._unlearn(sample_id, "hs")
 
     def unlearn_ohs(self, sample_id: int, depth: int | None = None) -> UnlearnOutcome:
-        """Optimized hybrid: subtract at checkpoint S-r, retrain the last r slices.
-
-        The subtraction amends the retraining starting point only; checkpoint
-        S-r itself stays pristine and exactly the trailing checkpoints are
-        rewritten. depth r = 0 degenerates to the direct update; samples at or
-        above the threshold take plain retraining.
-        """
-        self._require_model()
-        t0 = time.perf_counter()
-        r = self.default_ohs_depth if depth is None else int(depth)
-        if not 0 <= r <= self.config.num_slices:
-            raise InvalidArgument("ohs depth must be in [0, num_slices]")
-        i, _ = self.plan.locate(sample_id)
-        if i >= self.threshold:
-            outcome = self.unlearn_prs(sample_id)
-            outcome.wall_time = time.perf_counter() - t0
-            return outcome
-        if r == 0:
-            outcome = self.unlearn_dpus(sample_id, force=True)
-            outcome.wall_time = time.perf_counter() - t0
-            return outcome
-        base = self.config.num_slices - r
-        j = self.store.recorded_batch_index(i, sample_id)
-        record = self.store.get_increment(i, j)
-        base_cp = self.store.get_checkpoint(base)
-        if record.consumed:
-            start = base_cp.params.copy()
-        else:
-            start = combine(base_cp.params, record.delta, "-")
-            self.store.mark_consumed(i, j)
-        self._tombstone(sample_id)
-        rewritten = self._retrain_from(base + 1, params=start, state=base_cp.opt_state.copy())
-        return UnlearnOutcome(
-            "ohs", (i, j), time.perf_counter() - t0, self.model.params.copy(), rewritten
-        )
+        """Optimized hybrid: subtract at checkpoint S-r, retrain the last r
+        slices; depth r = 0 is the direct update, samples at or above the
+        threshold take plain retraining."""
+        return self._unlearn(sample_id, "ohs", depth=depth)
 
     # ---- replay ---------------------------------------------------------
     def dispatch(self, request: UnlearnRequest) -> UnlearnOutcome:
-        if request.requested_strategy == "prs":
-            return self.unlearn_prs(request.sample_id)
-        if request.requested_strategy == "dpus":
-            return self.unlearn_dpus(request.sample_id, force=True)
-        if request.requested_strategy == "hs":
-            return self.unlearn_hs(request.sample_id)
-        return self.unlearn_ohs(request.sample_id)
+        return self._unlearn(request.sample_id, request.requested_strategy, force=True)
 
     def process_stream(
         self,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .engine import TrainConfig
+from .engine import TrainConfig, train_batches
 from .errors import DegenerateAttackSet, InvalidArgument, NotFound
 from .nn import (
     AdamHyper,
@@ -22,11 +22,9 @@ from .nn import (
     ModelLayout,
     OptimizerState,
     ParameterVector,
-    adam_step,
     evaluate,
     forward,
     init_params,
-    loss_grad,
 )
 
 F32 = np.float32
@@ -86,15 +84,17 @@ def fit_dense(
     seed: int,
 ) -> ParameterVector:
     """Plain epoch/mini-batch Adam training used for shadows and the attacker."""
-    params = init_params(layout, seed)
-    state = OptimizerState.fresh(layout, AdamHyper(learning_rate=learning_rate))
     n = features.shape[0]
-    for epoch in range(1, epochs + 1):
-        order = np.random.default_rng((seed, epoch)).permutation(n)
-        for k in range(0, n, batch_size):
-            idx = order[k : k + batch_size]
-            _, grad = loss_grad(params, Batch(features[idx], labels[idx], idx))
-            params, state = adam_step(params, state, grad)
+
+    def batches():
+        for epoch in range(1, epochs + 1):
+            order = np.random.default_rng((seed, epoch)).permutation(n)
+            for k in range(0, n, batch_size):
+                idx = order[k : k + batch_size]
+                yield epoch, k // batch_size, Batch(features[idx], labels[idx], idx)
+
+    state = OptimizerState.fresh(layout, AdamHyper(learning_rate=learning_rate))
+    params, _ = train_batches(init_params(layout, seed), state, batches(), "fit_dense")
     return params
 
 

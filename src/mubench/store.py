@@ -10,6 +10,7 @@ lives in the manifest. Writes go to a temp file then ``os.replace``.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import struct
@@ -183,19 +184,8 @@ class StateStore:
         self.tombstones = sorted(int(x) for x in ids)
 
     def clone(self) -> "StateStore":
-        dup = StateStore(
-            layout=self.layout,
-            num_slices=self.num_slices,
-            threshold=self.threshold,
-            n=self.n,
-            batch_size=self.batch_size,
-            seeds=self.seeds,
-            hyper=self.hyper,
-            epochs_per_slice=self.epochs_per_slice,
-            phi=self.phi,
-            plan_version=self.plan_version,
-            dataset_fingerprint=self.dataset_fingerprint,
-        )
+        dup = copy.copy(self)
+        dup.seeds = dict(self.seeds)
         dup.checkpoints = {i: cp.copy() for i, cp in self.checkpoints.items()}
         dup.increments = {k: rec.copy() for k, rec in self.increments.items()}
         dup.recorded_batches = dict(self.recorded_batches)

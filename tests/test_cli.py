@@ -72,10 +72,28 @@ def test_train_refuses_overwrite_without_force(out_root):
     assert main(["train", "--config", str(cfg), "--force"]) == 0
 
 
-def test_train_invalid_slices_names_field(out_root, capsys):
-    cfg = write_config(out_root, num_slices=0)
-    assert main(["train", "--config", str(cfg)]) == 2
-    assert "num_slices" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "overrides,flags,field",
+    [
+        ({"num_slices": 0}, [], "num_slices"),
+        ({"shadow_split_seed": -1}, [], "shadow_split_seed"),
+        ({"dataset": {"kind": "synthetic", "n": 500, "dim": 12, "seed": -3}}, [], "dataset.seed"),
+        ({}, ["--request-seed", "-1"], "request_seed"),
+        ({}, ["--attack-seed", "-1"], "attack_seed"),
+        ({}, ["--synthetic", "400", "8", "-3"], "dataset.seed"),
+        ({}, ["--synthetic", "400", "8.5", "3"], "--synthetic"),
+    ],
+    ids=["num_slices", "shadow_split_seed", "dataset_seed", "request_seed", "attack_seed",
+         "synthetic_seed", "synthetic_not_int"],
+)
+def test_train_invalid_slices_names_field(out_root, capsys, overrides, flags, field):
+    cfg = write_config(out_root, **overrides)
+    try:
+        code = main(["train", "--config", str(cfg), *flags])
+    except SystemExit as exc:  # argparse rejects a malformed flag value itself
+        code = exc.code
+    assert code == 2
+    assert field in capsys.readouterr().err
 
 
 def test_unknown_config_field_rejected(out_root):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mubench import (
     Dataset,
+    ModelLayout,
     TrainConfig,
     UnlearnEngine,
     UnlearnRequest,
@@ -19,6 +22,7 @@ from mubench.errors import (
     NotFound,
     TrainingDiverged,
 )
+from mubench.mia import fit_dense
 
 
 # ------------------------------------------------------------------- training
@@ -54,14 +58,23 @@ def test_train_reaches_holdout_accuracy():
     assert evaluate(engine.model.params, hold) >= 0.9
 
 
+def _train_engine(ds):
+    UnlearnEngine.train(ds, TrainConfig(num_slices=2, batch_size=16, seed=0, phi=0.0))
+
+
+def _fit_dense(ds):
+    fit_dense(ds.features, ds.labels, ModelLayout(4), epochs=1, batch_size=16,
+              learning_rate=0.005, seed=0)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_divergence_detected(tiny_config):
+@pytest.mark.parametrize("train", [_train_engine, _fit_dense], ids=["engine", "fit_dense"])
+def test_train_divergence_detected(train):
     feats = np.ones((64, 4), dtype=np.float32)
     feats[3, 2] = np.inf
     bad = Dataset(feats, np.arange(64) % 2)
-    cfg = TrainConfig(num_slices=2, batch_size=16, seed=0, phi=0.0)
     with pytest.raises(TrainingDiverged):
-        UnlearnEngine.train(bad, cfg)
+        train(bad)
 
 
 def test_telescoping_reconstruction(trained_engine):
@@ -254,6 +267,30 @@ def test_ohs_full_depth_tracks_prs_accuracy():
     assert abs(acc_prs - acc_ohs) <= 0.01
 
 
+# ------------------------------------------------------------------- dispatch
+@pytest.mark.parametrize(
+    "strategy,phi,unlearn",
+    [
+        ("prs", 1000.0, lambda eng, i: eng.unlearn_prs(i)),
+        ("dpus", 0.0, lambda eng, i: eng.unlearn_dpus(i, force=True)),
+        ("hs", 1000.0, lambda eng, i: eng.unlearn_hs(i)),
+        ("ohs", 1000.0, lambda eng, i: eng.unlearn_ohs(i)),
+    ],
+    ids=["prs", "dpus", "hs", "ohs"],
+)
+def test_dispatch_matches_strategy_method(tiny_dataset, tiny_config, strategy, phi, unlearn):
+    a = UnlearnEngine.train(tiny_dataset, replace(tiny_config, phi=phi))
+    b = a.clone()
+    for i in sample_request_ids(a.plan, 30, seed=5):
+        out_a = a.dispatch(UnlearnRequest(i, strategy))
+        out_b = unlearn(b, i)
+        assert (out_a.strategy_executed, out_a.located_at, out_a.checkpoints_rewritten) == (
+            out_b.strategy_executed, out_b.located_at, out_b.checkpoints_rewritten
+        )
+        assert out_a.params_after.bits_equal(out_b.params_after)
+    assert a.model.params.bits_equal(b.model.params)
+
+
 # --------------------------------------------------------------------- stream
 def test_stream_row_per_request(tiny_dataset, tiny_config):
     eng = UnlearnEngine.train(tiny_dataset, tiny_config)
@@ -263,6 +300,15 @@ def test_stream_row_per_request(tiny_dataset, tiny_config):
     assert report.final_accuracy is not None
     assert report.avg_unlearn_time_s > 0
     assert not report.partial
+
+
+@pytest.mark.parametrize("strategy", ["prs", "hs", "ohs"])
+def test_stream_reports_served_model(tiny_dataset, tiny_config, strategy):
+    eng = UnlearnEngine.train(tiny_dataset, tiny_config)
+    ids = sample_request_ids(eng.plan, 20, seed=3)
+    report = eng.process_stream([UnlearnRequest(i, strategy) for i in ids], tiny_dataset)
+    assert report.final_accuracy == evaluate(eng.model.params, tiny_dataset)
+    assert report.final_accuracy != report.pre_accuracy
 
 
 def test_stream_empty_requests(trained_engine, tiny_dataset):
