@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,15 @@ from .nn import ParameterVector
 from .store import CHECKPOINT_SENTINEL, StateStore, read_vector_file, write_vector_file
 
 STRATEGY_ALIASES = {"sisa": "prs"}
+
+# The JSON types each config field's annotation accepts; true/false are never numbers.
+_JSON_TYPES = {
+    "int": int,
+    "int | None": (int, type(None)),
+    "float": (int, float),
+    "str": str,
+    "dict": dict,
+}
 
 
 def engine_strategy(name: str) -> str:
@@ -60,13 +69,18 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**raw)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+                raise ConfigError(f"config field {f.name!r} must have type {f.type}")
         self.train_config().validate()
         checks = [
             ("request_count", self.request_count >= 0, "must be non-negative"),
@@ -86,11 +100,13 @@ class ExperimentConfig:
         kind = self.dataset.get("kind")
         if kind == "synthetic":
             for name, low in (("n", 2), ("dim", 1), ("seed", 0)):
-                if int(self.dataset.get(name, 0)) < low:
-                    raise ConfigError(f"config field 'dataset.{name}' must be >= {low}")
+                value = self.dataset.get(name, 0)
+                if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                    raise ConfigError(f"config field 'dataset.{name}' must be an integer >= {low}")
         elif kind == "csv":
-            if not self.dataset.get("path"):
-                raise ConfigError("config field 'dataset.path' is required for csv datasets")
+            path = self.dataset.get("path")
+            if not path or not isinstance(path, str):
+                raise ConfigError("config field 'dataset.path' must name the csv file")
         else:
             raise ConfigError("config field 'dataset.kind' must be 'synthetic' or 'csv'")
 
@@ -120,7 +136,7 @@ class ExperimentConfig:
         kind = self.dataset["kind"]
         if kind == "synthetic":
             return gen_synthetic(
-                int(self.dataset["n"]), int(self.dataset["dim"]), int(self.dataset.get("seed", 0))
+                self.dataset["n"], self.dataset["dim"], self.dataset.get("seed", 0)
             )
         return load_csv(self.dataset["path"], self.dataset.get("label_column", "label"))
 

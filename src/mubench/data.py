@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,107 +165,91 @@ def split_dataset(dataset: Dataset, eval_fraction: float, seed: int) -> tuple[Da
     )
 
 
-def _chunk(ids: np.ndarray, size: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(int(x) for x in ids[k : k + size]) for k in range(0, len(ids), size)
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlicePlan:
     """Immutable partition of sample ids into ordered slices of batches.
 
-    ``tombstone`` returns a new plan sharing every untouched slice, so
-    concurrent readers of older snapshots stay valid.
+    ``slices[i-1]`` holds slice i's live ids in training order as a read-only
+    int64 array; batch j is the j-th run of ``batch_size`` ids in it.
+    ``slice_of`` gives every planned id's slice and is shared by all versions
+    of a plan. ``tombstone`` returns a new plan sharing every untouched slice,
+    so concurrent readers of older snapshots stay valid.
     """
 
     num_slices: int
     batch_size: int
     shuffle_seed: int
-    slices: tuple[tuple[tuple[int, ...], ...], ...]
+    slices: tuple[np.ndarray, ...]
+    slice_of: np.ndarray
     tombstones: frozenset[int] = frozenset()
-    _locations: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        loc = {}
-        for i, batches in enumerate(self.slices, start=1):
-            for j, ids in enumerate(batches, start=1):
-                for sid in ids:
-                    loc[sid] = (i, j)
-        self._locations.update(loc)
 
     def locate(self, sample_id: int) -> tuple[int, int]:
         """1-based (slice, batch) position of a live sample id."""
         sample_id = int(sample_id)
         if sample_id in self.tombstones:
             raise AlreadyRevoked(f"sample {sample_id} was already revoked")
-        pos = self._locations.get(sample_id)
-        if pos is None:
-            raise NotFound(f"sample {sample_id} is not in the plan")
-        return pos
+        i = self._slice_of(sample_id)
+        k = int(np.flatnonzero(self.slices[i - 1] == sample_id)[0])
+        return i, k // self.batch_size + 1
 
     def tombstone(self, sample_id: int) -> "SlicePlan":
-        """Revoke an id: re-chunk its slice over the surviving ids, in order."""
+        """Revoke an id: drop it from its slice; the survivors keep their order."""
         sample_id = int(sample_id)
         if sample_id in self.tombstones:
             return self
-        pos = self._locations.get(sample_id)
-        if pos is None:
-            raise NotFound(f"sample {sample_id} is not in the plan")
-        i = pos[0]
-        survivors = [
-            sid for ids in self.slices[i - 1] for sid in ids if sid != sample_id
-        ]
-        new_slices = (
-            self.slices[: i - 1]
-            + (_chunk(np.asarray(survivors, dtype=np.int64), self.batch_size),)
-            + self.slices[i:]
-        )
-        return SlicePlan(
-            num_slices=self.num_slices,
-            batch_size=self.batch_size,
-            shuffle_seed=self.shuffle_seed,
-            slices=new_slices,
+        i = self._slice_of(sample_id)
+        ids = self.slices[i - 1]
+        kept = ids[ids != sample_id]
+        kept.flags.writeable = False
+        return replace(
+            self,
+            slices=self.slices[: i - 1] + (kept,) + self.slices[i:],
             tombstones=self.tombstones | {sample_id},
         )
 
     def live_ids(self) -> np.ndarray:
-        return np.sort(np.fromiter(self._locations.keys(), dtype=np.int64))
+        return np.sort(np.concatenate(self.slices))
 
-    def slice_ids(self, i: int) -> tuple[int, ...]:
-        self._check_slice(i)
-        return tuple(sid for ids in self.slices[i - 1] for sid in ids)
-
-    def num_batches(self, i: int) -> int:
-        self._check_slice(i)
-        return len(self.slices[i - 1])
-
-    def batch_ids(self, i: int, j: int) -> tuple[int, ...]:
-        self._check_slice(i)
-        if not 1 <= j <= len(self.slices[i - 1]):
-            raise NotFound(f"slice {i} has no batch {j}")
-        return self.slices[i - 1][j - 1]
-
-    def slice_sizes(self) -> tuple[int, ...]:
-        return tuple(sum(len(b) for b in batches) for batches in self.slices)
-
-    def _check_slice(self, i: int) -> None:
+    def slice_ids(self, i: int) -> np.ndarray:
         if not 1 <= i <= self.num_slices:
             raise NotFound(f"no slice {i} in a {self.num_slices}-slice plan")
+        return self.slices[i - 1]
+
+    def num_batches(self, i: int) -> int:
+        return (self.slice_ids(i).size + self.batch_size - 1) // self.batch_size
+
+    def batch_ids(self, i: int, j: int) -> np.ndarray:
+        if not 1 <= j <= self.num_batches(i):
+            raise NotFound(f"slice {i} has no batch {j}")
+        return self.slices[i - 1][(j - 1) * self.batch_size : j * self.batch_size]
+
+    def slice_sizes(self) -> tuple[int, ...]:
+        return tuple(ids.size for ids in self.slices)
+
+    def _slice_of(self, sample_id: int) -> int:
+        if not 0 <= sample_id < self.slice_of.size:
+            raise NotFound(f"sample {sample_id} is not in the plan")
+        return int(self.slice_of[sample_id])
 
 
 def make_slice_plan(dataset: Dataset, num_slices: int, batch_size: int, seed: int) -> SlicePlan:
-    """Shuffle ids by seed, split into near-equal contiguous slices, chunk each."""
+    """Shuffle ids by seed and split them into near-equal contiguous slices."""
     n = dataset.n
     if not 1 <= num_slices <= n:
         raise InvalidArgument(f"num_slices must be in [1, {n}], got {num_slices}")
     if batch_size < 1:
         raise InvalidArgument("batch_size must be >= 1")
-    order = np.random.default_rng(seed).permutation(n)
-    parts = np.array_split(order, num_slices)
-    slices = tuple(_chunk(part, batch_size) for part in parts)
+    order = np.random.default_rng(seed).permutation(n).astype(np.int64)
+    order.flags.writeable = False
+    slices = tuple(np.array_split(order, num_slices))
+    slice_of = np.empty(n, dtype=np.int64)
+    for i, ids in enumerate(slices, start=1):
+        slice_of[ids] = i
+    slice_of.flags.writeable = False
     return SlicePlan(
-        num_slices=num_slices, batch_size=batch_size, shuffle_seed=seed, slices=slices
+        num_slices=num_slices,
+        batch_size=batch_size,
+        shuffle_seed=seed,
+        slices=slices,
+        slice_of=slice_of,
     )

@@ -116,7 +116,7 @@ class UnlearnOutcome:
 def sample_request_ids(plan: SlicePlan, count: int, seed: int) -> list[int]:
     """Draw distinct live ids uniformly without replacement."""
     live = plan.live_ids()
-    if count > live.size:
+    if not 0 <= count <= live.size:
         raise InvalidArgument(f"cannot draw {count} requests from {live.size} live ids")
     picked = np.random.default_rng(seed).choice(live, size=count, replace=False)
     return [int(x) for x in picked]
@@ -267,7 +267,7 @@ class UnlearnEngine:
             for epoch in range(1, cfg.epochs_per_slice + 1):
                 order = np.random.default_rng((cfg.seed, slice_index, epoch)).permutation(nb)
                 for j0 in (int(j) for j in order):
-                    ids = np.asarray(self.plan.batch_ids(slice_index, j0 + 1), dtype=np.int64)
+                    ids = self.plan.batch_ids(slice_index, j0 + 1)
                     batch = Batch(self.dataset.features[ids], self.dataset.labels[ids], ids)
                     yield epoch, j0, batch
 
@@ -278,7 +278,7 @@ class UnlearnEngine:
             for j0 in range(nb):
                 delta = ParameterVector(deltas[j0].astype(np.float32), self.layout)
                 self.store.record_increment(slice_index, j0 + 1, delta)
-            self.store.set_recorded_batches(slice_index, self.plan.slices[slice_index - 1])
+            self.store.set_recorded_batches(slice_index, self.plan.slice_ids(slice_index))
         return params, state
 
     def _tombstone(self, sample_id: int) -> None:

@@ -30,7 +30,7 @@ from .errors import (
 from .nn import AdamHyper, ModelLayout, OptimizerState, ParameterVector
 
 MAGIC = b"MUCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 CHECKPOINT_SENTINEL = 0xFFFFFFFF
 _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
 
@@ -121,7 +121,7 @@ class StateStore:
         self.dataset_fingerprint = dataset_fingerprint
         self.checkpoints: dict[int, Checkpoint] = {}
         self.increments: dict[tuple[int, int], IncrementRecord] = {}
-        self.recorded_batches: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self.recorded_batches: dict[int, np.ndarray] = {}
         self.tombstones: list[int] = []
 
     # ---- checkpoints -------------------------------------------------
@@ -166,19 +166,21 @@ class StateStore:
             del self.increments[key]
         self.recorded_batches.pop(i, None)
 
-    def set_recorded_batches(self, i: int, batches) -> None:
-        self.recorded_batches[i] = tuple(tuple(int(x) for x in b) for b in batches)
+    def set_recorded_batches(self, i: int, ids) -> None:
+        """Keep slice i's ids in recording-time order, read-only so clones share them."""
+        ids = np.array(ids, dtype=np.int64)
+        ids.flags.writeable = False
+        self.recorded_batches[i] = ids
 
     def recorded_batch_index(self, i: int, sample_id: int) -> int:
         """Recording-time 1-based batch index of a sample within slice i."""
-        batches = self.recorded_batches.get(int(i))
-        if batches is None:
+        ids = self.recorded_batches.get(int(i))
+        if ids is None:
             raise NotFound(f"slice {i} has no recorded increments")
-        sid = int(sample_id)
-        for j, ids in enumerate(batches, start=1):
-            if sid in ids:
-                return j
-        raise NotFound(f"sample {sid} is not in slice {i}'s recorded batches")
+        hits = np.flatnonzero(ids == int(sample_id))
+        if hits.size == 0:
+            raise NotFound(f"sample {sample_id} is not in slice {i}'s recorded batches")
+        return int(hits[0]) // self.batch_size + 1
 
     def set_tombstones(self, ids) -> None:
         self.tombstones = sorted(int(x) for x in ids)
@@ -243,8 +245,7 @@ class StateStore:
             "dataset_fingerprint": self.dataset_fingerprint,
             "tombstones": self.tombstones,
             "recorded_batches": {
-                str(i): [list(b) for b in batches]
-                for i, batches in sorted(self.recorded_batches.items())
+                str(i): ids.tolist() for i, ids in sorted(self.recorded_batches.items())
             },
             "checkpoints": cp_entries,
             "increments": inc_entries,
@@ -282,10 +283,8 @@ class StateStore:
             dataset_fingerprint=manifest.get("dataset_fingerprint", ""),
         )
         store.tombstones = [int(x) for x in manifest.get("tombstones", [])]
-        store.recorded_batches = {
-            int(i): tuple(tuple(int(x) for x in b) for b in batches)
-            for i, batches in manifest.get("recorded_batches", {}).items()
-        }
+        for i, ids in manifest.get("recorded_batches", {}).items():
+            store.set_recorded_batches(int(i), ids)
         count = layout.param_count
         for entry in manifest["checkpoints"]:
             si, bi, payload, crc = read_vector_file(root / entry["file"])

@@ -120,7 +120,9 @@ def test_criterion_4_dpus_reversibility_and_consume_once():
     delta = eng.store.get_increment(*outcome.located_at).delta
     assert combine(outcome.params_after, delta, "+").bits_equal(final_params)
 
-    same_batch = eng.store.recorded_batches[outcome.located_at[0]][outcome.located_at[1] - 1]
+    i, j = outcome.located_at
+    size = cfg.batch_size
+    same_batch = eng.store.recorded_batches[i][(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != victim)
     frozen = eng.model.params.copy()
     second_outcome = eng.unlearn_dpus(second)

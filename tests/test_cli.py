@@ -82,9 +82,15 @@ def test_train_refuses_overwrite_without_force(out_root):
         ({}, ["--attack-seed", "-1"], "attack_seed"),
         ({}, ["--synthetic", "400", "8", "-3"], "dataset.seed"),
         ({}, ["--synthetic", "400", "8.5", "3"], "--synthetic"),
+        ({"num_slices": "4"}, [], "num_slices"),
+        ({"phi": None}, [], "phi"),
+        ({"dataset": {"kind": "synthetic", "n": "many", "dim": 12, "seed": 9}}, [], "dataset.n"),
+        ({"seed": True}, [], "seed"),
+        ({"dataset": {"kind": "csv", "path": 5}}, [], "dataset.path"),
     ],
     ids=["num_slices", "shadow_split_seed", "dataset_seed", "request_seed", "attack_seed",
-         "synthetic_seed", "synthetic_not_int"],
+         "synthetic_seed", "synthetic_not_int", "num_slices_string", "phi_null",
+         "dataset_n_string", "seed_bool", "csv_path_not_string"],
 )
 def test_train_invalid_slices_names_field(out_root, capsys, overrides, flags, field):
     cfg = write_config(out_root, **overrides)
@@ -98,8 +104,9 @@ def test_train_invalid_slices_names_field(out_root, capsys, overrides, flags, fi
 
 def test_unknown_config_field_rejected(out_root):
     path = out_root / "bad.json"
-    path.write_text(json.dumps({"no_such_field": 1}))
-    assert main(["train", "--config", str(path)]) == 2
+    for raw in ({"no_such_field": 1}, 5, None):  # the last two are not JSON objects
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 2
 
 
 # --------------------------------------------------------------------- replay

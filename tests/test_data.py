@@ -123,8 +123,8 @@ def test_plan_fully_determined_by_inputs():
     a = make_slice_plan(ds, 4, 32, seed=5)
     b = make_slice_plan(ds, 4, 32, seed=5)
     c = make_slice_plan(ds, 4, 32, seed=6)
-    assert a == b
-    assert a != c
+    assert all(np.array_equal(a.slice_ids(i), b.slice_ids(i)) for i in range(1, 5))
+    assert not all(np.array_equal(a.slice_ids(i), c.slice_ids(i)) for i in range(1, 5))
 
 
 def test_plan_equal_split_and_batches():
@@ -155,7 +155,7 @@ def test_plan_rejects_oversized_s():
 def test_locate_first_of_shuffled_order():
     ds = gen_synthetic(100, 4, seed=0)
     plan = make_slice_plan(ds, 4, 16, seed=7)
-    first = plan.slices[0][0][0]
+    first = plan.slice_ids(1)[0]
     assert plan.locate(first) == (1, 1)
 
 
@@ -181,7 +181,12 @@ def test_partition_property(n, s, batch, seed):
     s = min(s, n)
     ds = Dataset(np.zeros((n, 2), dtype=np.float32), np.arange(n) % 2)
     plan = make_slice_plan(ds, s, batch, seed)
-    seen = [sid for batches in plan.slices for ids in batches for sid in ids]
+    seen = [
+        sid
+        for i in range(1, s + 1)
+        for j in range(1, plan.num_batches(i) + 1)
+        for sid in plan.batch_ids(i, j)
+    ]
     assert sorted(seen) == list(range(n))
     for sid in range(0, n, max(1, n // 7)):
         i, j = plan.locate(sid)
@@ -202,23 +207,24 @@ def test_tombstone_idempotent(plan_1000):
 
 
 def test_tombstone_shrinks_only_affected_slice(plan_1000):
-    victim = plan_1000.slices[1][0][0]  # first id of slice 2
+    victim = plan_1000.slice_ids(2)[0]
     after = plan_1000.tombstone(victim)
     assert after.slice_sizes() == (250, 249, 250, 250)
-    assert after.slices[0] is plan_1000.slices[0]
-    assert after.slices[2] is plan_1000.slices[2]
-    assert after.slices[3] is plan_1000.slices[3]
+    assert after.slice_ids(1) is plan_1000.slice_ids(1)
+    assert after.slice_ids(3) is plan_1000.slice_ids(3)
+    assert after.slice_ids(4) is plan_1000.slice_ids(4)
 
 
 def test_tombstone_preserves_survivor_order(plan_1000):
     """Oracle: flatten, remove, re-chunk by hand; compare to tombstone()."""
-    victim = plan_1000.slices[2][1][7]
-    flat = [x for ids in plan_1000.slices[2] for x in ids]
+    victim = plan_1000.batch_ids(3, 2)[7]
+    flat = [x for j in range(1, plan_1000.num_batches(3) + 1) for x in plan_1000.batch_ids(3, j)]
     expected = [x for x in flat if x != victim]
     after = plan_1000.tombstone(victim)
-    got = [x for ids in after.slices[2] for x in ids]
+    batches = [after.batch_ids(3, j) for j in range(1, after.num_batches(3) + 1)]
+    got = [x for ids in batches for x in ids]
     assert got == expected
-    assert all(len(b) <= 128 for b in after.slices[2])
+    assert all(len(b) <= 128 for b in batches)
 
 
 def test_tombstone_unknown_id(plan_1000):
@@ -226,9 +232,60 @@ def test_tombstone_unknown_id(plan_1000):
         plan_1000.tombstone(123456)
 
 
+def _chunk(ids, size):
+    return [tuple(ids[k : k + size]) for k in range(0, len(ids), size)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    s=st.integers(1, 10),
+    batch=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_tombstone_sequence_matches_list_reference(n, s, batch, seed, data):
+    """Random tombstone sequences against the tuple-of-batches reference:
+    flatten the victim's slice, remove it, re-chunk the survivors in order."""
+    s = min(s, n)
+    ds = Dataset(np.zeros((n, 2), dtype=np.float32), np.arange(n) % 2)
+    plan = make_slice_plan(ds, s, batch, seed)
+    order = np.random.default_rng(seed).permutation(n)
+    ref = [_chunk(part.tolist(), batch) for part in np.array_split(order, s)]
+    revoked = set()
+    for victim in data.draw(st.lists(st.integers(-2, n + 2), max_size=2 * n)):
+        home = [k for k, batches in enumerate(ref) for b in batches if victim in b]
+        if victim in revoked:
+            with pytest.raises(AlreadyRevoked):
+                plan.locate(victim)
+            assert plan.tombstone(victim) is plan
+        elif not home:
+            with pytest.raises(NotFound):
+                plan.locate(victim)
+            with pytest.raises(NotFound):
+                plan.tombstone(victim)
+        else:
+            k = home[0]
+            ref[k] = _chunk([x for b in ref[k] for x in b if x != victim], batch)
+            plan = plan.tombstone(victim)
+            revoked.add(victim)
+
+    live = sorted(x for batches in ref for b in batches for x in b)
+    assert plan.live_ids().tolist() == live
+    assert plan.slice_sizes() == tuple(sum(len(b) for b in batches) for batches in ref)
+    for i, batches in enumerate(ref, start=1):
+        assert plan.num_batches(i) == len(batches)
+        for j, b in enumerate(batches, start=1):
+            assert plan.batch_ids(i, j).tolist() == list(b)
+            for sid in b:
+                assert plan.locate(sid) == (i, j)
+        with pytest.raises(NotFound):
+            plan.batch_ids(i, len(batches) + 1)
+
+
 def test_tombstoned_ids_never_reappear(plan_1000):
     plan = plan_1000
-    victims = [plan.slices[0][0][k] for k in range(5)]
+    victims = [int(plan.batch_ids(1, 1)[k]) for k in range(5)]
     for v in victims:
         plan = plan.tombstone(v)
     live = set(plan.live_ids().tolist())

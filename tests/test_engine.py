@@ -149,7 +149,9 @@ def test_dpus_consume_once(trained_engine):
     eng = trained_engine
     first = eng.plan.slice_ids(1)[0]
     out1 = eng.unlearn_dpus(first)
-    same_batch = eng.store.recorded_batches[out1.located_at[0]][out1.located_at[1] - 1]
+    i, j = out1.located_at
+    size = eng.config.batch_size
+    same_batch = eng.store.recorded_batches[i][(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != first)
     frozen = eng.model.params.copy()
     out2 = eng.unlearn_dpus(second)
@@ -240,7 +242,9 @@ def test_ohs_consumed_record_still_retrains(tiny_dataset, tiny_config):
     eng = UnlearnEngine.train(tiny_dataset, tiny_config)
     first = eng.plan.slice_ids(1)[0]
     out1 = eng.unlearn_ohs(first)
-    same_batch = eng.store.recorded_batches[out1.located_at[0]][out1.located_at[1] - 1]
+    i, j = out1.located_at
+    size = eng.config.batch_size
+    same_batch = eng.store.recorded_batches[i][(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != first)
     out2 = eng.unlearn_ohs(second)
     assert out2.strategy_executed == "ohs"
@@ -367,11 +371,45 @@ def test_sample_request_ids_distinct_and_deterministic(trained_engine):
     assert len(set(ids_a)) == 50
     with pytest.raises(InvalidArgument):
         sample_request_ids(trained_engine.plan, 10_000, seed=0)
+    with pytest.raises(InvalidArgument):
+        sample_request_ids(trained_engine.plan, -1, seed=0)
 
 
 def test_request_validates_strategy():
     with pytest.raises(InvalidArgument):
         UnlearnRequest(0, "magic")
+
+
+def test_reload_rebuilds_plan_and_ledger_index(tiny_dataset, tiny_config, tmp_path):
+    """After a mixed stream, persist -> load -> from_store rebuilds the live
+    plan and the recorded ledger index the engine held in memory."""
+    from mubench import StateStore
+
+    eng = UnlearnEngine.train(tiny_dataset, tiny_config)
+    ids = sample_request_ids(eng.plan, 40, seed=8)
+    requests = [UnlearnRequest(eng.plan.slice_ids(1)[0], "prs")]  # re-records slice 1
+    for k, sid in enumerate(ids):
+        strategy = ("hs", "ohs", "dpus")[k % 3]
+        if strategy == "dpus" and eng.plan.locate(sid)[0] >= eng.threshold:
+            strategy = "hs"
+        if sid != requests[0].sample_id:
+            requests.append(UnlearnRequest(sid, strategy))
+    report = eng.process_stream(requests)
+    assert not report.partial
+    assert {row.strategy_executed for row in report.rows} >= {"prs", "dpus", "ohs"}
+
+    eng.store.persist(tmp_path)
+    back = UnlearnEngine.from_store(tiny_dataset, StateStore.load(tmp_path))
+    for i in range(1, eng.config.num_slices + 1):
+        assert np.array_equal(back.plan.slice_ids(i), eng.plan.slice_ids(i))
+    assert back.store.recorded_batches.keys() == eng.store.recorded_batches.keys()
+    for i, recorded in eng.store.recorded_batches.items():
+        assert np.array_equal(back.store.recorded_batches[i], recorded)
+    for sid in eng.plan.live_ids():
+        assert back.plan.locate(sid) == eng.plan.locate(sid)
+    for request in requests:
+        with pytest.raises(AlreadyRevoked):
+            back.plan.locate(request.sample_id)
 
 
 def test_from_store_fingerprint_guard(tiny_dataset, tiny_config, tmp_path):

@@ -93,8 +93,9 @@ def test_get_missing_increment():
 
 def test_recorded_batch_lookup():
     store = fresh_store()
-    store.set_recorded_batches(1, ((10, 11, 12), (13, 14)))
-    assert store.recorded_batch_index(1, 14) == 2
+    store.set_recorded_batches(1, range(10, 30))  # batch size 16: 10..25, then 26..29
+    assert store.recorded_batch_index(1, 25) == 1
+    assert store.recorded_batch_index(1, 28) == 2
     with pytest.raises(NotFound):
         store.recorded_batch_index(1, 99)
     with pytest.raises(NotFound):
@@ -108,7 +109,7 @@ def populated_store():
     store.record_increment(1, 1, init_params(LAYOUT, 91))
     store.record_increment(1, 2, init_params(LAYOUT, 92))
     store.mark_consumed(1, 2)
-    store.set_recorded_batches(1, ((0, 1, 2), (3, 4)))
+    store.set_recorded_batches(1, range(20))  # batch size 16: two batches
     store.set_tombstones([5, 9])
     store.dataset_fingerprint = "abc123"
     return store
@@ -128,7 +129,9 @@ def test_persist_load_bit_identical(tmp_path):
         got = loaded.get_increment(*key)
         assert got.delta.bits_equal(rec.delta)
         assert got.consumed == rec.consumed
-    assert loaded.recorded_batches == store.recorded_batches
+    assert loaded.recorded_batches.keys() == store.recorded_batches.keys()
+    for i, ids in store.recorded_batches.items():
+        assert np.array_equal(loaded.recorded_batches[i], ids)
     assert loaded.tombstones == store.tombstones
     assert loaded.threshold == store.threshold
     assert loaded.dataset_fingerprint == "abc123"
@@ -149,10 +152,13 @@ def test_manifest_version_99_rejected(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["format_version"] = 99
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(StoreVersionError):
-        StateStore.load(tmp_path)
+    # version 1 kept each slice's recorded ids as nested per-batch lists
+    manifest["recorded_batches"] = {"1": [list(range(16)), list(range(16, 20))]}
+    for version in (99, 1):
+        manifest["format_version"] = version
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreVersionError):
+            StateStore.load(tmp_path)
 
 
 def test_file_header_version_rejected(tmp_path):
