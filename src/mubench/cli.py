@@ -197,7 +197,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "t": engine.threshold,
         "r": engine.default_ohs_depth,
         "checkpoints": len(engine.store.checkpoints),
-        "increments": len(engine.store.increments),
+        "increments": sum(ledger.consumed.size for ledger in engine.store.ledgers.values()),
         "config_hash": config.config_hash(),
     }
     (out / "model.json").write_text(

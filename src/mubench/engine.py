@@ -1,8 +1,9 @@
 """Sliced training with increment recording, and the four revocation strategies.
 
 Training walks the slices in order, checkpointing parameters plus optimizer
-state after each one; for slices below the dispatch threshold it also records
-the summed per-batch parameter increment. Every revocation takes one of two
+state after each one; for each slice below the dispatch threshold it also
+records the slice's ledger in one call: its ids and one row per batch holding
+that batch's summed parameter increment. Every revocation takes one of two
 paths:
 
 * partial retraining (``prs``, and ``hs``/``ohs`` at or above the threshold)
@@ -118,6 +119,8 @@ def sample_request_ids(plan: SlicePlan, count: int, seed: int) -> list[int]:
     live = plan.live_ids()
     if not 0 <= count <= live.size:
         raise InvalidArgument(f"cannot draw {count} requests from {live.size} live ids")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be non-negative, got {seed}")
     picked = np.random.default_rng(seed).choice(live, size=count, replace=False)
     return [int(x) for x in picked]
 
@@ -274,11 +277,7 @@ class UnlearnEngine:
         deltas = np.zeros((nb, self.layout.param_count)) if record else None
         params, state = train_batches(params, state, batches(), f"slice {slice_index}", deltas)
         if record:
-            self.store.drop_increments(slice_index)
-            for j0 in range(nb):
-                delta = ParameterVector(deltas[j0].astype(np.float32), self.layout)
-                self.store.record_increment(slice_index, j0 + 1, delta)
-            self.store.set_recorded_batches(slice_index, self.plan.slice_ids(slice_index))
+            self.store.record_increment(slice_index, self.plan.slice_ids(slice_index), deltas)
         return params, state
 
     def _tombstone(self, sample_id: int) -> None:
@@ -330,11 +329,10 @@ class UnlearnEngine:
         executed = "prs"
         if amend:
             j = self.store.recorded_batch_index(i, sample_id)
-            record = self.store.get_increment(i, j)
-            executed = "ohs" if r else ("noop-consumed" if record.consumed else "dpus")
-            if not record.consumed:
-                params = combine(params, record.delta, "-")
-                self.store.mark_consumed(i, j)
+            fresh = self.store.mark_consumed(i, j)
+            executed = "ohs" if r else ("dpus" if fresh else "noop-consumed")
+            if fresh:
+                params = combine(params, self.store.get_increment(i, j), "-")
         self._tombstone(sample_id)
         rewritten = []
         if base is not None:

@@ -1,11 +1,13 @@
-"""Persistence of per-slice checkpoints and the per-batch increment ledger.
+"""Persistence of per-slice checkpoints and the per-slice increment ledger.
 
 On-disk layout: ``manifest.json`` plus one binary file per checkpoint or
-increment. Binary framing: magic ``MUCK``, u32 format version, u32 slice
-index, u32 batch index (0xFFFFFFFF for checkpoints), u64 vector length, raw
-little-endian float32 payload, u32 CRC32 trailer over all preceding bytes.
-Checkpoint payloads concatenate (params, adam_m, adam_v); the step counter
-lives in the manifest. Writes go to a temp file then ``os.replace``.
+recorded slice. Binary framing: magic ``MUCK``, u32 format version, u32 slice
+index, u32 batch field (0xFFFFFFFF for checkpoints, the row count for a
+ledger), u64 vector length, raw little-endian float32 payload, u32 CRC32
+trailer over all preceding bytes. Checkpoint payloads concatenate (params,
+adam_m, adam_v); a ledger's payload is its delta rows in batch order. Step
+counters, recorded ids and consumed flags live in the manifest. Writes go to
+a temp file then ``os.replace``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .errors import (
 from .nn import AdamHyper, ModelLayout, OptimizerState, ParameterVector
 
 MAGIC = b"MUCK"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 CHECKPOINT_SENTINEL = 0xFFFFFFFF
 _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
 
@@ -48,17 +51,14 @@ class Checkpoint:
         )
 
 
-@dataclass
-class IncrementRecord:
-    slice_index: int
-    batch_index: int
-    delta: ParameterVector
-    consumed: bool = False
+class Ledger(NamedTuple):
+    """A recorded slice: its ids in recording-time order (batch j is their j-th
+    run of ``batch_size``) and one float32 delta row per batch, both read-only
+    and shared by clones, and one consumed flag per batch."""
 
-    def copy(self) -> "IncrementRecord":
-        return IncrementRecord(
-            self.slice_index, self.batch_index, self.delta.copy(), self.consumed
-        )
+    ids: np.ndarray
+    deltas: np.ndarray
+    consumed: np.ndarray
 
 
 def write_vector_file(path: Path, slice_index: int, batch_index: int, values: np.ndarray) -> int:
@@ -120,9 +120,8 @@ class StateStore:
         self.plan_version = int(plan_version)
         self.dataset_fingerprint = dataset_fingerprint
         self.checkpoints: dict[int, Checkpoint] = {}
-        self.increments: dict[tuple[int, int], IncrementRecord] = {}
-        self.recorded_batches: dict[int, np.ndarray] = {}
-        self.tombstones: list[int] = []
+        self.ledgers: dict[int, Ledger] = {}
+        self.tombstones: frozenset[int] = frozenset()
 
     # ---- checkpoints -------------------------------------------------
     def put_checkpoint(self, checkpoint: Checkpoint) -> None:
@@ -138,60 +137,55 @@ class StateStore:
         return cp
 
     # ---- increments --------------------------------------------------
-    def record_increment(self, i: int, j: int, delta: ParameterVector) -> None:
-        if i < 1 or j < 1:
-            raise InvalidArgument("slice and batch indices are 1-based")
+    def record_increment(self, i: int, ids, deltas) -> None:
+        """Replace slice i's ledger with ``ids`` and ``deltas``, none consumed."""
+        if i < 1:
+            raise InvalidArgument("slice indices are 1-based")
         if i >= self.threshold:
             raise PolicyViolation(
                 f"increments are recorded only for slices below {self.threshold}, got {i}"
             )
-        self.increments[(i, j)] = IncrementRecord(i, j, delta, consumed=False)
+        ids, deltas = np.array(ids, dtype=np.int64), np.array(deltas, dtype=np.float32)
+        ids.flags.writeable = deltas.flags.writeable = False
+        self.ledgers[i] = Ledger(ids, deltas, np.zeros(len(deltas), dtype=bool))
 
-    def get_increment(self, i: int, j: int) -> IncrementRecord:
-        rec = self.increments.get((int(i), int(j)))
-        if rec is None:
+    def _ledger(self, i: int, j: int) -> Ledger:
+        ledger = self.ledgers.get(int(i))
+        if ledger is None or not 1 <= j <= ledger.consumed.size:
             raise NotFound(f"no increment record for slice {i}, batch {j}")
-        return rec
+        return ledger
+
+    def get_increment(self, i: int, j: int) -> ParameterVector:
+        """Batch j's recorded delta in slice i, widened to a float64 vector."""
+        return ParameterVector(self._ledger(i, j).deltas[j - 1], self.layout)
 
     def mark_consumed(self, i: int, j: int) -> bool:
         """Flip the consume flag; False reports an already-consumed record."""
-        rec = self.get_increment(i, j)
-        if rec.consumed:
+        consumed = self._ledger(i, j).consumed
+        if consumed[j - 1]:
             return False
-        rec.consumed = True
+        consumed[j - 1] = True
         return True
-
-    def drop_increments(self, i: int) -> None:
-        for key in [k for k in self.increments if k[0] == i]:
-            del self.increments[key]
-        self.recorded_batches.pop(i, None)
-
-    def set_recorded_batches(self, i: int, ids) -> None:
-        """Keep slice i's ids in recording-time order, read-only so clones share them."""
-        ids = np.array(ids, dtype=np.int64)
-        ids.flags.writeable = False
-        self.recorded_batches[i] = ids
 
     def recorded_batch_index(self, i: int, sample_id: int) -> int:
         """Recording-time 1-based batch index of a sample within slice i."""
-        ids = self.recorded_batches.get(int(i))
-        if ids is None:
+        ledger = self.ledgers.get(int(i))
+        if ledger is None:
             raise NotFound(f"slice {i} has no recorded increments")
-        hits = np.flatnonzero(ids == int(sample_id))
+        hits = np.flatnonzero(ledger.ids == int(sample_id))
         if hits.size == 0:
             raise NotFound(f"sample {sample_id} is not in slice {i}'s recorded batches")
         return int(hits[0]) // self.batch_size + 1
 
     def set_tombstones(self, ids) -> None:
-        self.tombstones = sorted(int(x) for x in ids)
+        """Keep the revoked ids; a frozenset is kept as given, not copied."""
+        self.tombstones = frozenset(ids)
 
     def clone(self) -> "StateStore":
         dup = copy.copy(self)
         dup.seeds = dict(self.seeds)
         dup.checkpoints = {i: cp.copy() for i, cp in self.checkpoints.items()}
-        dup.increments = {k: rec.copy() for k, rec in self.increments.items()}
-        dup.recorded_batches = dict(self.recorded_batches)
-        dup.tombstones = list(self.tombstones)
+        dup.ledgers = {i: x._replace(consumed=x.consumed.copy()) for i, x in self.ledgers.items()}
         return dup
 
     # ---- persistence -------------------------------------------------
@@ -213,42 +207,30 @@ class StateStore:
                     "crc32": crc,
                 }
             )
-        inc_entries = []
-        for (i, j) in sorted(self.increments):
-            rec = self.increments[(i, j)]
-            fname = f"increment_{i:04d}_{j:04d}.muck"
-            crc = write_vector_file(root / fname, i, j, rec.delta.values)
-            inc_entries.append(
-                {"slice": i, "batch": j, "file": fname, "consumed": rec.consumed, "crc32": crc}
+        ledger_entries = []
+        for i, ledger in sorted(self.ledgers.items()):
+            fname = f"ledger_{i:04d}.muck"
+            crc = write_vector_file(root / fname, i, ledger.consumed.size, ledger.deltas)
+            ids, consumed = ledger.ids.tolist(), ledger.consumed.tolist()
+            ledger_entries.append(
+                {"slice": i, "file": fname, "ids": ids, "consumed": consumed, "crc32": crc}
             )
         manifest = {
             "format_version": FORMAT_VERSION,
-            "layout": {
-                "input_dim": self.layout.input_dim,
-                "hidden_dims": list(self.layout.hidden_dims),
-                "output_dim": self.layout.output_dim,
-            },
+            "layout": asdict(self.layout),
             "S": self.num_slices,
             "l": self.threshold,
             "n": self.n,
             "batch_size": self.batch_size,
             "seeds": self.seeds,
             "phi": self.phi,
-            "hyper": {
-                "learning_rate": self.hyper.learning_rate,
-                "beta1": self.hyper.beta1,
-                "beta2": self.hyper.beta2,
-                "epsilon": self.hyper.epsilon,
-            },
+            "hyper": asdict(self.hyper),
             "epochs_per_slice": self.epochs_per_slice,
             "plan_version": self.plan_version,
             "dataset_fingerprint": self.dataset_fingerprint,
-            "tombstones": self.tombstones,
-            "recorded_batches": {
-                str(i): ids.tolist() for i, ids in sorted(self.recorded_batches.items())
-            },
+            "tombstones": sorted(map(int, self.tombstones)),
             "checkpoints": cp_entries,
-            "increments": inc_entries,
+            "ledgers": ledger_entries,
         }
         tmp = root / "manifest.json.tmp"
         tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
@@ -256,19 +238,24 @@ class StateStore:
 
     @classmethod
     def load(cls, directory) -> "StateStore":
+        """Load a persisted store; a damaged manifest raises StoreCorruption."""
         root = Path(directory)
         manifest_path = root / "manifest.json"
         if not manifest_path.exists():
             raise NotFound(f"{manifest_path}: manifest not found")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            return cls._from_manifest(root, json.loads(manifest_path.read_text(encoding="utf-8")))
+        except KeyError as exc:
+            raise StoreCorruption(f"manifest.json: missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError, InvalidArgument, PolicyViolation) as exc:
+            raise StoreCorruption(f"manifest.json: malformed ({exc})") from exc
+
+    @classmethod
+    def _from_manifest(cls, root: Path, manifest: dict) -> "StateStore":
         version = manifest.get("format_version")
         if version != FORMAT_VERSION:
             raise StoreVersionError(f"manifest format version {version} is not supported")
-        layout = ModelLayout(
-            manifest["layout"]["input_dim"],
-            tuple(manifest["layout"]["hidden_dims"]),
-            manifest["layout"]["output_dim"],
-        )
+        layout = ModelLayout(**manifest["layout"])
         store = cls(
             layout=layout,
             num_slices=manifest["S"],
@@ -280,11 +267,11 @@ class StateStore:
             epochs_per_slice=manifest["epochs_per_slice"],
             phi=manifest["phi"],
             plan_version=manifest["plan_version"],
-            dataset_fingerprint=manifest.get("dataset_fingerprint", ""),
+            dataset_fingerprint=str(manifest["dataset_fingerprint"]),
         )
-        store.tombstones = [int(x) for x in manifest.get("tombstones", [])]
-        for i, ids in manifest.get("recorded_batches", {}).items():
-            store.set_recorded_batches(int(i), ids)
+        if store.batch_size < 1 or not isinstance(store.seeds["train"], int):
+            raise StoreCorruption("manifest.json: batch_size must be positive, seeds.train an int")
+        store.tombstones = frozenset(int(x) for x in manifest["tombstones"])
         count = layout.param_count
         for entry in manifest["checkpoints"]:
             si, bi, payload, crc = read_vector_file(root / entry["file"])
@@ -300,13 +287,19 @@ class StateStore:
                 store.hyper,
             )
             store.checkpoints[si] = Checkpoint(si, params, state, entry["plan_version"])
-        for entry in manifest["increments"]:
-            si, bi, payload, crc = read_vector_file(root / entry["file"])
+        for entry in manifest["ledgers"]:
+            ids = np.array(entry["ids"], dtype=np.int64)
+            consumed = np.array(entry["consumed"], dtype=bool)
+            si, rows, payload, crc = read_vector_file(root / entry["file"])
             if crc != entry["crc32"]:
                 raise StoreCorruption(f"{entry['file']}: manifest checksum disagrees")
-            if si != entry["slice"] or bi != entry["batch"] or payload.size != count:
-                raise StoreCorruption(f"{entry['file']}: increment framing mismatch")
-            store.increments[(si, bi)] = IncrementRecord(
-                si, bi, ParameterVector(payload, layout), bool(entry["consumed"])
-            )
+            if si != entry["slice"] or payload.size != rows * count:
+                raise StoreCorruption(f"{entry['file']}: ledger framing mismatch")
+            if rows != -(-ids.size // store.batch_size) or rows != consumed.size:
+                raise StoreCorruption(
+                    f"{entry['file']}: {rows} delta rows for {ids.size} ids "
+                    f"and {consumed.size} consumed flags"
+                )
+            store.record_increment(si, ids, payload.reshape(rows, count))
+            store.ledgers[si].consumed[:] = consumed
         return store

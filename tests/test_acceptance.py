@@ -70,13 +70,13 @@ def test_criterion_2_ledger_reconstruction():
     # per-slice 500: costs 5000/4500/3500/2000, phi=3500 -> t=3, slices 1..2 recorded
     cfg = TrainConfig(num_slices=4, epochs_per_slice=1, seed=0, phi=3500.0)
     eng = UnlearnEngine.train(ds, cfg)
-    recorded = sorted({key[0] for key in eng.store.increments})
+    recorded = sorted(eng.store.ledgers)
     assert recorded == [1, 2]
     worst = 0.0
     for i in recorded:
         total = eng.store.get_checkpoint(i - 1).params.values.copy()
         for j in range(eng.plan.num_batches(i)):
-            total += eng.store.get_increment(i, j + 1).delta.values
+            total += eng.store.get_increment(i, j + 1).values
         worst = max(worst, float(np.abs(total - eng.store.get_checkpoint(i).params.values).max()))
     assert worst <= 1e-5
     elapsed = time.perf_counter() - t0
@@ -117,12 +117,12 @@ def test_criterion_4_dpus_reversibility_and_consume_once():
 
     victim = eng.plan.slice_ids(1)[11]
     outcome = eng.unlearn_dpus(victim)
-    delta = eng.store.get_increment(*outcome.located_at).delta
+    delta = eng.store.get_increment(*outcome.located_at)
     assert combine(outcome.params_after, delta, "+").bits_equal(final_params)
 
     i, j = outcome.located_at
     size = cfg.batch_size
-    same_batch = eng.store.recorded_batches[i][(j - 1) * size : j * size]
+    same_batch = eng.store.ledgers[i].ids[(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != victim)
     frozen = eng.model.params.copy()
     second_outcome = eng.unlearn_dpus(second)

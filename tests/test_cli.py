@@ -136,6 +136,17 @@ def test_replay_missing_store_fails(out_root):
     assert main(["replay", "--config", str(cfg)]) == 1
 
 
+def test_replay_damaged_manifest_fails(out_root, capsys):
+    cfg = write_config(out_root)
+    assert main(["train", "--config", str(cfg)]) == 0
+    manifest_path = out_root / "run" / "store" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["ledgers"][0]["consumed"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["replay", "--config", str(cfg)]) == 1
+    assert "error: manifest.json: missing field 'consumed'" in capsys.readouterr().err
+
+
 def test_replay_zero_requests(out_root):
     cfg = write_config(out_root, request_count=0)
     assert main(["train", "--config", str(cfg)]) == 0

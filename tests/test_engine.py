@@ -32,9 +32,8 @@ def test_train_saves_all_checkpoints(trained_engine):
 
 def test_train_records_only_below_threshold(trained_engine):
     assert trained_engine.threshold == 2
-    slices = {key[0] for key in trained_engine.store.increments}
-    assert slices == {1}
-    assert len(trained_engine.store.increments) == trained_engine.plan.num_batches(1)
+    assert set(trained_engine.store.ledgers) == {1}
+    assert trained_engine.store.ledgers[1].deltas.shape[0] == trained_engine.plan.num_batches(1)
 
 
 def test_train_deterministic(tiny_dataset, tiny_config):
@@ -79,10 +78,10 @@ def test_train_divergence_detected(train):
 
 def test_telescoping_reconstruction(trained_engine):
     eng = trained_engine
-    for i in {key[0] for key in eng.store.increments}:
+    for i in eng.store.ledgers:
         total = eng.store.get_checkpoint(i - 1).params.values.copy()
         for j in range(eng.plan.num_batches(i)):
-            total += eng.store.get_increment(i, j + 1).delta.values
+            total += eng.store.get_increment(i, j + 1).values
         err = np.abs(total - eng.store.get_checkpoint(i).params.values).max()
         assert err <= 1e-5
 
@@ -121,15 +120,13 @@ def test_prs_double_revocation_errors(trained_engine):
 
 def test_prs_rerecords_increments_for_recorded_slices(trained_engine):
     eng = trained_engine
-    before = {k: rec.delta.copy() for k, rec in eng.store.increments.items()}
+    before = eng.store.ledgers[1]
     victim = eng.plan.slice_ids(1)[3]
     eng.unlearn_prs(victim)
-    after = eng.store.increments
-    assert {k[0] for k in after} == {1}
-    changed = any(
-        k not in before or not after[k].delta.bits_equal(before[k]) for k in after
-    )
-    assert changed
+    after = eng.store.ledgers
+    assert set(after) == {1}
+    assert victim not in after[1].ids
+    assert not np.array_equal(after[1].deltas, before.deltas)
 
 
 # ----------------------------------------------------------------------- dpus
@@ -139,7 +136,7 @@ def test_dpus_subtract_and_restore(trained_engine):
     victim = eng.plan.slice_ids(1)[5]
     out = eng.unlearn_dpus(victim)
     assert out.strategy_executed == "dpus"
-    delta = eng.store.get_increment(*out.located_at).delta
+    delta = eng.store.get_increment(*out.located_at)
     expected = final_params.values - delta.values
     assert np.array_equal(out.params_after.values, expected)
     assert combine(out.params_after, delta, "+").bits_equal(final_params)
@@ -151,13 +148,14 @@ def test_dpus_consume_once(trained_engine):
     out1 = eng.unlearn_dpus(first)
     i, j = out1.located_at
     size = eng.config.batch_size
-    same_batch = eng.store.recorded_batches[i][(j - 1) * size : j * size]
+    same_batch = eng.store.ledgers[i].ids[(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != first)
     frozen = eng.model.params.copy()
     out2 = eng.unlearn_dpus(second)
     assert out2.strategy_executed == "noop-consumed"
     assert eng.model.params.bits_equal(frozen)
     assert second in eng.plan.tombstones
+    assert eng.store.tombstones is eng.plan.tombstones  # kept once, not copied
 
 
 def test_dpus_dispatch_guard(trained_engine):
@@ -218,9 +216,10 @@ def test_ohs_subtracts_then_retrains_trailing_slice(tiny_dataset, tiny_config):
     assert out.strategy_executed == "ohs"
     assert out.checkpoints_rewritten == [s]
     assert eng.store.get_checkpoint(s - 1).params.bits_equal(pristine_base)
-    assert eng.store.get_increment(*out.located_at).consumed
+    i, j = out.located_at
+    assert eng.store.ledgers[i].consumed[j - 1]
 
-    delta = twin.store.get_increment(*out.located_at).delta
+    delta = twin.store.get_increment(i, j)
     start = combine(twin.store.get_checkpoint(s - 1).params, delta, "-")
     state = twin.store.get_checkpoint(s - 1).opt_state.copy()
     twin.plan = twin.plan.tombstone(victim)
@@ -244,7 +243,7 @@ def test_ohs_consumed_record_still_retrains(tiny_dataset, tiny_config):
     out1 = eng.unlearn_ohs(first)
     i, j = out1.located_at
     size = eng.config.batch_size
-    same_batch = eng.store.recorded_batches[i][(j - 1) * size : j * size]
+    same_batch = eng.store.ledgers[i].ids[(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != first)
     out2 = eng.unlearn_ohs(second)
     assert out2.strategy_executed == "ohs"
@@ -373,6 +372,8 @@ def test_sample_request_ids_distinct_and_deterministic(trained_engine):
         sample_request_ids(trained_engine.plan, 10_000, seed=0)
     with pytest.raises(InvalidArgument):
         sample_request_ids(trained_engine.plan, -1, seed=0)
+    with pytest.raises(InvalidArgument):
+        sample_request_ids(trained_engine.plan, 3, seed=-1)
 
 
 def test_request_validates_strategy():
@@ -402,9 +403,11 @@ def test_reload_rebuilds_plan_and_ledger_index(tiny_dataset, tiny_config, tmp_pa
     back = UnlearnEngine.from_store(tiny_dataset, StateStore.load(tmp_path))
     for i in range(1, eng.config.num_slices + 1):
         assert np.array_equal(back.plan.slice_ids(i), eng.plan.slice_ids(i))
-    assert back.store.recorded_batches.keys() == eng.store.recorded_batches.keys()
-    for i, recorded in eng.store.recorded_batches.items():
-        assert np.array_equal(back.store.recorded_batches[i], recorded)
+    assert back.store.ledgers.keys() == eng.store.ledgers.keys()
+    for i, ledger in eng.store.ledgers.items():
+        assert np.array_equal(back.store.ledgers[i].ids, ledger.ids)
+        assert np.array_equal(back.store.ledgers[i].deltas, ledger.deltas)
+        assert np.array_equal(back.store.ledgers[i].consumed, ledger.consumed)
     for sid in eng.plan.live_ids():
         assert back.plan.locate(sid) == eng.plan.locate(sid)
     for request in requests:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mubench import (
     ModelLayout,
     OptimizerState,
     StateStore,
+    UnlearnEngine,
     init_params,
 )
 from mubench.errors import (
@@ -67,22 +69,26 @@ def test_get_missing_checkpoint():
         store.get_checkpoint(9)
 
 
+def deltas(*seeds):
+    """One delta row per seed, each a set of initial parameters."""
+    return np.stack([init_params(LAYOUT, seed).values for seed in seeds])
+
+
 def test_increment_roundtrip_and_consume_flag():
     store = fresh_store(threshold=3)
     delta = init_params(LAYOUT, 7)
-    store.record_increment(1, 2, delta)
-    rec = store.get_increment(1, 2)
-    assert rec.delta.bits_equal(delta)
-    assert rec.consumed is False
+    store.record_increment(1, range(20), deltas(6, 7))  # batch size 16: two batches
+    assert store.get_increment(1, 2).bits_equal(delta)
+    assert not store.ledgers[1].consumed[1]
     assert store.mark_consumed(1, 2) is True
     assert store.mark_consumed(1, 2) is False  # reports already-consumed
-    assert store.get_increment(1, 2).consumed is True
+    assert store.ledgers[1].consumed.tolist() == [False, True]
 
 
 def test_record_at_or_above_threshold_rejected():
     store = fresh_store(threshold=3)
     with pytest.raises(PolicyViolation):
-        store.record_increment(3, 1, init_params(LAYOUT, 0))
+        store.record_increment(3, range(16), deltas(0))
 
 
 def test_get_missing_increment():
@@ -93,7 +99,7 @@ def test_get_missing_increment():
 
 def test_recorded_batch_lookup():
     store = fresh_store()
-    store.set_recorded_batches(1, range(10, 30))  # batch size 16: 10..25, then 26..29
+    store.record_increment(1, range(10, 30), deltas(0, 1))  # 10..25, then 26..29
     assert store.recorded_batch_index(1, 25) == 1
     assert store.recorded_batch_index(1, 28) == 2
     with pytest.raises(NotFound):
@@ -106,10 +112,8 @@ def populated_store():
     store = fresh_store(num_slices=2, threshold=2)
     for i in range(3):
         store.put_checkpoint(make_checkpoint(i, seed=40))
-    store.record_increment(1, 1, init_params(LAYOUT, 91))
-    store.record_increment(1, 2, init_params(LAYOUT, 92))
+    store.record_increment(1, range(20), deltas(91, 92))  # batch size 16: two batches
     store.mark_consumed(1, 2)
-    store.set_recorded_batches(1, range(20))  # batch size 16: two batches
     store.set_tombstones([5, 9])
     store.dataset_fingerprint = "abc123"
     return store
@@ -125,13 +129,12 @@ def test_persist_load_bit_identical(tmp_path):
         assert np.array_equal(a.opt_state.m, b.opt_state.m)
         assert np.array_equal(a.opt_state.v, b.opt_state.v)
         assert a.opt_state.step_count == b.opt_state.step_count
-    for key, rec in store.increments.items():
-        got = loaded.get_increment(*key)
-        assert got.delta.bits_equal(rec.delta)
-        assert got.consumed == rec.consumed
-    assert loaded.recorded_batches.keys() == store.recorded_batches.keys()
-    for i, ids in store.recorded_batches.items():
-        assert np.array_equal(loaded.recorded_batches[i], ids)
+    assert loaded.ledgers.keys() == store.ledgers.keys()
+    for i, ledger in store.ledgers.items():
+        got = loaded.ledgers[i]
+        assert np.array_equal(got.ids, ledger.ids)
+        assert np.array_equal(got.deltas.view(np.uint32), ledger.deltas.view(np.uint32))
+        assert np.array_equal(got.consumed, ledger.consumed)
     assert loaded.tombstones == store.tombstones
     assert loaded.threshold == store.threshold
     assert loaded.dataset_fingerprint == "abc123"
@@ -152,19 +155,72 @@ def test_manifest_version_99_rejected(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    # version 1 kept each slice's recorded ids as nested per-batch lists
+    # version 2 kept one increment file per batch; version 1 also kept each
+    # slice's recorded ids as nested per-batch lists
     manifest["recorded_batches"] = {"1": [list(range(16)), list(range(16, 20))]}
-    for version in (99, 1):
+    for version in (99, 2, 1):
         manifest["format_version"] = version
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreVersionError):
             StateStore.load(tmp_path)
 
 
+def _drop(key):
+    return lambda m: m.pop(key)
+
+
+def _set(key, value):
+    return lambda m: m.update({key: value})
+
+
+def _ledger_entry(edit):
+    return lambda m: edit(m["ledgers"][0])
+
+
+@pytest.mark.parametrize(
+    "edit,match",
+    [
+        (_drop("S"), "manifest.json: missing field 'S'"),
+        (_set("tombstones", ["x"]), "manifest.json: malformed .*'x'"),
+        (_set("batch_size", 0), "manifest.json: batch_size must be positive"),
+        (_set("seeds", {}), "manifest.json: missing field 'train'"),
+        (_set("layout", []), "manifest.json: malformed"),
+        (_set("l", 1), "manifest.json: malformed .*slices below 1"),
+        (_ledger_entry(_set("ids", "abc")), "manifest.json: malformed .*'abc'"),
+        (_ledger_entry(_drop("consumed")), "manifest.json: missing field 'consumed'"),
+        (_ledger_entry(_set("ids", list(range(40)))), "ledger_0001.muck: 2 delta rows for 40 ids"),
+        (_ledger_entry(_set("consumed", [False])), "ledger_0001.muck: .* and 1 consumed flags"),
+    ],
+    ids=[
+        "no_S", "tombstone_string", "batch_size_zero", "no_train_seed", "layout_list",
+        "threshold_one", "ids_string", "no_consumed", "rows_short_of_ids", "rows_past_consumed",
+    ],
+)
+def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
+    populated_store().persist(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    edit(manifest)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StoreCorruption, match=match):
+        StateStore.load(tmp_path)
+
+
+def test_one_ledger_file_per_recorded_slice(tiny_dataset, tiny_config, tmp_path):
+    config = replace(tiny_config, phi=0.0)  # phi = 0 records every slice
+    engine = UnlearnEngine.train(tiny_dataset, config)
+    engine.store.persist(tmp_path)
+    slices = range(1, config.num_slices + 1)
+    assert sorted(engine.store.ledgers) == list(slices)
+    assert sorted(p.name for p in tmp_path.glob("ledger_*")) == [
+        f"ledger_{i:04d}.muck" for i in slices
+    ]
+    assert not list(tmp_path.glob("increment_*"))
+
+
 def test_file_header_version_rejected(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
-    victim = tmp_path / "increment_0001_0001.muck"
+    victim = tmp_path / "ledger_0001.muck"
     raw = bytearray(victim.read_bytes())
     raw[4] = 99  # u32 LE format version field
     # re-seal the CRC so only the version check can fire
@@ -196,6 +252,8 @@ def test_clone_is_isolated():
     store = populated_store()
     dup = store.clone()
     dup.get_checkpoint(1).params.values[0] += 1.0
+    assert dup.ledgers[1].deltas is store.ledgers[1].deltas
+    assert dup.tombstones is store.tombstones
     dup.mark_consumed(1, 1)
-    assert not store.get_increment(1, 1).consumed
+    assert not store.ledgers[1].consumed[0]
     assert not store.get_checkpoint(1).params.bits_equal(dup.get_checkpoint(1).params)
