@@ -257,22 +257,25 @@ class UnlearnEngine:
     ) -> tuple[ParameterVector, OptimizerState]:
         """Run epochs_per_slice passes over one slice; optionally ledger deltas.
 
-        Batch membership is fixed by the plan; each (slice, epoch) pass only
-        shuffles the visit order, so a batch's summed delta stays attributable
-        across epochs. The shuffle stream is derived from (seed, slice, epoch)
-        and never from request history, which keeps suffix retraining
-        bit-reproducible regardless of which revocation triggered it.
+        Batch membership is fixed by the plan, so each batch is gathered once
+        per call; each (slice, epoch) pass only shuffles the visit order, and a
+        batch's summed delta stays attributable across epochs. The shuffle
+        stream is derived from (seed, slice, epoch) and never from request
+        history, which keeps suffix retraining bit-reproducible regardless of
+        which revocation triggered it.
         """
         cfg = self.config
         nb = self.plan.num_batches(slice_index)
+        gathered = []
+        for j in range(1, nb + 1):
+            ids = self.plan.batch_ids(slice_index, j)
+            gathered.append(Batch(self.dataset.features[ids], self.dataset.labels[ids], ids))
 
         def batches():
             for epoch in range(1, cfg.epochs_per_slice + 1):
                 order = np.random.default_rng((cfg.seed, slice_index, epoch)).permutation(nb)
                 for j0 in (int(j) for j in order):
-                    ids = self.plan.batch_ids(slice_index, j0 + 1)
-                    batch = Batch(self.dataset.features[ids], self.dataset.labels[ids], ids)
-                    yield epoch, j0, batch
+                    yield epoch, j0, gathered[j0]
 
         deltas = np.zeros((nb, self.layout.param_count)) if record else None
         params, state = train_batches(params, state, batches(), f"slice {slice_index}", deltas)

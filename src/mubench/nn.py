@@ -1,11 +1,20 @@
 """Numeric core: a fixed-layout MLP over flat parameter vectors.
 
 Every operation here is a pure function of its inputs. Precision model:
-parameter vectors are held in float64 containers, but training (init, Adam)
-quantizes its outputs to the float32 grid, which is also the on-disk and
-ledger precision. ``combine`` keeps the exact float64 difference instead of
-re-rounding, so subtracting a recorded increment and adding it back restores
-the original bits; with float32 re-rounding that inverse does not exist.
+
+* Training computes in float32. ``loss_grad`` runs forward and backward in
+  float32 on weights cast once per call (only the loss over the logits is
+  taken in float64), so its gradient sits on the float32 grid by
+  construction; ``adam_step`` does its moment arithmetic in float32 and
+  rounds the new parameters to the float32 grid. ``init_params`` draws on
+  that grid too, which is also the on-disk and ledger precision.
+* ``ParameterVector`` holds its values in a float64 container. That is what
+  ``combine`` needs: it keeps the exact float64 difference instead of
+  re-rounding, so subtracting a recorded increment and adding it back restores
+  the original bits; with float32 re-rounding that inverse does not exist.
+  ``forward`` and ``evaluate`` read the container in float64.
+* A retraining start that ``combine`` amended off the grid is rounded to it
+  by the first training step.
 """
 
 from __future__ import annotations
@@ -34,15 +43,18 @@ class ModelLayout:
         object.__setattr__(self, "output_dim", int(self.output_dim))
         if min(self.dims) <= 0:
             raise InvalidArgument(f"all layout dimensions must be positive, got {self.dims}")
+        # Derived once, outside the dataclass fields: (fan_in, fan_out, weight
+        # offset, bias offset) per layer, and the total length.
+        offsets, off = [], 0
+        for fan_in, fan_out in self.layer_shapes():
+            offsets.append((fan_in, fan_out, off, off + fan_in * fan_out))
+            off += fan_in * fan_out + fan_out
+        object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "param_count", off)
 
     @property
     def dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, self.output_dim)
-
-    @property
-    def param_count(self) -> int:
-        d = self.dims
-        return sum(d[i] * d[i + 1] + d[i + 1] for i in range(len(d) - 1))
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         d = self.dims
@@ -93,10 +105,17 @@ def _to_grid(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdamHyper:
+    """Adam's hyperparameters, held as Python floats: a numpy float64 scalar
+    would promote ``adam_step``'s float32 arithmetic to float64 (NEP 50)."""
+
     learning_rate: float = 0.005
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+
+    def __post_init__(self) -> None:
+        for name in ("learning_rate", "beta1", "beta2", "epsilon"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass
@@ -147,15 +166,10 @@ class Batch:
 
 def _layer_views(flat: np.ndarray, layout: ModelLayout) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a flat vector into (W, b) array views per layer."""
-    out = []
-    off = 0
-    for fan_in, fan_out in layout.layer_shapes():
-        w = flat[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
-        off += fan_in * fan_out
-        b = flat[off : off + fan_out]
-        off += fan_out
-        out.append((w, b))
-    return out
+    return [
+        (flat[w_off:b_off].reshape(fan_in, fan_out), flat[b_off : b_off + fan_out])
+        for fan_in, fan_out, w_off, b_off in layout._offsets
+    ]
 
 
 def init_params(layout: ModelLayout, seed: int) -> ParameterVector:
@@ -173,8 +187,8 @@ def init_params(layout: ModelLayout, seed: int) -> ParameterVector:
     return ParameterVector(flat, layout)
 
 
-def _check_features(layout: ModelLayout, features: np.ndarray) -> np.ndarray:
-    feats = np.asarray(features, dtype=F64)
+def _check_features(layout: ModelLayout, features: np.ndarray, dtype=F64) -> np.ndarray:
+    feats = np.asarray(features, dtype=dtype)
     if feats.ndim != 2 or feats.shape[1] != layout.input_dim:
         raise ShapeMismatch(
             f"expected feature matrix with {layout.input_dim} columns, got shape {feats.shape}"
@@ -198,27 +212,29 @@ def forward(params: ParameterVector, features: np.ndarray) -> np.ndarray:
 def loss_grad(params: ParameterVector, batch: Batch) -> tuple[float, ParameterVector]:
     """Mean softmax cross-entropy and its gradient via backpropagation.
 
-    The loss goes through log-sum-exp with no probability clipping, so a run
-    that collapses to zero probability surfaces as an infinite loss rather
-    than being masked. The returned gradient is quantized to the float32 grid.
+    Forward and backward run in float32 on the weights cast once, and each
+    layer's gradient is written straight into its slice of one float32
+    vector, so the gradient sits on the float32 grid. The loss goes through
+    log-sum-exp over the logits in float64 with no probability clipping, so a
+    run that collapses to zero probability surfaces as an infinite loss
+    rather than being masked.
     """
     if len(batch) == 0:
         raise EmptyInput("loss_grad requires a non-empty batch")
     layout = params.layout
-    feats = _check_features(layout, batch.features)
+    feats = _check_features(layout, batch.features, F32)
     labels = batch.labels
     if labels.min() < 0 or labels.max() >= layout.output_dim:
         raise InvalidArgument("labels must be class indices within the layout's output_dim")
 
-    layers = _layer_views(params.values, layout)
+    layers = _layer_views(params.values.astype(F32), layout)
     acts = [feats]
-    pres = []
     for w, b in layers[:-1]:
-        z = acts[-1] @ w + b
-        pres.append(z)
-        acts.append(np.maximum(z, 0.0))
+        z = acts[-1] @ w
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z))
     w, b = layers[-1]
-    logits = acts[-1] @ w + b
+    logits = (acts[-1] @ w + b).astype(F64)
 
     rows = np.arange(len(batch))
     mx = logits.max(axis=1, keepdims=True)
@@ -227,17 +243,19 @@ def loss_grad(params: ParameterVector, batch: Batch) -> tuple[float, ParameterVe
 
     delta = np.exp(logits - lse[:, None])
     delta[rows, labels] -= 1.0
-    delta /= len(batch)
+    delta = (delta / len(batch)).astype(F32)
 
-    grad_flat = np.zeros(layout.param_count, dtype=F64)
-    grad_views = _layer_views(grad_flat, layout)
+    grad = np.empty(layout.param_count, dtype=F32)
+    grad_views = _layer_views(grad, layout)
     for k in range(len(layers) - 1, -1, -1):
         gw, gb = grad_views[k]
-        gw[:] = acts[k].T @ delta
-        gb[:] = delta.sum(axis=0)
+        np.matmul(acts[k].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
         if k > 0:
-            delta = (delta @ layers[k][0].T) * (pres[k - 1] > 0.0)
-    return loss, ParameterVector(_to_grid(grad_flat), layout)
+            # acts[k] is the ReLU output, positive exactly where its input was
+            delta = delta @ layers[k][0].T
+            delta *= acts[k] > 0.0
+    return loss, ParameterVector(grad, layout)
 
 
 def adam_step(
@@ -256,12 +274,24 @@ def adam_step(
         raise NumericError("gradient contains non-finite elements")
     h = state.hyper
     t = state.step_count + 1
-    m = h.beta1 * state.m + (1.0 - h.beta1) * g
-    v = h.beta2 * state.v + (1.0 - h.beta2) * (g * g)
-    m_hat = m / (1.0 - h.beta1**t)
-    v_hat = v / (1.0 - h.beta2**t)
-    step = h.learning_rate * (m_hat / (np.sqrt(v_hat) + h.epsilon))
-    new_values = (params.values.astype(F32) - step).astype(F64)
+    # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, then
+    # step = lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in float32 and
+    # in that order, on two scratch buffers; g is this call's own copy.
+    buf = g * (1.0 - h.beta1)
+    m = state.m * h.beta1
+    m += buf
+    np.multiply(g, g, out=g)
+    g *= 1.0 - h.beta2
+    v = state.v * h.beta2
+    v += g
+    np.divide(m, 1.0 - h.beta1**t, out=buf)
+    np.divide(v, 1.0 - h.beta2**t, out=g)
+    np.sqrt(g, out=g)
+    g += h.epsilon
+    buf /= g
+    buf *= h.learning_rate
+    new_values = params.values.astype(F32)
+    new_values -= buf
     return ParameterVector(new_values, params.layout), OptimizerState(m, v, t, h)
 
 

@@ -7,7 +7,8 @@ ledger), u64 vector length, raw little-endian float32 payload, u32 CRC32
 trailer over all preceding bytes. Checkpoint payloads concatenate (params,
 adam_m, adam_v); a ledger's payload is its delta rows in batch order. Step
 counters, recorded ids and consumed flags live in the manifest. Writes go to
-a temp file then ``os.replace``.
+a temp file then ``os.replace``; once the new manifest is in place, the store
+files it does not name are removed.
 """
 
 from __future__ import annotations
@@ -190,6 +191,9 @@ class StateStore:
 
     # ---- persistence -------------------------------------------------
     def persist(self, directory) -> None:
+        """Write the store into ``directory``, then remove the checkpoint,
+        ledger, increment and temp files there that the new manifest does not
+        name (left by an earlier store persisted into the same directory)."""
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
         cp_entries = []
@@ -235,6 +239,11 @@ class StateStore:
         tmp = root / "manifest.json.tmp"
         tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
         os.replace(tmp, root / "manifest.json")
+        named = {entry["file"] for entry in cp_entries + ledger_entries}
+        for pattern in ("checkpoint_*.muck", "ledger_*.muck", "increment_*.muck", "*.tmp"):
+            for path in root.glob(pattern):
+                if path.name not in named:
+                    path.unlink()
 
     @classmethod
     def load(cls, directory) -> "StateStore":

@@ -44,6 +44,19 @@ def test_train_deterministic(tiny_dataset, tiny_config):
         assert a.store.get_checkpoint(i).params.bits_equal(b.store.get_checkpoint(i).params)
 
 
+def test_train_gathers_each_batch_once_per_slice(tiny_dataset, tiny_config, monkeypatch):
+    """Every epoch of a slice reuses the batches gathered at its start."""
+    from mubench import SlicePlan
+
+    calls = []
+    batch_ids = SlicePlan.batch_ids
+    monkeypatch.setattr(
+        SlicePlan, "batch_ids", lambda plan, i, j: calls.append((i, j)) or batch_ids(plan, i, j)
+    )
+    plan = UnlearnEngine.train(tiny_dataset, replace(tiny_config, epochs_per_slice=3)).plan
+    assert calls == [(i, j) for i in range(1, 4) for j in range(1, plan.num_batches(i) + 1)]
+
+
 def test_train_refuses_second_fit(trained_engine):
     with pytest.raises(InvalidArgument):
         trained_engine.fit()

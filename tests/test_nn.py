@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mubench import (
@@ -186,6 +186,82 @@ def test_backprop_matches_central_differences(small_layout):
         assert abs(a - b) / max(abs(a), abs(b)) <= 1e-4
 
 
+def _reference_loss_grad(values: np.ndarray, layout: ModelLayout, feats, labels):
+    """Float64 backpropagation written out separately from loss_grad; also
+    returns the smallest |pre-activation|, the distance to a ReLU kink."""
+    layers, off = [], 0
+    for fan_in, fan_out in layout.layer_shapes():
+        w = values[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+        off += fan_in * fan_out
+        layers.append((w, values[off : off + fan_out]))
+        off += fan_out
+    acts, pres = [np.asarray(feats, dtype=np.float64)], []
+    for w, b in layers[:-1]:
+        pres.append(acts[-1] @ w + b)
+        acts.append(np.maximum(pres[-1], 0.0))
+    logits = acts[-1] @ layers[-1][0] + layers[-1][1]
+    rows = np.arange(len(labels))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = -float(log_probs[rows, labels].mean())
+    delta = np.exp(log_probs)
+    delta[rows, labels] -= 1.0
+    delta /= len(labels)
+    grads = []
+    for k in range(len(layers) - 1, -1, -1):
+        grads = [(acts[k].T @ delta).ravel(), delta.sum(axis=0)] + grads
+        if k > 0:
+            delta = (delta @ layers[k][0].T) * (pres[k - 1] > 0.0)
+    kink = min((float(np.abs(z).min()) for z in pres), default=np.inf)
+    return loss, np.concatenate(grads), kink
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    input_dim=st.integers(1, 32),
+    hidden=st.lists(st.integers(1, 64), min_size=1, max_size=2),
+    output_dim=st.integers(2, 3),
+    rows=st.integers(1, 64),
+    seed=st.integers(0, 2**16),
+)
+@example(input_dim=24, hidden=[64, 64], output_dim=2, rows=1, seed=0)
+def test_loss_grad_matches_float64_backprop(input_dim, hidden, output_dim, rows, seed):
+    """The float32 gradient stays within 1e-5 of the largest float64 gradient
+    coordinate, over random layouts and batch sizes down to one row. Draws
+    with a pre-activation within 1e-6 of a ReLU kink are skipped: there the
+    two precisions may legitimately take different sides of the kink."""
+    layout = ModelLayout(input_dim, tuple(hidden), output_dim)
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(-0.1, 0.1, layout.param_count)  # nonzero biases
+    params = ParameterVector((init_params(layout, seed).values + jitter).astype(F32), layout)
+    feats = rng.standard_normal((rows, input_dim)).astype(F32)
+    labels = rng.integers(0, output_dim, rows)
+    ref_loss, ref_grad, kink = _reference_loss_grad(params.values, layout, feats, labels)
+    assume(kink > 1e-6)
+    loss, grad = loss_grad(params, Batch(feats, labels, np.arange(rows)))
+    assert np.abs(grad.values - ref_grad).max() <= 1e-5 * np.abs(ref_grad).max()
+    assert abs(loss - ref_loss) <= 1e-5 * max(1.0, ref_loss)
+
+
+def _on_f32_grid(values: np.ndarray) -> bool:
+    return np.array_equal(values, values.astype(F32).astype(np.float64))
+
+
+def test_training_step_stays_on_float32_grid(small_layout):
+    """Gradients, params and moments sit on the float32 grid after every
+    step, also when the starting params are off it (as a combine result is)."""
+    params = init_params(small_layout, seed=6)
+    params.values[:] += 1e-12  # off the grid
+    assert not _on_f32_grid(params.values)
+    state = OptimizerState.fresh(small_layout)
+    for step in range(5):
+        _, grad = loss_grad(params, balanced_batch(small_layout, 9, seed=step))
+        assert _on_f32_grid(grad.values)
+        params, state = adam_step(params, state, grad)
+        assert _on_f32_grid(params.values)
+        assert state.m.dtype == F32 and state.v.dtype == F32
+
+
 # ----------------------------------------------------------------------- adam
 def test_adam_zero_grad_is_fixed_point(small_layout):
     p = init_params(small_layout, seed=1)
@@ -224,6 +300,62 @@ def test_adam_two_steps_match_hand_unrolled(small_layout):
         x = x - lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
     assert np.abs(p2.values - x).max() <= 1e-7
     assert s2.step_count == 2
+
+
+def _reference_adam(values, m, v, step_count, g, h):
+    """The Adam step written as plain float32 expressions, in the order adam_step keeps."""
+    g = g.astype(F32)
+    t = step_count + 1
+    m = h.beta1 * m + (1.0 - h.beta1) * g
+    v = h.beta2 * v + (1.0 - h.beta2) * (g * g)
+    m_hat, v_hat = m / (1.0 - h.beta1**t), v / (1.0 - h.beta2**t)
+    step = h.learning_rate * (m_hat / (np.sqrt(v_hat) + h.epsilon))
+    return (values.astype(F32) - step).astype(np.float64), m, v
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_adam_step_bit_equal_to_reference(small_layout, seed):
+    rng = np.random.default_rng(seed)
+    n = small_layout.param_count
+    scale = 10.0 ** rng.uniform(-6, 1)
+    hyper = AdamHyper(
+        learning_rate=float(10 ** rng.uniform(-4, -1)),
+        beta1=float(rng.uniform(0.5, 0.99)),
+        beta2=float(rng.uniform(0.9, 0.9999)),
+        epsilon=float(10 ** rng.uniform(-10, -6)),
+    )
+    m0 = (rng.standard_normal(n) * scale).astype(F32)
+    v0 = (rng.standard_normal(n) * scale).astype(F32) ** 2
+    g = rng.standard_normal(n) * scale
+    g[::5] = 0.0
+    params = ParameterVector(rng.standard_normal(n).astype(F32), small_layout)
+    state = OptimizerState(m0, v0, int(rng.integers(0, 1000)), hyper)
+    got, got_state = adam_step(params, state, ParameterVector(g, small_layout))
+    want, want_m, want_v = _reference_adam(params.values, m0, v0, state.step_count, g, hyper)
+    assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got_state.m.view(np.uint32), want_m.view(np.uint32))
+    assert np.array_equal(got_state.v.view(np.uint32), want_v.view(np.uint32))
+    assert np.array_equal(state.m, m0) and np.array_equal(state.v, v0)  # inputs untouched
+    assert got_state.step_count == state.step_count + 1
+
+
+def test_adam_hyper_numpy_scalars_match_python_floats(small_layout):
+    """Numpy float64 hyperparameters must not promote the float32 step."""
+    as_numpy = AdamHyper(*(np.float64(x) for x in (0.005, 0.9, 0.999, 1e-8)))
+    assert all(type(x) is float for x in vars(as_numpy).values())
+    assert as_numpy == AdamHyper()
+    params = init_params(small_layout, seed=4)
+    _, grad = loss_grad(params, balanced_batch(small_layout, 8, seed=2))
+    runs = []
+    for hyper in (AdamHyper(), as_numpy):
+        p, s = params, OptimizerState.fresh(small_layout, hyper)
+        for _ in range(3):
+            p, s = adam_step(p, s, grad)
+        runs.append((p, s))
+    (p1, s1), (p2, s2) = runs
+    assert p1.bits_equal(p2)
+    assert np.array_equal(s1.m, s2.m) and np.array_equal(s1.v, s2.v)
+    assert _on_f32_grid(p2.values)
 
 
 def test_adam_rejects_nonfinite_grad(small_layout):

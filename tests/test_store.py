@@ -217,6 +217,25 @@ def test_one_ledger_file_per_recorded_slice(tiny_dataset, tiny_config, tmp_path)
     assert not list(tmp_path.glob("increment_*"))
 
 
+def test_persist_removes_files_the_manifest_no_longer_names(tiny_dataset, tiny_config, tmp_path):
+    """A phi > 0 store persisted over a phi = 0 one leaves only its own files;
+    stale temp and per-batch increment files go too, other files stay."""
+    UnlearnEngine.train(tiny_dataset, replace(tiny_config, phi=0.0)).store.persist(tmp_path)
+    assert len(list(tmp_path.glob("ledger_*"))) == tiny_config.num_slices
+    for stale in ("increment_0001_0002.muck", "ledger_0002.muck.tmp", "manifest.json.tmp"):
+        (tmp_path / stale).write_bytes(b"stale")
+    (tmp_path / "notes.txt").write_text("kept")
+    store = UnlearnEngine.train(tiny_dataset, tiny_config).store  # t = 2: slice 1 recorded
+    store.persist(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    named = {e["file"] for e in manifest["checkpoints"] + manifest["ledgers"]}
+    assert named == {f"checkpoint_{i:04d}.muck" for i in range(4)} | {"ledger_0001.muck"}
+    assert {p.name for p in tmp_path.iterdir()} == named | {"manifest.json", "notes.txt"}
+    loaded = StateStore.load(tmp_path)
+    assert sorted(loaded.ledgers) == [1]
+    assert loaded.get_checkpoint(3).params.bits_equal(store.get_checkpoint(3).params)
+
+
 def test_file_header_version_rejected(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
