@@ -151,14 +151,10 @@ class ExperimentConfig:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    for name in (
-        "num_slices", "batch_size", "learning_rate", "epochs_per_slice", "phi",
-        "seed", "strategy", "request_count", "request_seed", "output_dir",
-        "ohs_depth", "shadow_count", "attack_seed", "eval_fraction",
-    ):
-        value = getattr(args, name, None)
+    for f in fields(ExperimentConfig):  # a field with no flag reads None
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(config, name, value)
+            setattr(config, f.name, value)
     if getattr(args, "synthetic", None):
         n, dim, seed = args.synthetic
         config.dataset = {"kind": "synthetic", "n": n, "dim": dim, "seed": seed}

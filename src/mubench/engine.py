@@ -16,7 +16,9 @@ paths:
   (``ohs`` below the threshold).
 
 All mutation (training, unlearning, store writes) is serialized on the engine
-instance; parameter snapshots handed out are safe to read concurrently.
+instance. Stored and served parameter vectors are read-only: requests and
+retraining build new ones, so checkpoints, the served model and each
+``UnlearnOutcome.params_after`` are shared, not copied, and safe to read.
 """
 
 from __future__ import annotations
@@ -214,14 +216,14 @@ class UnlearnEngine:
         engine.threshold = store.threshold
         for sid in store.tombstones:
             engine.plan = engine.plan.tombstone(sid)
-        engine.model = Model(store.get_checkpoint(store.num_slices).params.copy())
+        engine.model = Model(store.get_checkpoint(store.num_slices).params)
         return engine
 
     def clone(self) -> "UnlearnEngine":
         dup = copy.copy(self)
         dup.store = self.store.clone()
         if self.model is not None:
-            dup.model = Model(self.model.params.copy())
+            dup.model = Model(self.model.params)
         return dup
 
     # ---- training -------------------------------------------------------
@@ -231,9 +233,7 @@ class UnlearnEngine:
         params = init_params(self.layout, self.config.seed)
         state = OptimizerState.fresh(self.layout, self.config.hyper())
         self.store.set_tombstones(self.plan.tombstones)
-        self.store.put_checkpoint(
-            Checkpoint(0, params.copy(), state.copy(), self.store.plan_version)
-        )
+        self.store.put_checkpoint(Checkpoint(0, params, state, self.store.plan_version))
         params, _ = self._train_slices(1, params, state)
         self.store.dataset_fingerprint = self.dataset.fingerprint()
         self.model = Model(params)
@@ -247,9 +247,7 @@ class UnlearnEngine:
         trained = list(range(start_slice, self.config.num_slices + 1))
         for k in trained:
             params, state = self._train_slice(params, state, k, record=k < self.threshold)
-            self.store.put_checkpoint(
-                Checkpoint(k, params.copy(), state.copy(), self.store.plan_version)
-            )
+            self.store.put_checkpoint(Checkpoint(k, params, state, self.store.plan_version))
         return params, trained
 
     def _train_slice(
@@ -304,7 +302,9 @@ class UnlearnEngine:
         the sample's recorded batch delta is subtracted from the served
         parameters when r = 0, else from checkpoint S-r, which itself stays
         pristine, before slices S-r+1..S are retrained. DPUS at or above the
-        threshold needs ``force``.
+        threshold needs ``force``. An OHS depth with S-r < i would subtract a
+        delta checkpoint S-r never saw, so that request retrains from slice i
+        instead and reports ``prs``.
 
         The ledger is addressed by recording-time batch membership, since
         tombstoning re-chunks the live plan. A batch's delta is subtracted at
@@ -325,7 +325,9 @@ class UnlearnEngine:
                 f"sample {sample_id} sits in slice {i} >= threshold {self.threshold}; "
                 "direct update requires force=True there"
             )
-        amend = strategy == "dpus" or (strategy != "prs" and i < self.threshold)
+        amend = i <= num_slices - r and (
+            strategy == "dpus" or (strategy != "prs" and i < self.threshold)
+        )
         start = num_slices - r + 1 if amend else i
         base = self.store.get_checkpoint(start - 1) if start <= num_slices else None
         params = model.params if base is None else base.params
@@ -341,10 +343,9 @@ class UnlearnEngine:
         if base is not None:
             self.store.plan_version += 1
             params, rewritten = self._train_slices(start, params, base.opt_state)
+        params.values.flags.writeable = False
         model.params = params
-        return UnlearnOutcome(
-            executed, (i, j), time.perf_counter() - t0, params.copy(), rewritten
-        )
+        return UnlearnOutcome(executed, (i, j), time.perf_counter() - t0, params, rewritten)
 
     def unlearn_prs(self, sample_id: int) -> UnlearnOutcome:
         """Partial retraining: tombstone, roll back, retrain the suffix."""

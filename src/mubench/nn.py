@@ -65,8 +65,9 @@ class ModelLayout:
 class ParameterVector:
     """Flat storage of every weight and bias, in layer order (W then b).
 
-    The constructor normalizes dtype/contiguity but does not defensively copy;
-    call :meth:`copy` when isolation is needed. Values produced by training
+    The constructor normalizes dtype/contiguity but does not copy. Vectors
+    held by a checkpoint or served by the engine are read-only and shared;
+    :meth:`copy` gives a writable one. Values produced by training
     sit on the float32 grid; ``combine`` results may carry exact sub-grid
     differences until they are quantized at the serialization boundary.
     """
@@ -141,9 +142,6 @@ class OptimizerState:
         n = layout.param_count
         return cls(np.zeros(n, dtype=F32), np.zeros(n, dtype=F32), 0, hyper or AdamHyper())
 
-    def copy(self) -> "OptimizerState":
-        return OptimizerState(self.m.copy(), self.v.copy(), self.step_count, self.hyper)
-
 
 @dataclass
 class Batch:
@@ -201,7 +199,9 @@ def forward(params: ParameterVector, features: np.ndarray) -> np.ndarray:
     act = _check_features(params.layout, features)
     layers = _layer_views(params.values, params.layout)
     for w, b in layers[:-1]:
-        act = np.maximum(act @ w + b, 0.0)
+        act = act @ w
+        act += b
+        np.maximum(act, 0.0, out=act)
     w, b = layers[-1]
     logits = act @ w + b
     shifted = logits - logits.max(axis=1, keepdims=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -20,10 +20,13 @@ def environment_fingerprint() -> dict:
 
 @dataclass
 class RequestRow:
+    """One served request; its fields, in order, are the JSON row keys and
+    the CSV columns."""
+
     index: int
     strategy_executed: str
-    slice_index: int
-    batch_index: int
+    slice: int
+    batch: int
     wall_time_s: float
 
 
@@ -66,16 +69,7 @@ class MetricsReport:
                 "partial": self.partial,
                 "error": self.error,
             },
-            "rows": [
-                {
-                    "index": r.index,
-                    "strategy_executed": r.strategy_executed,
-                    "slice": r.slice_index,
-                    "batch": r.batch_index,
-                    "wall_time_s": r.wall_time_s,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "config_hash": self.config_hash,
             "notes": self.notes,
             "environment": self.environment,
@@ -88,15 +82,12 @@ class MetricsReport:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["index", "strategy_executed", "slice", "batch", "wall_time_s"])
+            columns = [f.name for f in fields(RequestRow)]
+            writer.writerow(columns)
             for r in self.rows:
-                writer.writerow(
-                    [r.index, r.strategy_executed, r.slice_index, r.batch_index,
-                     f"{r.wall_time_s:.6f}"]
-                )
-            writer.writerow(["average_time_s", f"{self.avg_unlearn_time_s:.6f}", "", "", ""])
-            writer.writerow(
-                ["final_accuracy",
-                 "" if self.final_accuracy is None else f"{self.final_accuracy:.6f}",
-                 "", "", ""]
-            )
+                cells = asdict(r).values()
+                writer.writerow(f"{v:.6f}" if isinstance(v, float) else v for v in cells)
+            padding = [""] * (len(columns) - 2)
+            writer.writerow(["average_time_s", f"{self.avg_unlearn_time_s:.6f}", *padding])
+            final = "" if self.final_accuracy is None else f"{self.final_accuracy:.6f}"
+            writer.writerow(["final_accuracy", final, *padding])

@@ -41,15 +41,18 @@ _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
 
 @dataclass
 class Checkpoint:
+    """Parameters and Adam state after a slice. Construction makes the
+    params, ``m`` and ``v`` arrays read-only; they are never written again,
+    which is what lets clones and served models share them."""
+
     slice_index: int
     params: ParameterVector
     opt_state: OptimizerState
     plan_version: int
 
-    def copy(self) -> "Checkpoint":
-        return Checkpoint(
-            self.slice_index, self.params.copy(), self.opt_state.copy(), self.plan_version
-        )
+    def __post_init__(self) -> None:
+        for values in (self.params.values, self.opt_state.m, self.opt_state.v):
+            values.flags.writeable = False
 
 
 class Ledger(NamedTuple):
@@ -76,18 +79,19 @@ def write_vector_file(path: Path, slice_index: int, batch_index: int, values: np
 
 
 def read_vector_file(path: Path) -> tuple[int, int, np.ndarray, int]:
+    """Check and unframe one file; the vector is a read-only view of its bytes."""
     data = Path(path).read_bytes()
     if len(data) < 4 + _HEADER.size + 4 or data[:4] != MAGIC:
         raise StoreCorruption(f"{path.name}: missing or damaged MUCK header")
     (stored_crc,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(data[:-4]) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(memoryview(data)[:-4]) & 0xFFFFFFFF != stored_crc:
         raise StoreCorruption(f"{path.name}: CRC32 mismatch")
     version, slice_index, batch_index, length = _HEADER.unpack(data[4 : 4 + _HEADER.size])
     if version != FORMAT_VERSION:
         raise StoreVersionError(f"{path.name}: format version {version} is not supported")
     if len(data) != 4 + _HEADER.size + 4 * length + 4:
         raise StoreCorruption(f"{path.name}: payload length disagrees with header")
-    vec = np.frombuffer(data[4 + _HEADER.size : -4], dtype="<f4").astype(np.float32)
+    vec = np.frombuffer(data, dtype="<f4", count=length, offset=4 + _HEADER.size)
     return slice_index, batch_index, vec, stored_crc
 
 
@@ -139,14 +143,16 @@ class StateStore:
 
     # ---- increments --------------------------------------------------
     def record_increment(self, i: int, ids, deltas) -> None:
-        """Replace slice i's ledger with ``ids`` and ``deltas``, none consumed."""
+        """Replace slice i's ledger with ``ids`` and ``deltas``, none consumed.
+        Arrays that already have the stored dtype are kept, not copied, and
+        made read-only."""
         if i < 1:
             raise InvalidArgument("slice indices are 1-based")
         if i >= self.threshold:
             raise PolicyViolation(
                 f"increments are recorded only for slices below {self.threshold}, got {i}"
             )
-        ids, deltas = np.array(ids, dtype=np.int64), np.array(deltas, dtype=np.float32)
+        ids, deltas = np.asarray(ids, dtype=np.int64), np.asarray(deltas, dtype=np.float32)
         ids.flags.writeable = deltas.flags.writeable = False
         self.ledgers[i] = Ledger(ids, deltas, np.zeros(len(deltas), dtype=bool))
 
@@ -183,9 +189,11 @@ class StateStore:
         self.tombstones = frozenset(ids)
 
     def clone(self) -> "StateStore":
+        """An independent store sharing the read-only checkpoints, ids and
+        deltas; only the consumed flags are copied."""
         dup = copy.copy(self)
         dup.seeds = dict(self.seeds)
-        dup.checkpoints = {i: cp.copy() for i, cp in self.checkpoints.items()}
+        dup.checkpoints = dict(self.checkpoints)
         dup.ledgers = {i: x._replace(consumed=x.consumed.copy()) for i, x in self.ledgers.items()}
         return dup
 

@@ -234,7 +234,7 @@ def test_ohs_subtracts_then_retrains_trailing_slice(tiny_dataset, tiny_config):
 
     delta = twin.store.get_increment(i, j)
     start = combine(twin.store.get_checkpoint(s - 1).params, delta, "-")
-    state = twin.store.get_checkpoint(s - 1).opt_state.copy()
+    state = twin.store.get_checkpoint(s - 1).opt_state
     twin.plan = twin.plan.tombstone(victim)
     expected, _ = twin._train_slice(start, state, s, record=False)
     assert out.params_after.bits_equal(expected)
@@ -265,8 +265,9 @@ def test_ohs_consumed_record_still_retrains(tiny_dataset, tiny_config):
 
 
 def test_ohs_full_depth_tracks_prs_accuracy():
-    """depth = S: subtract at checkpoint 0, retrain everything; accuracy stays
-    within one point of pure partial retraining."""
+    """depth = S: checkpoint 0 holds no sample's delta, so every request
+    retrains from its own slice and the stream stays within one point of pure
+    partial retraining."""
     source = gen_synthetic(2500, 20, seed=6)
     train, hold = split_dataset(source, 0.2, seed=1)
     # t = 3 for S = 4: per-slice 500, costs 5000/4500/3500/2000
@@ -281,6 +282,64 @@ def test_ohs_full_depth_tracks_prs_accuracy():
     acc_prs = evaluate(prs_eng.model.params, hold)
     acc_ohs = evaluate(ohs_eng.model.params, hold)
     assert abs(acc_prs - acc_ohs) <= 0.01
+
+
+def _engine_state(eng):
+    """An engine's checkpoints and served params as bytes, its consumed flags
+    and its tombstones."""
+    checkpoints = {
+        k: (
+            cp.params.values.tobytes(),
+            cp.opt_state.m.tobytes(),
+            cp.opt_state.v.tobytes(),
+            cp.opt_state.step_count,
+            cp.plan_version,
+        )
+        for k, cp in eng.store.checkpoints.items()
+    }
+    consumed = {k: ledger.consumed.tolist() for k, ledger in eng.store.ledgers.items()}
+    served = eng.model.params.values.tobytes()
+    return checkpoints, consumed, served, eng.store.tombstones, eng.plan.tombstones
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_ohs_depth_past_the_sample_runs_prs(depth):
+    """With S-r < i, checkpoint S-r was written before slice i and never held
+    the sample's delta: the request retrains from slice i, exactly as PRS."""
+    train, _ = split_dataset(gen_synthetic(2000, 20, 3), 0.2, seed=1)
+    # t = 3, r = 2 for S = 4: per-slice 400, costs 4000/3600/2800/1600
+    eng = UnlearnEngine.train(train, TrainConfig(num_slices=4, batch_size=64, seed=7, phi=3500.0))
+    a, b = eng.clone(), eng.clone()
+    victim = eng.plan.slice_ids(2)[5]
+    out_a = a.unlearn_ohs(victim, depth=depth)
+    out_b = b.unlearn_prs(victim)
+    assert (out_a.strategy_executed, out_a.checkpoints_rewritten) == ("prs", [2, 3, 4])
+    assert out_a.located_at == out_b.located_at
+    assert out_a.params_after.bits_equal(out_b.params_after)
+    assert _engine_state(a) == _engine_state(b)
+
+
+def test_clone_stream_leaves_the_original_bit_identical(tiny_dataset, tiny_config):
+    """A mixed PRS/DPUS/HS/OHS stream on a clone writes nothing the original
+    holds, and each outcome's params_after is a read-only snapshot that later
+    requests leave alone."""
+    eng = UnlearnEngine.train(tiny_dataset, tiny_config)
+    before = _engine_state(eng)
+    twin = eng.clone()
+    outcomes, snapshots = [], []
+    for k, sid in enumerate(sample_request_ids(eng.plan, 24, seed=6)):
+        strategy = ("prs", "dpus", "hs", "ohs")[k % 4]
+        if strategy == "dpus" and eng.plan.locate(sid)[0] >= eng.threshold:
+            strategy = "hs"  # no recorded delta at or above the threshold
+        outcomes.append(twin.dispatch(UnlearnRequest(sid, strategy)))
+        snapshots.append(outcomes[-1].params_after.values.tobytes())
+    assert {o.strategy_executed for o in outcomes} >= {"prs", "dpus", "ohs"}
+    assert _engine_state(eng) == before
+    assert not twin.model.params.bits_equal(eng.model.params)
+    for outcome, snapshot in zip(outcomes, snapshots):
+        assert outcome.params_after.values.tobytes() == snapshot
+        with pytest.raises(ValueError):
+            outcome.params_after.values[0] = 0.0
 
 
 # ------------------------------------------------------------------- dispatch

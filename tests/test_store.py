@@ -268,11 +268,16 @@ def test_checkpoint_sentinel_in_file(tmp_path):
 
 
 def test_clone_is_isolated():
+    """A clone shares the read-only checkpoints, ids and deltas and owns its
+    consumed flags."""
     store = populated_store()
     dup = store.clone()
-    dup.get_checkpoint(1).params.values[0] += 1.0
+    for i, cp in store.checkpoints.items():
+        assert dup.get_checkpoint(i) is cp
+        for values in (cp.params.values, cp.opt_state.m, cp.opt_state.v):
+            with pytest.raises(ValueError):
+                values[0] += 1.0
     assert dup.ledgers[1].deltas is store.ledgers[1].deltas
     assert dup.tombstones is store.tombstones
     dup.mark_consumed(1, 1)
     assert not store.ledgers[1].consumed[0]
-    assert not store.get_checkpoint(1).params.bits_equal(dup.get_checkpoint(1).params)
