@@ -123,14 +123,8 @@ class ExperimentConfig:
         return path if path.is_absolute() else Path(root) / path
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            num_slices=self.num_slices,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            epochs_per_slice=self.epochs_per_slice,
-            seed=self.seed,
-            phi=self.phi,
-        )
+        shared = [f.name for f in fields(TrainConfig) if f.name in self.__dataclass_fields__]
+        return TrainConfig(**{name: getattr(self, name) for name in shared})
 
     def build_source(self) -> Dataset:
         kind = self.dataset["kind"]

@@ -41,7 +41,6 @@ from .errors import (
     TrainingDiverged,
 )
 from .nn import (
-    AdamHyper,
     Batch,
     ModelLayout,
     OptimizerState,
@@ -53,40 +52,9 @@ from .nn import (
     loss_grad,
 )
 from .report import MetricsReport, RequestRow
-from .store import Checkpoint, StateStore
+from .store import Checkpoint, StateStore, TrainConfig
 
 STRATEGIES = ("prs", "dpus", "hs", "ohs")
-
-
-@dataclass
-class TrainConfig:
-    """Sliced-training hyperparameters; defaults follow the benchmark setup
-    (batch size 128, learning rate 0.005, Adam)."""
-
-    num_slices: int = 4
-    batch_size: int = 128
-    learning_rate: float = 0.005
-    epochs_per_slice: int = 1
-    seed: int = 0
-    phi: float = 0.0
-    hidden_dims: tuple[int, ...] = (128, 128)
-
-    def validate(self) -> None:
-        if self.num_slices < 1:
-            raise InvalidArgument("num_slices must be >= 1")
-        if self.batch_size < 1:
-            raise InvalidArgument("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise InvalidArgument("learning_rate must be positive")
-        if self.epochs_per_slice < 1:
-            raise InvalidArgument("epochs_per_slice must be >= 1")
-        if self.seed < 0:
-            raise InvalidArgument("seed must be non-negative")
-        if self.phi < 0:
-            raise InvalidArgument("phi must be non-negative")
-
-    def hyper(self) -> AdamHyper:
-        return AdamHyper(learning_rate=self.learning_rate)
 
 
 @dataclass
@@ -173,17 +141,7 @@ class UnlearnEngine:
         if not 0 <= self.default_ohs_depth <= config.num_slices:
             raise InvalidArgument("ohs_depth must be in [0, num_slices]")
         self.plan = make_slice_plan(dataset, config.num_slices, config.batch_size, config.seed)
-        self.store = StateStore(
-            layout=self.layout,
-            num_slices=config.num_slices,
-            threshold=self.threshold,
-            n=dataset.n,
-            batch_size=config.batch_size,
-            seeds={"train": config.seed},
-            hyper=config.hyper(),
-            epochs_per_slice=config.epochs_per_slice,
-            phi=config.phi,
-        )
+        self.store = StateStore(config, self.layout, dataset.n, self.threshold)
         self.model: Model | None = None
 
     # ---- construction helpers -----------------------------------------
@@ -202,21 +160,12 @@ class UnlearnEngine:
             )
         if store.dataset_fingerprint and store.dataset_fingerprint != dataset.fingerprint():
             raise InvalidArgument("dataset fingerprint does not match the store")
-        config = TrainConfig(
-            num_slices=store.num_slices,
-            batch_size=store.batch_size,
-            learning_rate=store.hyper.learning_rate,
-            epochs_per_slice=store.epochs_per_slice,
-            seed=int(store.seeds["train"]),
-            phi=store.phi,
-            hidden_dims=tuple(store.layout.hidden_dims),
-        )
-        engine = cls(dataset, config, ohs_depth=ohs_depth)
+        engine = cls(dataset, store.config, ohs_depth=ohs_depth)
         engine.store = store
         engine.threshold = store.threshold
         for sid in store.tombstones:
             engine.plan = engine.plan.tombstone(sid)
-        engine.model = Model(store.get_checkpoint(store.num_slices).params)
+        engine.model = Model(store.get_checkpoint(store.config.num_slices).params)
         return engine
 
     def clone(self) -> "UnlearnEngine":
@@ -291,9 +240,7 @@ class UnlearnEngine:
         return self.model
 
     # ---- revocation -------------------------------------------------------
-    def _unlearn(
-        self, sample_id: int, strategy: str, depth: int | None = None, force: bool = False
-    ) -> UnlearnOutcome:
+    def _unlearn(self, sample_id: int, strategy: str, depth: int | None = None) -> UnlearnOutcome:
         """Serve one revocation; every strategy entry point lands here.
 
         PRS, and HS or OHS at or above the threshold, tombstone the sample and
@@ -302,9 +249,9 @@ class UnlearnEngine:
         the sample's recorded batch delta is subtracted from the served
         parameters when r = 0, else from checkpoint S-r, which itself stays
         pristine, before slices S-r+1..S are retrained. DPUS at or above the
-        threshold needs ``force``. An OHS depth with S-r < i would subtract a
-        delta checkpoint S-r never saw, so that request retrains from slice i
-        instead and reports ``prs``.
+        threshold raises DispatchError: no delta is recorded there. An OHS
+        depth with S-r < i would subtract a delta checkpoint S-r never saw, so
+        that request retrains from slice i instead and reports ``prs``.
 
         The ledger is addressed by recording-time batch membership, since
         tombstoning re-chunks the live plan. A batch's delta is subtracted at
@@ -320,10 +267,10 @@ class UnlearnEngine:
             if not 0 <= r <= num_slices:
                 raise InvalidArgument("ohs depth must be in [0, num_slices]")
         i, j = self.plan.locate(sample_id)
-        if strategy == "dpus" and i >= self.threshold and not force:
+        if strategy == "dpus" and i >= self.threshold:
             raise DispatchError(
-                f"sample {sample_id} sits in slice {i} >= threshold {self.threshold}; "
-                "direct update requires force=True there"
+                f"sample {sample_id} sits in slice {i} >= threshold {self.threshold}, "
+                "where no increment is recorded for a direct update"
             )
         amend = i <= num_slices - r and (
             strategy == "dpus" or (strategy != "prs" and i < self.threshold)
@@ -351,10 +298,10 @@ class UnlearnEngine:
         """Partial retraining: tombstone, roll back, retrain the suffix."""
         return self._unlearn(sample_id, "prs")
 
-    def unlearn_dpus(self, sample_id: int, force: bool = False) -> UnlearnOutcome:
+    def unlearn_dpus(self, sample_id: int) -> UnlearnOutcome:
         """Direct parameter update: final params minus the sample's batch delta;
-        at or above the threshold only with ``force``."""
-        return self._unlearn(sample_id, "dpus", force=force)
+        only below the threshold, where increments are recorded."""
+        return self._unlearn(sample_id, "dpus")
 
     def unlearn_hs(self, sample_id: int) -> UnlearnOutcome:
         """Hybrid: direct update strictly below the threshold, else retraining."""
@@ -368,7 +315,7 @@ class UnlearnEngine:
 
     # ---- replay ---------------------------------------------------------
     def dispatch(self, request: UnlearnRequest) -> UnlearnOutcome:
-        return self._unlearn(request.sample_id, request.requested_strategy, force=True)
+        return self._unlearn(request.sample_id, request.requested_strategy)
 
     def process_stream(
         self,

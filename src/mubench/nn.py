@@ -99,11 +99,6 @@ class ParameterVector:
         )
 
 
-def _to_grid(values: np.ndarray) -> np.ndarray:
-    """Quantize to the float32 grid, returned as float64."""
-    return values.astype(F32).astype(F64)
-
-
 @dataclass(frozen=True)
 class AdamHyper:
     """Adam's hyperparameters, held as Python floats: a numpy float64 scalar
@@ -181,7 +176,7 @@ def init_params(layout: ModelLayout, seed: int) -> ParameterVector:
     for w, _b in _layer_views(flat, layout):
         fan_in, fan_out = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w[:] = _to_grid(rng.uniform(-limit, limit, size=w.shape)).reshape(fan_in, fan_out)
+        w[:] = rng.uniform(-limit, limit, size=w.shape).astype(F32)
     return ParameterVector(flat, layout)
 
 
@@ -212,7 +207,8 @@ def forward(params: ParameterVector, features: np.ndarray) -> np.ndarray:
 def loss_grad(params: ParameterVector, batch: Batch) -> tuple[float, ParameterVector]:
     """Mean softmax cross-entropy and its gradient via backpropagation.
 
-    Forward and backward run in float32 on the weights cast once, and each
+    Forward and backward run in float32 on the weights cast once, except the
+    backward step through the thin output layer, which runs in float64; each
     layer's gradient is written straight into its slice of one float32
     vector, so the gradient sits on the float32 grid. The loss goes through
     log-sum-exp over the logits in float64 with no probability clipping, so a
@@ -243,18 +239,29 @@ def loss_grad(params: ParameterVector, batch: Batch) -> tuple[float, ParameterVe
 
     delta = np.exp(logits - lse[:, None])
     delta[rows, labels] -= 1.0
-    delta = (delta / len(batch)).astype(F32)
+    delta /= len(batch)
 
+    # The per-row softmax-minus-one-hot terms cancel across rows of different
+    # labels, and float32 rounding of each term can swamp a small sum. So the
+    # delta stays float64 through the output layer, whose matmuls are only
+    # classes wide, and the last hidden layer's bias gradient is summed from
+    # it; the hidden x hidden matmuls run in float32.
     grad = np.empty(layout.param_count, dtype=F32)
     grad_views = _layer_views(grad, layout)
-    for k in range(len(layers) - 1, -1, -1):
-        gw, gb = grad_views[k]
-        np.matmul(acts[k].T, delta, out=gw)
-        np.sum(delta, axis=0, out=gb)
-        if k > 0:
-            # acts[k] is the ReLU output, positive exactly where its input was
-            delta = delta @ layers[k][0].T
-            delta *= acts[k] > 0.0
+    gw, gb = grad_views[-1]
+    gw[:] = acts[-1].T.astype(F64) @ delta
+    gb[:] = delta.sum(axis=0)
+    for k in range(len(layers) - 1, 0, -1):
+        # acts[k] is the ReLU output, positive exactly where its input was
+        delta = delta @ layers[k][0].T
+        delta *= acts[k] > 0.0
+        gw, gb = grad_views[k - 1]
+        if delta.dtype == F64:
+            gb[:] = delta.sum(axis=0)
+            delta = delta.astype(F32)
+        else:
+            np.sum(delta, axis=0, out=gb)
+        np.matmul(acts[k - 1].T, delta, out=gw)
     return loss, ParameterVector(grad, layout)
 
 

@@ -1,14 +1,16 @@
 """Persistence of per-slice checkpoints and the per-slice increment ledger.
 
 On-disk layout: ``manifest.json`` plus one binary file per checkpoint or
-recorded slice. Binary framing: magic ``MUCK``, u32 format version, u32 slice
-index, u32 batch field (0xFFFFFFFF for checkpoints, the row count for a
-ledger), u64 vector length, raw little-endian float32 payload, u32 CRC32
-trailer over all preceding bytes. Checkpoint payloads concatenate (params,
-adam_m, adam_v); a ledger's payload is its delta rows in batch order. Step
-counters, recorded ids and consumed flags live in the manifest. Writes go to
-a temp file then ``os.replace``; once the new manifest is in place, the store
-files it does not name are removed.
+recorded slice. The manifest holds the training config as one ``config``
+section (the engine's ``TrainConfig``), the input width, the threshold, the
+tombstones and one entry per file. Binary framing: magic ``MUCK``, u32 framing
+version, u32 slice index, u32 batch field (0xFFFFFFFF for checkpoints, the row
+count for a ledger), u64 vector length, raw little-endian float32 payload, u32
+CRC32 trailer over all preceding bytes. Checkpoint payloads concatenate
+(params, adam_m, adam_v); a ledger's payload is its delta rows in batch order.
+Step counters, recorded ids and consumed flags live in the manifest. Writes go
+to a temp file then ``os.replace``; once the new manifest is in place, the
+store files it does not name are removed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,9 +36,41 @@ from .errors import (
 from .nn import AdamHyper, ModelLayout, OptimizerState, ParameterVector
 
 MAGIC = b"MUCK"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4  # of the manifest
+FRAME_VERSION = 3  # of the binary files; the framing has not changed since version 3
 CHECKPOINT_SENTINEL = 0xFFFFFFFF
 _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
+
+
+@dataclass
+class TrainConfig:
+    """Sliced-training hyperparameters; defaults follow the benchmark setup
+    (batch size 128, learning rate 0.005, Adam)."""
+
+    num_slices: int = 4
+    batch_size: int = 128
+    learning_rate: float = 0.005
+    epochs_per_slice: int = 1
+    seed: int = 0
+    phi: float = 0.0
+    hidden_dims: tuple[int, ...] = (128, 128)
+
+    def validate(self) -> None:
+        if self.num_slices < 1:
+            raise InvalidArgument("num_slices must be >= 1")
+        if self.batch_size < 1:
+            raise InvalidArgument("batch_size must be >= 1")
+        if self.learning_rate <= 0:
+            raise InvalidArgument("learning_rate must be positive")
+        if self.epochs_per_slice < 1:
+            raise InvalidArgument("epochs_per_slice must be >= 1")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidArgument("seed must be a non-negative integer")
+        if self.phi < 0:
+            raise InvalidArgument("phi must be non-negative")
+
+    def hyper(self) -> AdamHyper:
+        return AdamHyper(learning_rate=self.learning_rate)
 
 
 @dataclass
@@ -66,9 +100,9 @@ class Ledger(NamedTuple):
 
 
 def write_vector_file(path: Path, slice_index: int, batch_index: int, values: np.ndarray) -> int:
-    payload = np.ascontiguousarray(values, dtype="<f4").tobytes()
-    header = MAGIC + _HEADER.pack(FORMAT_VERSION, slice_index, batch_index, values.size)
-    crc = zlib.crc32(header + payload) & 0xFFFFFFFF
+    payload = np.ascontiguousarray(values, dtype="<f4")
+    header = MAGIC + _HEADER.pack(FRAME_VERSION, slice_index, batch_index, payload.size)
+    crc = zlib.crc32(payload, zlib.crc32(header))
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(header)
@@ -87,7 +121,7 @@ def read_vector_file(path: Path) -> tuple[int, int, np.ndarray, int]:
     if zlib.crc32(memoryview(data)[:-4]) & 0xFFFFFFFF != stored_crc:
         raise StoreCorruption(f"{path.name}: CRC32 mismatch")
     version, slice_index, batch_index, length = _HEADER.unpack(data[4 : 4 + _HEADER.size])
-    if version != FORMAT_VERSION:
+    if version != FRAME_VERSION:
         raise StoreVersionError(f"{path.name}: format version {version} is not supported")
     if len(data) != 4 + _HEADER.size + 4 * length + 4:
         raise StoreCorruption(f"{path.name}: payload length disagrees with header")
@@ -96,34 +130,19 @@ def read_vector_file(path: Path) -> tuple[int, int, np.ndarray, int]:
 
 
 class StateStore:
-    """Single-writer store of checkpoints, increments and plan bookkeeping."""
+    """Single-writer store of checkpoints, increments and plan bookkeeping.
 
-    def __init__(
-        self,
-        *,
-        layout: ModelLayout,
-        num_slices: int,
-        threshold: int,
-        n: int,
-        batch_size: int,
-        seeds: dict,
-        hyper: AdamHyper,
-        epochs_per_slice: int,
-        phi: float,
-        plan_version: int = 0,
-        dataset_fingerprint: str = "",
-    ) -> None:
+    ``config`` is the training recipe that wrote the checkpoints and ledgers,
+    kept as the one record the engine trains from; retraining resumes a stored
+    checkpoint only under it."""
+
+    def __init__(self, config: TrainConfig, layout: ModelLayout, n: int, threshold: int) -> None:
+        self.config = config
         self.layout = layout
-        self.num_slices = int(num_slices)
-        self.threshold = int(threshold)
         self.n = int(n)
-        self.batch_size = int(batch_size)
-        self.seeds = dict(seeds)
-        self.hyper = hyper
-        self.epochs_per_slice = int(epochs_per_slice)
-        self.phi = float(phi)
-        self.plan_version = int(plan_version)
-        self.dataset_fingerprint = dataset_fingerprint
+        self.threshold = int(threshold)
+        self.plan_version = 0
+        self.dataset_fingerprint = ""
         self.checkpoints: dict[int, Checkpoint] = {}
         self.ledgers: dict[int, Ledger] = {}
         self.tombstones: frozenset[int] = frozenset()
@@ -131,8 +150,10 @@ class StateStore:
     # ---- checkpoints -------------------------------------------------
     def put_checkpoint(self, checkpoint: Checkpoint) -> None:
         i = checkpoint.slice_index
-        if not 0 <= i <= self.num_slices:
-            raise InvalidArgument(f"checkpoint index must be in [0, {self.num_slices}], got {i}")
+        if not 0 <= i <= self.config.num_slices:
+            raise InvalidArgument(
+                f"checkpoint index must be in [0, {self.config.num_slices}], got {i}"
+            )
         self.checkpoints[i] = checkpoint
 
     def get_checkpoint(self, i: int) -> Checkpoint:
@@ -182,7 +203,7 @@ class StateStore:
         hits = np.flatnonzero(ledger.ids == int(sample_id))
         if hits.size == 0:
             raise NotFound(f"sample {sample_id} is not in slice {i}'s recorded batches")
-        return int(hits[0]) // self.batch_size + 1
+        return int(hits[0]) // self.config.batch_size + 1
 
     def set_tombstones(self, ids) -> None:
         """Keep the revoked ids; a frozenset is kept as given, not copied."""
@@ -192,7 +213,6 @@ class StateStore:
         """An independent store sharing the read-only checkpoints, ids and
         deltas; only the consumed flags are copied."""
         dup = copy.copy(self)
-        dup.seeds = dict(self.seeds)
         dup.checkpoints = dict(self.checkpoints)
         dup.ledgers = {i: x._replace(consumed=x.consumed.copy()) for i, x in self.ledgers.items()}
         return dup
@@ -229,15 +249,10 @@ class StateStore:
             )
         manifest = {
             "format_version": FORMAT_VERSION,
-            "layout": asdict(self.layout),
-            "S": self.num_slices,
-            "l": self.threshold,
+            "config": asdict(self.config),
+            "input_dim": self.layout.input_dim,
+            "threshold": self.threshold,
             "n": self.n,
-            "batch_size": self.batch_size,
-            "seeds": self.seeds,
-            "phi": self.phi,
-            "hyper": asdict(self.hyper),
-            "epochs_per_slice": self.epochs_per_slice,
             "plan_version": self.plan_version,
             "dataset_fingerprint": self.dataset_fingerprint,
             "tombstones": sorted(map(int, self.tombstones)),
@@ -272,22 +287,14 @@ class StateStore:
         version = manifest.get("format_version")
         if version != FORMAT_VERSION:
             raise StoreVersionError(f"manifest format version {version} is not supported")
-        layout = ModelLayout(**manifest["layout"])
-        store = cls(
-            layout=layout,
-            num_slices=manifest["S"],
-            threshold=manifest["l"],
-            n=manifest["n"],
-            batch_size=manifest["batch_size"],
-            seeds=manifest["seeds"],
-            hyper=AdamHyper(**manifest["hyper"]),
-            epochs_per_slice=manifest["epochs_per_slice"],
-            phi=manifest["phi"],
-            plan_version=manifest["plan_version"],
-            dataset_fingerprint=str(manifest["dataset_fingerprint"]),
-        )
-        if store.batch_size < 1 or not isinstance(store.seeds["train"], int):
-            raise StoreCorruption("manifest.json: batch_size must be positive, seeds.train an int")
+        raw = manifest["config"]
+        config = TrainConfig(**{f.name: raw[f.name] for f in fields(TrainConfig)})
+        config.hidden_dims = tuple(config.hidden_dims)  # JSON gave a list
+        config.validate()
+        layout = ModelLayout(manifest["input_dim"], config.hidden_dims)
+        store = cls(config, layout, manifest["n"], manifest["threshold"])
+        store.plan_version = int(manifest["plan_version"])
+        store.dataset_fingerprint = str(manifest["dataset_fingerprint"])
         store.tombstones = frozenset(int(x) for x in manifest["tombstones"])
         count = layout.param_count
         for entry in manifest["checkpoints"]:
@@ -301,7 +308,7 @@ class StateStore:
                 payload[count : 2 * count],
                 payload[2 * count :],
                 entry["step_count"],
-                store.hyper,
+                config.hyper(),
             )
             store.checkpoints[si] = Checkpoint(si, params, state, entry["plan_version"])
         for entry in manifest["ledgers"]:
@@ -312,7 +319,7 @@ class StateStore:
                 raise StoreCorruption(f"{entry['file']}: manifest checksum disagrees")
             if si != entry["slice"] or payload.size != rows * count:
                 raise StoreCorruption(f"{entry['file']}: ledger framing mismatch")
-            if rows != -(-ids.size // store.batch_size) or rows != consumed.size:
+            if rows != -(-ids.size // config.batch_size) or rows != consumed.size:
                 raise StoreCorruption(
                     f"{entry['file']}: {rows} delta rows for {ids.size} ids "
                     f"and {consumed.size} consumed flags"

@@ -6,6 +6,7 @@ import pytest
 from mubench import (
     Dataset,
     ModelLayout,
+    StateStore,
     TrainConfig,
     UnlearnEngine,
     UnlearnRequest,
@@ -19,7 +20,6 @@ from mubench.errors import (
     AlreadyRevoked,
     DispatchError,
     InvalidArgument,
-    NotFound,
     TrainingDiverged,
 )
 from mubench.mia import fit_dense
@@ -179,9 +179,15 @@ def test_dpus_dispatch_guard(trained_engine):
 
 
 def test_dpus_force_requires_record(trained_engine):
-    late = trained_engine.plan.slice_ids(3)[0]
-    with pytest.raises(NotFound):
-        trained_engine.unlearn_dpus(late, force=True)
+    """A DPUS request at or above the threshold, where no delta is recorded,
+    is refused through dispatch too, before any state changes."""
+    eng = trained_engine
+    before = _engine_state(eng)
+    for late in (eng.plan.slice_ids(2)[0], eng.plan.slice_ids(3)[0]):  # t = 2
+        with pytest.raises(DispatchError, match="no increment is recorded") as caught:
+            eng.dispatch(UnlearnRequest(late, "dpus"))
+        assert "force" not in str(caught.value)
+    assert _engine_state(eng) == before
 
 
 # ------------------------------------------------------------------------- hs
@@ -342,12 +348,55 @@ def test_clone_stream_leaves_the_original_bit_identical(tiny_dataset, tiny_confi
             outcome.params_after.values[0] = 0.0
 
 
+# ------------------------------------------- revocations across requests
+# ROADMAP item 1: a later retraining start or a reload drops an earlier
+# subtraction. Each test asserts the correct behaviour and fails today.
+ITEM_1 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+
+
+@pytest.fixture(scope="module")
+def item1_engine():
+    """t = 3, r = 2 for S = 4; tests serve requests on clones."""
+    train, _ = split_dataset(gen_synthetic(2000, 20, 3), 0.2, seed=1)
+    return UnlearnEngine.train(train, TrainConfig(num_slices=4, batch_size=64, seed=7, phi=3500.0))
+
+
+@ITEM_1
+def test_hs_retrain_keeps_an_earlier_direct_update(item1_engine):
+    a, b = item1_engine.plan.slice_ids(1)[5], item1_engine.plan.slice_ids(3)[5]
+    both, only_b = item1_engine.clone(), item1_engine.clone()
+    assert both.unlearn_hs(a).strategy_executed == "dpus"
+    assert both.unlearn_hs(b).strategy_executed == "prs"
+    only_b.unlearn_hs(b)
+    assert not both.model.params.bits_equal(only_b.model.params)
+
+
+@ITEM_1
+def test_ohs_keeps_an_earlier_subtraction(item1_engine):
+    a, a2 = item1_engine.plan.slice_ids(1)[5], item1_engine.plan.slice_ids(1)[69]
+    both, only_a2 = item1_engine.clone(), item1_engine.clone()
+    first, second = both.unlearn_ohs(a), both.unlearn_ohs(a2)
+    assert first.located_at[0] == second.located_at[0] == 1
+    assert first.located_at[1] != second.located_at[1]
+    only_a2.unlearn_ohs(a2)
+    assert not both.model.params.bits_equal(only_a2.model.params)
+
+
+@ITEM_1
+def test_reload_keeps_a_direct_update(item1_engine, tmp_path):
+    eng = item1_engine.clone()
+    served = eng.unlearn_dpus(eng.plan.slice_ids(1)[5]).params_after
+    eng.store.persist(tmp_path)
+    back = UnlearnEngine.from_store(eng.dataset, StateStore.load(tmp_path))
+    assert back.model.params.bits_equal(served)
+
+
 # ------------------------------------------------------------------- dispatch
 @pytest.mark.parametrize(
     "strategy,phi,unlearn",
     [
         ("prs", 1000.0, lambda eng, i: eng.unlearn_prs(i)),
-        ("dpus", 0.0, lambda eng, i: eng.unlearn_dpus(i, force=True)),
+        ("dpus", 0.0, lambda eng, i: eng.unlearn_dpus(i)),
         ("hs", 1000.0, lambda eng, i: eng.unlearn_hs(i)),
         ("ohs", 1000.0, lambda eng, i: eng.unlearn_ohs(i)),
     ],

@@ -225,6 +225,10 @@ def _reference_loss_grad(values: np.ndarray, layout: ModelLayout, feats, labels)
     seed=st.integers(0, 2**16),
 )
 @example(input_dim=24, hidden=[64, 64], output_dim=2, rows=1, seed=0)
+# two rows of different labels whose gradients nearly cancel: in the output
+# bias, and in the last hidden layer's bias
+@example(input_dim=19, hidden=[1], output_dim=2, rows=2, seed=3)
+@example(input_dim=13, hidden=[1, 7], output_dim=2, rows=2, seed=2)
 def test_loss_grad_matches_float64_backprop(input_dim, hidden, output_dim, rows, seed):
     """The float32 gradient stays within 1e-5 of the largest float64 gradient
     coordinate, over random layouts and batch sizes down to one row. Draws

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from mubench import (
-    AdamHyper,
     Checkpoint,
     ModelLayout,
     OptimizerState,
     StateStore,
+    TrainConfig,
     UnlearnEngine,
     init_params,
 )
@@ -26,17 +26,8 @@ LAYOUT = ModelLayout(4, (5,), 2)
 
 
 def fresh_store(num_slices=4, threshold=3):
-    return StateStore(
-        layout=LAYOUT,
-        num_slices=num_slices,
-        threshold=threshold,
-        n=100,
-        batch_size=16,
-        seeds={"train": 0},
-        hyper=AdamHyper(),
-        epochs_per_slice=1,
-        phi=50.0,
-    )
+    config = TrainConfig(num_slices=num_slices, batch_size=16, phi=50.0, hidden_dims=(5,))
+    return StateStore(config, LAYOUT, 100, threshold)
 
 
 def make_checkpoint(i, seed=0):
@@ -137,6 +128,8 @@ def test_persist_load_bit_identical(tmp_path):
         assert np.array_equal(got.consumed, ledger.consumed)
     assert loaded.tombstones == store.tombstones
     assert loaded.threshold == store.threshold
+    assert loaded.config == store.config
+    assert loaded.layout == LAYOUT
     assert loaded.dataset_fingerprint == "abc123"
 
 
@@ -155,10 +148,11 @@ def test_manifest_version_99_rejected(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    # version 2 kept one increment file per batch; version 1 also kept each
-    # slice's recorded ids as nested per-batch lists
+    # version 3 spelled the training config as separate keys; version 2 also
+    # kept one increment file per batch; version 1 also kept each slice's
+    # recorded ids as nested per-batch lists
     manifest["recorded_batches"] = {"1": [list(range(16)), list(range(16, 20))]}
-    for version in (99, 2, 1):
+    for version in (99, 3, 2, 1):
         manifest["format_version"] = version
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreVersionError):
@@ -177,23 +171,29 @@ def _ledger_entry(edit):
     return lambda m: edit(m["ledgers"][0])
 
 
+def _config(edit):
+    return lambda m: edit(m["config"])
+
+
 @pytest.mark.parametrize(
     "edit,match",
     [
-        (_drop("S"), "manifest.json: missing field 'S'"),
+        (_config(_drop("num_slices")), "manifest.json: missing field 'num_slices'"),
         (_set("tombstones", ["x"]), "manifest.json: malformed .*'x'"),
-        (_set("batch_size", 0), "manifest.json: batch_size must be positive"),
-        (_set("seeds", {}), "manifest.json: missing field 'train'"),
-        (_set("layout", []), "manifest.json: malformed"),
-        (_set("l", 1), "manifest.json: malformed .*slices below 1"),
+        (_config(_set("batch_size", 0)), "manifest.json: malformed .*batch_size must be >= 1"),
+        (_config(_drop("seed")), "manifest.json: missing field 'seed'"),
+        (_config(_set("seed", 1.5)), "manifest.json: malformed .*seed must be a non-negative int"),
+        (_set("input_dim", []), "manifest.json: malformed"),
+        (_set("threshold", 1), "manifest.json: malformed .*slices below 1"),
         (_ledger_entry(_set("ids", "abc")), "manifest.json: malformed .*'abc'"),
         (_ledger_entry(_drop("consumed")), "manifest.json: missing field 'consumed'"),
         (_ledger_entry(_set("ids", list(range(40)))), "ledger_0001.muck: 2 delta rows for 40 ids"),
         (_ledger_entry(_set("consumed", [False])), "ledger_0001.muck: .* and 1 consumed flags"),
     ],
     ids=[
-        "no_S", "tombstone_string", "batch_size_zero", "no_train_seed", "layout_list",
-        "threshold_one", "ids_string", "no_consumed", "rows_short_of_ids", "rows_past_consumed",
+        "no_S", "tombstone_string", "batch_size_zero", "no_train_seed", "seed_not_int",
+        "layout_list", "threshold_one", "ids_string", "no_consumed", "rows_short_of_ids",
+        "rows_past_consumed",
     ],
 )
 def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
@@ -215,6 +215,23 @@ def test_one_ledger_file_per_recorded_slice(tiny_dataset, tiny_config, tmp_path)
         f"ledger_{i:04d}.muck" for i in slices
     ]
     assert not list(tmp_path.glob("increment_*"))
+
+
+def test_config_survives_persist_and_reload(tiny_dataset, tmp_path):
+    """The store keeps the engine's training config as one record, so a
+    reloaded engine trains under exactly the config that wrote its store."""
+    config = TrainConfig(
+        num_slices=3, batch_size=32, learning_rate=0.01, epochs_per_slice=2, seed=5,
+        phi=250.0, hidden_dims=(16,),
+    )
+    UnlearnEngine.train(tiny_dataset, config).store.persist(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["hidden_dims"] == [16]
+    for key in ("layout", "S", "l", "batch_size", "seeds", "phi", "hyper", "epochs_per_slice"):
+        assert key not in manifest
+    engine = UnlearnEngine.from_store(tiny_dataset, StateStore.load(tmp_path))
+    assert engine.config == config
+    assert engine.layout == engine.store.layout == ModelLayout(tiny_dataset.feature_dim, (16,), 2)
 
 
 def test_persist_removes_files_the_manifest_no_longer_names(tiny_dataset, tiny_config, tmp_path):
