@@ -245,10 +245,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out = config.resolved_output_dir()
     out.mkdir(parents=True, exist_ok=True)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise ConfigError("--strategies must name at least one strategy")
     for s in strategies:
         if engine_strategy(s) not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r} in --strategies")
-    slice_counts = [int(s) for s in args.slice_counts.split(",") if s.strip()]
+    try:
+        slice_counts = [int(s) for s in args.slice_counts.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--slice-counts must list integers, got {args.slice_counts!r}") from None
     if not slice_counts:
         raise ConfigError("--slice-counts must name at least one S")
 

@@ -15,6 +15,12 @@ paths:
   checkpoint S-r, then retrain the trailing r slices from that amended start
   (``ohs`` below the threshold).
 
+Retraining reuses checkpoint k instead of training slice k when the start
+params, Adam state and live slice ids are bit-for-bit those checkpoint k was
+trained from (``Checkpoint.trained_from``, kept in memory only); training is
+deterministic in them, so the outputs are those of a retrain. Each outcome
+reports ``rows_read``, the rows it actually sent through training.
+
 All mutation (training, unlearning, store writes) is serialized on the engine
 instance. Stored and served parameter vectors are read-only: requests and
 retraining build new ones, so checkpoints, the served model and each
@@ -82,6 +88,7 @@ class UnlearnOutcome:
     wall_time: float
     params_after: ParameterVector
     checkpoints_rewritten: list[int] = field(default_factory=list)
+    rows_read: int = 0  # rows sent through training, summed over the slices trained
 
 
 def sample_request_ids(plan: SlicePlan, count: int, seed: int) -> list[int]:
@@ -183,21 +190,38 @@ class UnlearnEngine:
         state = OptimizerState.fresh(self.layout, self.config.hyper())
         self.store.set_tombstones(self.plan.tombstones)
         self.store.put_checkpoint(Checkpoint(0, params, state, self.store.plan_version))
-        params, _ = self._train_slices(1, params, state)
+        params, _, _ = self._train_slices(1, params, state)
         self.store.dataset_fingerprint = self.dataset.fingerprint()
         self.model = Model(params)
         return self.model
 
     def _train_slices(
         self, start_slice: int, params: ParameterVector, state: OptimizerState
-    ) -> tuple[ParameterVector, list[int]]:
+    ) -> tuple[ParameterVector, list[int], int]:
         """Train slices start_slice..S from (params, state), checkpointing each
-        one; return the final params and the slices trained."""
-        trained = list(range(start_slice, self.config.num_slices + 1))
+        one; return the final params, the slices rewritten and the rows read.
+
+        Checkpoint k is reused instead of retraining slice k when it was
+        trained from bit-identical start params, Adam state and live slice
+        ids: training is deterministic in those, so it would write the same
+        bits. A reused checkpoint is re-put under the current plan version and
+        a reused recorded slice re-records its own ledger with fresh consumed
+        flags, exactly as a retrain leaves them; it reads no rows."""
+        trained, rows_read = list(range(start_slice, self.config.num_slices + 1)), 0
         for k in trained:
-            params, state = self._train_slice(params, state, k, record=k < self.threshold)
-            self.store.put_checkpoint(Checkpoint(k, params, state, self.store.plan_version))
-        return params, trained
+            ids, record = self.plan.slice_ids(k), k < self.threshold
+            start = (state.step_count, params.values, state.m, state.v, ids)
+            cp = self.store.checkpoints.get(k)
+            if cp is not None and cp.was_trained_from(start):
+                params, state = cp.params, cp.opt_state
+                if record:
+                    ledger = self.store.ledgers[k]
+                    self.store.record_increment(k, ledger.ids, ledger.deltas)
+            else:
+                params, state = self._train_slice(params, state, k, record)
+                rows_read += ids.size * self.config.epochs_per_slice
+            self.store.put_checkpoint(Checkpoint(k, params, state, self.store.plan_version, start))
+        return params, trained, rows_read
 
     def _train_slice(
         self, params: ParameterVector, state: OptimizerState, slice_index: int, record: bool
@@ -286,13 +310,14 @@ class UnlearnEngine:
             if fresh:
                 params = combine(params, self.store.get_increment(i, j), "-")
         self._tombstone(sample_id)
-        rewritten = []
+        rewritten, rows_read = [], 0
         if base is not None:
             self.store.plan_version += 1
-            params, rewritten = self._train_slices(start, params, base.opt_state)
+            params, rewritten, rows_read = self._train_slices(start, params, base.opt_state)
         params.values.flags.writeable = False
         model.params = params
-        return UnlearnOutcome(executed, (i, j), time.perf_counter() - t0, params, rewritten)
+        wall_time = time.perf_counter() - t0
+        return UnlearnOutcome(executed, (i, j), wall_time, params, rewritten, rows_read)
 
     def unlearn_prs(self, sample_id: int) -> UnlearnOutcome:
         """Partial retraining: tombstone, roll back, retrain the suffix."""
@@ -351,6 +376,7 @@ class UnlearnEngine:
                     outcome.located_at[0],
                     outcome.located_at[1],
                     outcome.wall_time,
+                    outcome.rows_read,
                 )
             )
         if eval_dataset is not None:

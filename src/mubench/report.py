@@ -28,6 +28,7 @@ class RequestRow:
     slice: int
     batch: int
     wall_time_s: float
+    rows_read: int
 
 
 @dataclass

@@ -20,7 +20,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -77,16 +77,31 @@ class TrainConfig:
 class Checkpoint:
     """Parameters and Adam state after a slice. Construction makes the
     params, ``m`` and ``v`` arrays read-only; they are never written again,
-    which is what lets clones and served models share them."""
+    which is what lets clones and served models share them.
+
+    ``trained_from`` is the start this checkpoint was trained from: Adam's step
+    count, then references to the params, ``m``, ``v`` and slice ids, whose
+    arrays construction makes read-only too. It lives in memory only (not
+    persisted, compared or printed), so a loaded checkpoint has none."""
 
     slice_index: int
     params: ParameterVector
     opt_state: OptimizerState
     plan_version: int
+    trained_from: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for values in (self.params.values, self.opt_state.m, self.opt_state.v):
+        start = self.trained_from[1:] if self.trained_from else ()
+        for values in (self.params.values, self.opt_state.m, self.opt_state.v, *start):
             values.flags.writeable = False
+
+    def was_trained_from(self, start: tuple) -> bool:
+        """Whether ``trained_from`` holds the same step count and arrays of
+        the same bits as ``start`` (a -0.0 differs from a 0.0)."""
+        return self.trained_from is not None and self.trained_from[0] == start[0] and all(
+            np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+            for a, b in zip(self.trained_from[1:], start[1:])
+        )
 
 
 class Ledger(NamedTuple):

@@ -123,7 +123,7 @@ def test_replay_report_files(out_root, capsys):
     assert set(report["environment"]) == {"python", "numpy", "platform"}
     with open(run / "report.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["index", "strategy_executed", "slice", "batch", "wall_time_s"]
+    assert rows[0] == ["index", "strategy_executed", "slice", "batch", "wall_time_s", "rows_read"]
     assert len(rows) == 1 + 20 + 2  # header + rows + footer
     assert rows[-2][0] == "average_time_s"
     assert rows[-1][0] == "final_accuracy"
@@ -191,9 +191,15 @@ def test_compare_table(out_root):
     assert len(table) == 9
 
 
-def test_compare_rejects_unknown_strategy(out_root):
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--strategies", "warp"), ("--strategies", ","), ("--slice-counts", "4,x")],
+    ids=["unknown_strategy", "no_strategy", "slice_count_not_int"],
+)
+def test_compare_rejects_unknown_strategy(out_root, capsys, flag, value):
     cfg = write_config(out_root)
-    assert main(["compare", "--config", str(cfg), "--strategies", "warp"]) == 2
+    assert main(["compare", "--config", str(cfg), flag, value]) == 2
+    assert flag in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- audit

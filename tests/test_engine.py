@@ -2,7 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mubench.engine
 from mubench import (
     Dataset,
     ModelLayout,
@@ -23,6 +26,7 @@ from mubench.errors import (
     TrainingDiverged,
 )
 from mubench.mia import fit_dense
+from mubench.nn import loss_grad
 
 
 # ------------------------------------------------------------------- training
@@ -291,8 +295,8 @@ def test_ohs_full_depth_tracks_prs_accuracy():
 
 
 def _engine_state(eng):
-    """An engine's checkpoints and served params as bytes, its consumed flags
-    and its tombstones."""
+    """An engine's checkpoints and served params as bytes, its ledgers (ids,
+    deltas, consumed flags) and its tombstones."""
     checkpoints = {
         k: (
             cp.params.values.tobytes(),
@@ -303,9 +307,12 @@ def _engine_state(eng):
         )
         for k, cp in eng.store.checkpoints.items()
     }
-    consumed = {k: ledger.consumed.tolist() for k, ledger in eng.store.ledgers.items()}
+    ledgers = {
+        k: (ledger.ids.tobytes(), ledger.deltas.tobytes(), ledger.consumed.tolist())
+        for k, ledger in eng.store.ledgers.items()
+    }
     served = eng.model.params.values.tobytes()
-    return checkpoints, consumed, served, eng.store.tombstones, eng.plan.tombstones
+    return checkpoints, ledgers, served, eng.store.tombstones, eng.plan.tombstones
 
 
 @pytest.mark.parametrize("depth", [3, 4])
@@ -389,6 +396,130 @@ def test_reload_keeps_a_direct_update(item1_engine, tmp_path):
     eng.store.persist(tmp_path)
     back = UnlearnEngine.from_store(eng.dataset, StateStore.load(tmp_path))
     assert back.model.params.bits_equal(served)
+
+
+# ----------------------------------------------------------- checkpoint reuse
+def _forget_training_starts(eng):
+    """Clear every checkpoint's ``trained_from``, so that the next request
+    retrains every slice it rewrites."""
+    for k, cp in eng.store.checkpoints.items():
+        eng.store.checkpoints[k] = replace(cp, trained_from=None)
+
+
+def _serve(eng, strategy, sample_id):
+    if strategy == "ohs3":  # amends at checkpoint 1: rewrites recorded slice 2
+        return eng.unlearn_ohs(sample_id, depth=3)
+    return eng.dispatch(UnlearnRequest(sample_id, strategy))
+
+
+def _rows(eng, slices):
+    return eng.config.epochs_per_slice * sum(eng.plan.slice_ids(k).size for k in slices)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    stream=st.lists(
+        st.tuples(
+            st.sampled_from(["prs", "hs", "ohs", "ohs3"]),
+            st.sampled_from([1, 1, 2, 3, 4]),  # slice; slice 1 twice, for OHS repeats
+            st.integers(0, 63),  # position among its live ids: about one batch
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_reuse_is_bit_identical_to_retraining(item1_engine, stream):
+    """After every request of a mixed stream, the engine that reuses
+    checkpoints equals one made to retrain every slice it rewrites: outcomes,
+    served params, checkpoints with Adam state and plan version, ledgers with
+    their consumed flags, and tombstones."""
+    eng, ref = item1_engine.clone(), item1_engine.clone()
+    for strategy, i, pos in stream:
+        live = eng.plan.slice_ids(i)
+        sid = int(live[pos % live.size])
+        _forget_training_starts(ref)
+        out, expected = _serve(eng, strategy, sid), _serve(ref, strategy, sid)
+        assert (out.strategy_executed, out.located_at, out.checkpoints_rewritten) == (
+            expected.strategy_executed, expected.located_at, expected.checkpoints_rewritten
+        )
+        assert expected.rows_read == _rows(ref, expected.checkpoints_rewritten)
+        assert out.rows_read <= expected.rows_read
+        assert out.params_after.bits_equal(expected.params_after)
+        assert _engine_state(eng) == _engine_state(ref)
+
+
+def test_repeated_consumed_batch_ohs_trains_nothing(item1_engine, monkeypatch):
+    """The first OHS request into a consumed batch retrains slices 3 and 4
+    from the pristine checkpoint 2; the next one finds both trained from that
+    very start over the same ids, so it reuses them and calls loss_grad not
+    once, yet reports what a retrain reports."""
+    eng = item1_engine.clone()
+    a, b, c = (int(x) for x in eng.plan.slice_ids(1)[5:8])  # all in recorded batch 1
+    assert eng.unlearn_ohs(a).rows_read == _rows(eng, [3, 4])  # subtracts, then retrains
+    # consumed: starts at the pristine checkpoint 2, not at the amended start
+    assert eng.unlearn_ohs(b).rows_read == _rows(eng, [3, 4])
+    ref = eng.clone()
+    _forget_training_starts(ref)
+    calls = []
+    monkeypatch.setattr(
+        mubench.engine, "loss_grad", lambda *args: calls.append(1) or loss_grad(*args)
+    )
+    out = eng.unlearn_ohs(c)
+    assert calls == []
+    assert (out.strategy_executed, out.located_at, out.checkpoints_rewritten) == (
+        "ohs", (1, 1), [3, 4]
+    )
+    assert out.rows_read == 0
+    assert ref.unlearn_ohs(c).rows_read == _rows(ref, [3, 4]) and calls
+    assert _engine_state(eng) == _engine_state(ref)
+
+
+def test_reused_recorded_slice_resets_its_consumed_flags(item1_engine):
+    """A consumed flag in slice k comes with a tombstone in slice k, which
+    changes its live ids and forces a retrain; so the flag is set by hand here,
+    to pin that a reused recorded slice re-records its ledger with fresh
+    consumed flags, as a retrain does."""
+    eng = item1_engine.clone()
+    a, b = (int(x) for x in eng.plan.slice_ids(1)[5:7])
+    assert eng.unlearn_hs(a).strategy_executed == "dpus"  # consumes batch 1 of slice 1
+    eng.store.ledgers[2].consumed[0] = True
+    ref = eng.clone()
+    _forget_training_starts(ref)
+    out = eng.unlearn_ohs(b, depth=3)  # pristine checkpoint 1, slices 2..4 unchanged
+    assert (out.strategy_executed, out.checkpoints_rewritten) == ("ohs", [2, 3, 4])
+    assert out.rows_read == 0
+    assert not eng.store.ledgers[2].consumed.any()
+    assert ref.unlearn_ohs(b, depth=3).rows_read == _rows(ref, [2, 3, 4])
+    assert _engine_state(eng) == _engine_state(ref)
+
+
+def test_reloaded_store_trains_its_first_retrain(item1_engine, tmp_path):
+    """The reuse key is not persisted: after persist -> load -> from_store the
+    request the in-memory engine serves by reuse trains, to the same bits."""
+    eng = item1_engine.clone()
+    a, b, c = (int(x) for x in eng.plan.slice_ids(1)[5:8])
+    eng.unlearn_ohs(a), eng.unlearn_ohs(b)
+    eng.store.persist(tmp_path)
+    back = UnlearnEngine.from_store(eng.dataset, StateStore.load(tmp_path))
+    assert all(cp.trained_from is None for cp in back.store.checkpoints.values())
+    in_memory, reloaded = eng.unlearn_ohs(c), back.unlearn_ohs(c)
+    assert (in_memory.rows_read, reloaded.rows_read) == (0, _rows(back, [3, 4]))
+    assert reloaded.params_after.bits_equal(in_memory.params_after)
+    assert _engine_state(back) == _engine_state(eng)
+
+
+def test_rows_read_counts_the_rows_trained(tiny_dataset, tiny_config):
+    """Live slice size times epochs, summed over the slices trained; 0 where
+    nothing trains."""
+    eng = UnlearnEngine.train(tiny_dataset, replace(tiny_config, epochs_per_slice=2))
+    first, second = (int(x) for x in eng.plan.slice_ids(1)[:2])  # one recorded batch
+    assert eng.unlearn_dpus(first).rows_read == 0
+    out = eng.unlearn_dpus(second)
+    assert (out.strategy_executed, out.rows_read) == ("noop-consumed", 0)
+    out = eng.unlearn_prs(int(eng.plan.slice_ids(2)[0]))
+    assert out.rows_read == _rows(eng, [2, 3]) == 2 * sum(eng.plan.slice_sizes()[1:])
+    report = eng.process_stream([UnlearnRequest(int(eng.plan.slice_ids(1)[0]), "prs")])
+    assert report.rows[0].rows_read == 2 * sum(eng.plan.slice_sizes())
 
 
 # ------------------------------------------------------------------- dispatch

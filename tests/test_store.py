@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -52,6 +52,34 @@ def test_checkpoint_indices_zero_through_s():
     assert sorted(store.checkpoints) == [0, 1, 2, 3, 4]
     with pytest.raises(InvalidArgument):
         store.put_checkpoint(make_checkpoint(5))
+
+
+def test_trained_from_key_compares_bits():
+    """The reuse key matches equal bits, not only the same objects, and one
+    differing bit in the step count, params, m, v or ids (a -0.0 for a 0.0
+    too) is a miss. The key is neither compared nor printed."""
+    s0 = make_checkpoint(0).opt_state
+    start = (5, init_params(LAYOUT, 3).values, s0.m, s0.v, np.arange(10, dtype=np.int64))
+    cp = replace(make_checkpoint(1), trained_from=start)
+    assert not any(a.flags.writeable for a in start[1:])
+    assert cp.was_trained_from(start)
+    assert cp.was_trained_from((5, *(a.copy() for a in start[1:])))
+    assert not make_checkpoint(1).was_trained_from(start)
+    key = next(f for f in fields(Checkpoint) if f.name == "trained_from")
+    assert not key.compare and "trained_from" not in repr(cp)
+
+    def flip(k, pos, new):
+        values = start[k].copy()
+        values[pos] = new
+        return start[:k] + (values,) + start[k + 1 :]
+
+    zero = int(np.flatnonzero(s0.v == 0)[0])
+    assert not cp.was_trained_from((6, *start[1:]))
+    assert not cp.was_trained_from(flip(1, 0, start[1][0] + 2**-40))
+    assert not cp.was_trained_from(flip(2, 0, np.nextafter(s0.m[0], 1)))
+    assert not cp.was_trained_from(flip(3, zero, -0.0))
+    assert not cp.was_trained_from(flip(4, 3, 99))
+    assert not cp.was_trained_from(start[:4] + (start[4][1:],))
 
 
 def test_get_missing_checkpoint():
