@@ -258,6 +258,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError("--slice-counts must name at least one S")
 
     train_ds, eval_ds = config.build_datasets()
+    for s_count in slice_counts:
+        if not 1 <= s_count <= train_ds.n:
+            raise ConfigError(
+                f"--slice-counts value {s_count} must be in [1, {train_ds.n}], "
+                "the training rows"
+            )
     rows = []
     for s_count in slice_counts:
         trained: dict[float, UnlearnEngine] = {}

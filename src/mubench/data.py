@@ -59,8 +59,8 @@ class Dataset:
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.features).tobytes())
-        h.update(np.ascontiguousarray(self.labels).tobytes())
+        h.update(np.ascontiguousarray(self.features))  # hashed in place, not copied
+        h.update(np.ascontiguousarray(self.labels))
         return h.hexdigest()
 
 
@@ -172,8 +172,8 @@ class SlicePlan:
     ``slices[i-1]`` holds slice i's live ids in training order as a read-only
     int64 array; batch j is the j-th run of ``batch_size`` ids in it.
     ``slice_of`` gives every planned id's slice and is shared by all versions
-    of a plan. ``tombstone`` returns a new plan sharing every untouched slice,
-    so concurrent readers of older snapshots stay valid.
+    of a plan. ``tombstone`` and ``tombstone_all`` return a new plan sharing
+    every untouched slice, so concurrent readers of older snapshots stay valid.
     """
 
     num_slices: int
@@ -206,6 +206,25 @@ class SlicePlan:
             slices=self.slices[: i - 1] + (kept,) + self.slices[i:],
             tombstones=self.tombstones | {sample_id},
         )
+
+    def tombstone_all(self, sample_ids) -> "SlicePlan":
+        """Revoke many ids in one pass: each touched slice is filtered once,
+        and the plan equals the one ``tombstone`` gives called on each id."""
+        fresh = {int(x) for x in sample_ids} - self.tombstones
+        if not fresh:
+            return self
+        dead_ids = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
+        unplanned = dead_ids[(dead_ids < 0) | (dead_ids >= self.slice_of.size)]
+        if unplanned.size:
+            raise NotFound(f"sample {unplanned[0]} is not in the plan")
+        dead = np.zeros(self.slice_of.size, dtype=bool)
+        dead[dead_ids] = True
+        slices = list(self.slices)
+        for i in np.unique(self.slice_of[dead_ids]):
+            ids = slices[i - 1]
+            slices[i - 1] = kept = ids[~dead[ids]]
+            kept.flags.writeable = False
+        return replace(self, slices=tuple(slices), tombstones=self.tombstones | fresh)
 
     def live_ids(self) -> np.ndarray:
         return np.sort(np.concatenate(self.slices))

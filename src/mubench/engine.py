@@ -160,7 +160,10 @@ class UnlearnEngine:
 
     @classmethod
     def from_store(cls, dataset: Dataset, store: StateStore, ohs_depth: int | None = None):
-        """Rebuild a live engine around a loaded store."""
+        """Rebuild a live engine around a loaded store.
+
+        The plan drops all stored tombstones in one pass (``tombstone_all``),
+        equal to revoking them one by one; the engine serves checkpoint S."""
         if store.n != dataset.n:
             raise InvalidArgument(
                 f"store was trained on n={store.n}, dataset has n={dataset.n}"
@@ -170,8 +173,7 @@ class UnlearnEngine:
         engine = cls(dataset, store.config, ohs_depth=ohs_depth)
         engine.store = store
         engine.threshold = store.threshold
-        for sid in store.tombstones:
-            engine.plan = engine.plan.tombstone(sid)
+        engine.plan = engine.plan.tombstone_all(store.tombstones)
         engine.model = Model(store.get_checkpoint(store.config.num_slices).params)
         return engine
 

@@ -3,14 +3,16 @@
 On-disk layout: ``manifest.json`` plus one binary file per checkpoint or
 recorded slice. The manifest holds the training config as one ``config``
 section (the engine's ``TrainConfig``), the input width, the threshold, the
-tombstones and one entry per file. Binary framing: magic ``MUCK``, u32 framing
+tombstones and one entry per file; a ledger's entry holds its slice, file, id
+count, consumed flags and CRC. Binary framing: magic ``MUCK``, u32 framing
 version, u32 slice index, u32 batch field (0xFFFFFFFF for checkpoints, the row
-count for a ledger), u64 vector length, raw little-endian float32 payload, u32
-CRC32 trailer over all preceding bytes. Checkpoint payloads concatenate
-(params, adam_m, adam_v); a ledger's payload is its delta rows in batch order.
-Step counters, recorded ids and consumed flags live in the manifest. Writes go
-to a temp file then ``os.replace``; once the new manifest is in place, the
-store files it does not name are removed.
+count for a ledger), u64 payload length in 4-byte words, the little-endian
+payload, u32 CRC32 trailer over all preceding bytes. Checkpoint payloads are
+float32 (params, adam_m, adam_v); a ledger's payload is its ids as int64 in
+recording-time order, then its float32 delta rows in batch order. Loading
+keeps both as read-only views of the file's bytes. Step counters and consumed
+flags live in the manifest. Writes go to a temp file then ``os.replace``; once
+the new manifest is in place, the store files it does not name are removed.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .errors import (
 from .nn import AdamHyper, ModelLayout, OptimizerState, ParameterVector
 
 MAGIC = b"MUCK"
-FORMAT_VERSION = 4  # of the manifest
-FRAME_VERSION = 3  # of the binary files; the framing has not changed since version 3
+FORMAT_VERSION = 5  # of the manifest; it also fixes what a ledger payload holds
+FRAME_VERSION = 3  # of the binary files; the header has not changed since version 3
 CHECKPOINT_SENTINEL = 0xFFFFFFFF
 _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
 
@@ -114,21 +116,27 @@ class Ledger(NamedTuple):
     consumed: np.ndarray
 
 
-def write_vector_file(path: Path, slice_index: int, batch_index: int, values: np.ndarray) -> int:
-    payload = np.ascontiguousarray(values, dtype="<f4")
-    header = MAGIC + _HEADER.pack(FRAME_VERSION, slice_index, batch_index, payload.size)
-    crc = zlib.crc32(payload, zlib.crc32(header))
+def write_vector_file(path: Path, slice_index: int, batch_index: int, values, ids=()) -> int:
+    """Frame one file whose payload is ``ids`` as int64, then ``values`` as
+    float32, both little-endian; return its CRC32."""
+    parts = (np.ascontiguousarray(ids, dtype="<i8"), np.ascontiguousarray(values, dtype="<f4"))
+    words = sum(part.nbytes for part in parts) // 4
+    header = MAGIC + _HEADER.pack(FRAME_VERSION, slice_index, batch_index, words)
+    crc = zlib.crc32(header)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+            fh.write(part)
         fh.write(struct.pack("<I", crc))
     os.replace(tmp, path)
     return crc
 
 
 def read_vector_file(path: Path) -> tuple[int, int, np.ndarray, int]:
-    """Check and unframe one file; the vector is a read-only view of its bytes."""
+    """Check and unframe one file; the payload is a read-only float32 view of
+    its bytes."""
     data = Path(path).read_bytes()
     if len(data) < 4 + _HEADER.size + 4 or data[:4] != MAGIC:
         raise StoreCorruption(f"{path.name}: missing or damaged MUCK header")
@@ -257,10 +265,16 @@ class StateStore:
         ledger_entries = []
         for i, ledger in sorted(self.ledgers.items()):
             fname = f"ledger_{i:04d}.muck"
-            crc = write_vector_file(root / fname, i, ledger.consumed.size, ledger.deltas)
-            ids, consumed = ledger.ids.tolist(), ledger.consumed.tolist()
+            rows = ledger.consumed.size
+            crc = write_vector_file(root / fname, i, rows, ledger.deltas, ledger.ids)
             ledger_entries.append(
-                {"slice": i, "file": fname, "ids": ids, "consumed": consumed, "crc32": crc}
+                {
+                    "slice": i,
+                    "file": fname,
+                    "id_count": ledger.ids.size,
+                    "consumed": ledger.consumed.tolist(),
+                    "crc32": crc,
+                }
             )
         manifest = {
             "format_version": FORMAT_VERSION,
@@ -327,18 +341,20 @@ class StateStore:
             )
             store.checkpoints[si] = Checkpoint(si, params, state, entry["plan_version"])
         for entry in manifest["ledgers"]:
-            ids = np.array(entry["ids"], dtype=np.int64)
-            consumed = np.array(entry["consumed"], dtype=bool)
+            id_count, consumed = entry["id_count"], np.array(entry["consumed"], dtype=bool)
+            if type(id_count) is not int or id_count < 0:
+                raise ValueError(f"id_count must be a non-negative integer, got {id_count!r}")
             si, rows, payload, crc = read_vector_file(root / entry["file"])
             if crc != entry["crc32"]:
                 raise StoreCorruption(f"{entry['file']}: manifest checksum disagrees")
-            if si != entry["slice"] or payload.size != rows * count:
-                raise StoreCorruption(f"{entry['file']}: ledger framing mismatch")
-            if rows != -(-ids.size // config.batch_size) or rows != consumed.size:
+            if rows != -(-id_count // config.batch_size) or rows != consumed.size:
                 raise StoreCorruption(
-                    f"{entry['file']}: {rows} delta rows for {ids.size} ids "
+                    f"{entry['file']}: {rows} delta rows for {id_count} ids "
                     f"and {consumed.size} consumed flags"
                 )
-            store.record_increment(si, ids, payload.reshape(rows, count))
+            if si != entry["slice"] or payload.size != 2 * id_count + rows * count:
+                raise StoreCorruption(f"{entry['file']}: ledger framing mismatch")
+            ids = payload[: 2 * id_count].view("<i8")
+            store.record_increment(si, ids, payload[2 * id_count :].reshape(rows, count))
             store.ledgers[si].consumed[:] = consumed
         return store

@@ -193,13 +193,25 @@ def test_compare_table(out_root):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--strategies", "warp"), ("--strategies", ","), ("--slice-counts", "4,x")],
-    ids=["unknown_strategy", "no_strategy", "slice_count_not_int"],
+    [
+        ("--strategies", "warp"),
+        ("--strategies", ","),
+        ("--slice-counts", "4,x"),
+        ("--slice-counts", "0"),
+        ("--slice-counts", "4,100000"),
+    ],
+    ids=[
+        "unknown_strategy", "no_strategy", "slice_count_not_int", "slice_count_zero",
+        "slice_count_past_rows",
+    ],
 )
 def test_compare_rejects_unknown_strategy(out_root, capsys, flag, value):
     cfg = write_config(out_root)
     assert main(["compare", "--config", str(cfg), flag, value]) == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    if flag == "--slice-counts":
+        assert value.split(",")[-1] in err
 
 
 # ---------------------------------------------------------------------- audit

@@ -283,6 +283,64 @@ def test_tombstone_sequence_matches_list_reference(n, s, batch, seed, data):
             plan.batch_ids(i, len(batches) + 1)
 
 
+def _tombstone_each(plan, ids):
+    for sid in ids:
+        plan = plan.tombstone(sid)
+    return plan
+
+
+def _assert_same_plan(got, want, base):
+    """Bit-equal slices with the same read-only flags, shared with ``base``
+    where ``want`` shares them; the same tombstones, batches and locations."""
+    assert got.tombstones == want.tombstones
+    assert got.slice_of is want.slice_of
+    for k, (a, b) in enumerate(zip(got.slices, want.slices)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
+        assert (a is base.slices[k]) == (b is base.slices[k])
+        assert got.num_batches(k + 1) == want.num_batches(k + 1)
+    for sid in want.live_ids().tolist():
+        assert got.locate(sid) == want.locate(sid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    s=st.integers(1, 10),
+    batch=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_tombstone_all_matches_one_by_one(n, s, batch, seed, data):
+    """One pass over a random revoked set, drawn on top of earlier revocations
+    and optionally holding a whole slice and an id in every slice, equals
+    tombstoning its ids one at a time."""
+    s = min(s, n)
+    ds = Dataset(np.zeros((n, 2), dtype=np.float32), np.arange(n) % 2)
+    ids = st.lists(st.integers(0, n - 1), max_size=n)
+    base = _tombstone_each(make_slice_plan(ds, s, batch, seed), data.draw(ids))
+    revoked = set(data.draw(ids))
+    if data.draw(st.booleans()):
+        revoked |= set(base.slices[data.draw(st.integers(0, s - 1))].tolist())
+    if data.draw(st.booleans()):
+        revoked |= {int(part[0]) for part in base.slices if part.size}
+    _assert_same_plan(base.tombstone_all(revoked), _tombstone_each(base, revoked), base)
+
+
+def test_tombstone_all_edge_sets(plan_1000):
+    assert plan_1000.tombstone_all([]) is plan_1000
+    once = plan_1000.tombstone_all([3, 4])
+    assert once.tombstone_all([4, 3]) is once
+    whole = plan_1000.slice_ids(2).tolist()
+    every = [int(part[-1]) for part in plan_1000.slices]
+    for revoked in (whole, every, range(1000)):
+        want = _tombstone_each(plan_1000, revoked)
+        _assert_same_plan(plan_1000.tombstone_all(revoked), want, plan_1000)
+    assert plan_1000.tombstone_all(range(1000)).slice_sizes() == (0, 0, 0, 0)
+    with pytest.raises(NotFound):
+        plan_1000.tombstone_all([5, 123456])
+
+
 def test_tombstoned_ids_never_reappear(plan_1000):
     plan = plan_1000
     victims = [int(plan.batch_ids(1, 1)[k]) for k in range(5)]

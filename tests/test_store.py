@@ -152,6 +152,7 @@ def test_persist_load_bit_identical(tmp_path):
     for i, ledger in store.ledgers.items():
         got = loaded.ledgers[i]
         assert np.array_equal(got.ids, ledger.ids)
+        assert got.ids.dtype == np.int64 and not got.ids.flags.writeable
         assert np.array_equal(got.deltas.view(np.uint32), ledger.deltas.view(np.uint32))
         assert np.array_equal(got.consumed, ledger.consumed)
     assert loaded.tombstones == store.tombstones
@@ -176,11 +177,12 @@ def test_manifest_version_99_rejected(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    # version 3 spelled the training config as separate keys; version 2 also
-    # kept one increment file per batch; version 1 also kept each slice's
-    # recorded ids as nested per-batch lists
+    # version 4 kept each ledger's ids in the manifest; version 3 also spelled
+    # the training config as separate keys; version 2 also kept one increment
+    # file per batch; version 1 also kept each slice's recorded ids as nested
+    # per-batch lists
     manifest["recorded_batches"] = {"1": [list(range(16)), list(range(16, 20))]}
-    for version in (99, 3, 2, 1):
+    for version in (99, 4, 3, 2, 1):
         manifest["format_version"] = version
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreVersionError):
@@ -213,15 +215,16 @@ def _config(edit):
         (_config(_set("seed", 1.5)), "manifest.json: malformed .*seed must be a non-negative int"),
         (_set("input_dim", []), "manifest.json: malformed"),
         (_set("threshold", 1), "manifest.json: malformed .*slices below 1"),
-        (_ledger_entry(_set("ids", "abc")), "manifest.json: malformed .*'abc'"),
+        (_ledger_entry(_set("id_count", "abc")), "manifest.json: malformed .*'abc'"),
         (_ledger_entry(_drop("consumed")), "manifest.json: missing field 'consumed'"),
-        (_ledger_entry(_set("ids", list(range(40)))), "ledger_0001.muck: 2 delta rows for 40 ids"),
+        (_ledger_entry(_set("id_count", 40)), "ledger_0001.muck: 2 delta rows for 40 ids"),
+        (_ledger_entry(_set("id_count", 30)), "ledger_0001.muck: ledger framing mismatch"),
         (_ledger_entry(_set("consumed", [False])), "ledger_0001.muck: .* and 1 consumed flags"),
     ],
     ids=[
         "no_S", "tombstone_string", "batch_size_zero", "no_train_seed", "seed_not_int",
-        "layout_list", "threshold_one", "ids_string", "no_consumed", "rows_short_of_ids",
-        "rows_past_consumed",
+        "layout_list", "threshold_one", "id_count_string", "no_consumed", "rows_short_of_ids",
+        "id_count_past_payload", "rows_past_consumed",
     ],
 )
 def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
@@ -230,6 +233,19 @@ def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
     edit(manifest)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(StoreCorruption, match=match):
+        StateStore.load(tmp_path)
+
+
+def test_ledger_ids_live_in_the_ledger_file(tmp_path):
+    """The manifest keeps only each ledger's id count; a truncated ledger file
+    fails its checks."""
+    populated_store().persist(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest["ledgers"][0]) == {"slice", "file", "id_count", "consumed", "crc32"}
+    assert manifest["ledgers"][0]["id_count"] == 20
+    victim = tmp_path / "ledger_0001.muck"
+    victim.write_bytes(victim.read_bytes()[:-12])
+    with pytest.raises(StoreCorruption, match="ledger_0001.muck"):
         StateStore.load(tmp_path)
 
 
