@@ -8,6 +8,7 @@ slices already folded into the checkpoint, so it is priced at k * n/S.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InvalidArgument
 
@@ -40,18 +41,27 @@ class ThresholdResult:
     costs: tuple[float, ...]
 
 
+def _slices_read(i: int, s: int) -> int:
+    """sum(i..S): the slice-sized passes a retrain from slice i reads."""
+    return s * (s + 1) // 2 - (i - 1) * i // 2
+
+
 def retrain_cost(i: int, config: CostConfig) -> float:
     """Samples read when retraining restarts at slice i: (n/S) * sum(i..S)."""
     s = config.num_slices
     if not 1 <= i <= s:
         raise InvalidArgument(f"slice index must be in [1, {s}], got {i}")
-    return (config.n / s) * (s * (s + 1) // 2 - (i - 1) * i // 2)
+    return (config.n / s) * _slices_read(i, s)
 
 
 def threshold(config: CostConfig) -> ThresholdResult:
-    """Least slice index whose retrain cost fits the tolerable overhead phi."""
+    """Least slice index whose retrain cost fits the tolerable overhead phi.
+
+    The comparison is exact, n * sum(i..S) <= phi * S over the rationals: the
+    rounded float cost can fall on either side of a phi it exactly equals."""
     s = config.num_slices
     costs = tuple(retrain_cost(i, config) for i in range(1, s + 1))
-    t = next((i for i, c in enumerate(costs, start=1) if c <= config.phi), s + 1)
+    budget = Fraction(config.phi) * s
+    t = next((i for i in range(1, s + 1) if config.n * _slices_read(i, s) <= budget), s + 1)
     r = s - t + 1 if t <= s else 0
     return ThresholdResult(t=t, r=r, costs=costs)

@@ -185,11 +185,7 @@ class SlicePlan:
 
     def locate(self, sample_id: int) -> tuple[int, int]:
         """1-based (slice, batch) position of a live sample id."""
-        sample_id = int(sample_id)
-        if sample_id in self.tombstones:
-            raise AlreadyRevoked(f"sample {sample_id} was already revoked")
-        i = self._slice_of(sample_id)
-        k = int(np.flatnonzero(self.slices[i - 1] == sample_id)[0])
+        i, k = self._position(int(sample_id))
         return i, k // self.batch_size + 1
 
     def tombstone(self, sample_id: int) -> "SlicePlan":
@@ -197,14 +193,17 @@ class SlicePlan:
         sample_id = int(sample_id)
         if sample_id in self.tombstones:
             return self
-        i = self._slice_of(sample_id)
+        i, k = self._position(sample_id)
         ids = self.slices[i - 1]
-        kept = ids[ids != sample_id]
+        kept = np.concatenate((ids[:k], ids[k + 1 :]))
         kept.flags.writeable = False
-        return replace(
-            self,
-            slices=self.slices[: i - 1] + (kept,) + self.slices[i:],
-            tombstones=self.tombstones | {sample_id},
+        return SlicePlan(
+            self.num_slices,
+            self.batch_size,
+            self.shuffle_seed,
+            self.slices[: i - 1] + (kept,) + self.slices[i:],
+            self.slice_of,
+            self.tombstones | {sample_id},
         )
 
     def tombstone_all(self, sample_ids) -> "SlicePlan":
@@ -245,10 +244,16 @@ class SlicePlan:
     def slice_sizes(self) -> tuple[int, ...]:
         return tuple(ids.size for ids in self.slices)
 
-    def _slice_of(self, sample_id: int) -> int:
+    def _position(self, sample_id: int) -> tuple[int, int]:
+        """Slice and 0-based index in it of a live id, found by one scan of
+        that slice: a planned id that is not tombstoned is always in the slice
+        ``slice_of`` names, so the first match is the only one."""
+        if sample_id in self.tombstones:
+            raise AlreadyRevoked(f"sample {sample_id} was already revoked")
         if not 0 <= sample_id < self.slice_of.size:
             raise NotFound(f"sample {sample_id} is not in the plan")
-        return int(self.slice_of[sample_id])
+        i = int(self.slice_of[sample_id])
+        return i, int((self.slices[i - 1] == sample_id).argmax())
 
 
 def make_slice_plan(dataset: Dataset, num_slices: int, batch_size: int, seed: int) -> SlicePlan:

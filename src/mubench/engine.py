@@ -309,8 +309,9 @@ class UnlearnEngine:
             j = self.store.recorded_batch_index(i, sample_id)
             fresh = self.store.mark_consumed(i, j)
             executed = "ohs" if r else ("dpus" if fresh else "noop-consumed")
-            if fresh:
-                params = combine(params, self.store.get_increment(i, j), "-")
+            if fresh:  # the widened increment, which this request owns, takes the result
+                increment = self.store.get_increment(i, j)
+                params = combine(params, increment, "-", out=increment)
         self._tombstone(sample_id)
         rewritten, rows_read = [], 0
         if base is not None:

@@ -302,21 +302,36 @@ def adam_step(
     return ParameterVector(new_values, params.layout), OptimizerState(m, v, t, h)
 
 
+EVAL_BLOCK_ROWS = 4096
+
+
 def evaluate(params: ParameterVector, dataset) -> float:
     """Fraction of samples whose argmax probability matches the label.
 
     Ties resolve toward the lower class index. ``dataset`` is anything with
-    ``features`` and ``labels`` attributes.
+    ``features`` and ``labels`` attributes. The rows go through ``forward`` in
+    rows // EVAL_BLOCK_ROWS near-equal blocks (one block below that), each
+    under 2 * EVAL_BLOCK_ROWS rows, which bounds the float64 activations held
+    at once. No block is shorter than EVAL_BLOCK_ROWS: a short tail block was
+    seen to move probabilities by an ulp against one whole-set call, blocks
+    of that size did not.
     """
     feats = np.asarray(dataset.features)
     labels = np.asarray(dataset.labels).ravel()
-    if feats.shape[0] == 0:
+    rows = feats.shape[0]
+    if rows == 0:
         raise EmptyInput("evaluate requires a non-empty dataset")
-    preds = forward(params, feats).argmax(axis=1)
-    return float((preds == labels).mean())
+    blocks = max(1, rows // EVAL_BLOCK_ROWS)
+    hits = sum(
+        int((forward(params, f).argmax(axis=1) == y).sum())
+        for f, y in zip(np.array_split(feats, blocks), np.array_split(labels, blocks))
+    )
+    return hits / rows
 
 
-def combine(a: ParameterVector, b: ParameterVector, sign: str) -> ParameterVector:
+def combine(
+    a: ParameterVector, b: ParameterVector, sign: str, out: ParameterVector | None = None
+) -> ParameterVector:
     """Elementwise a + b or a - b, kept exact in the float64 container.
 
     For float32-grid operands whose elementwise exponents stay within 2**28 of
@@ -325,11 +340,20 @@ def combine(a: ParameterVector, b: ParameterVector, sign: str) -> ParameterVecto
     makes subtract-then-add an exact inverse. The sign of a zero operand is
     the one exception: IEEE addition maps -0.0 + 0.0 to +0.0, and training
     never produces -0.0 coordinates.
+
+    The result is a new vector, or, with ``out`` given (a writable vector of
+    the same layout, which may be ``a`` or ``b`` itself), written into
+    ``out``, which is returned.
     """
-    if a.layout != b.layout:
+    if a.layout != b.layout or (out is not None and out.layout != a.layout):
         raise ShapeMismatch("combine requires vectors with identical layouts")
     if sign in ("-", "−"):
-        return ParameterVector(a.values - b.values, a.layout)
-    if sign == "+":
-        return ParameterVector(a.values + b.values, a.layout)
-    raise InvalidArgument(f"sign must be '+' or '-', got {sign!r}")
+        op = np.subtract
+    elif sign == "+":
+        op = np.add
+    else:
+        raise InvalidArgument(f"sign must be '+' or '-', got {sign!r}")
+    if out is None:
+        return ParameterVector(op(a.values, b.values), a.layout)
+    op(a.values, b.values, out=out.values)
+    return out

@@ -10,9 +10,11 @@ count for a ledger), u64 payload length in 4-byte words, the little-endian
 payload, u32 CRC32 trailer over all preceding bytes. Checkpoint payloads are
 float32 (params, adam_m, adam_v); a ledger's payload is its ids as int64 in
 recording-time order, then its float32 delta rows in batch order. Loading
-keeps both as read-only views of the file's bytes. Step counters and consumed
-flags live in the manifest. Writes go to a temp file then ``os.replace``; once
-the new manifest is in place, the store files it does not name are removed.
+keeps both as read-only views of the file's bytes and rebuilds the index of
+each id's recording-time position from the ids; the index is not stored. Step
+counters and consumed flags live in the manifest. Writes go to a temp file
+then ``os.replace``; once the new manifest is in place, the store files it
+does not name are removed.
 """
 
 from __future__ import annotations
@@ -169,6 +171,11 @@ class StateStore:
         self.checkpoints: dict[int, Checkpoint] = {}
         self.ledgers: dict[int, Ledger] = {}
         self.tombstones: frozenset[int] = frozenset()
+        # Derived from the ledgers and never persisted: id -> its position in
+        # the ledger that recorded it last (-1: never recorded). Read-only, so
+        # clones share it; record_increment builds a new one.
+        self._recorded_at = np.full(self.n, -1, dtype=np.int64)
+        self._recorded_at.flags.writeable = False
 
     # ---- checkpoints -------------------------------------------------
     def put_checkpoint(self, checkpoint: Checkpoint) -> None:
@@ -187,9 +194,11 @@ class StateStore:
 
     # ---- increments --------------------------------------------------
     def record_increment(self, i: int, ids, deltas) -> None:
-        """Replace slice i's ledger with ``ids`` and ``deltas``, none consumed.
-        Arrays that already have the stored dtype are kept, not copied, and
-        made read-only."""
+        """Replace slice i's ledger with ``ids`` and ``deltas``, none consumed,
+        and index each id at its position in ``ids``. Arrays that already have
+        the stored dtype are kept, not copied, and made read-only. The ids
+        must lie in [0, n); the engine records each id in its own slice only,
+        and the index keeps an id's position in the ledger recorded last."""
         if i < 1:
             raise InvalidArgument("slice indices are 1-based")
         if i >= self.threshold:
@@ -197,8 +206,13 @@ class StateStore:
                 f"increments are recorded only for slices below {self.threshold}, got {i}"
             )
         ids, deltas = np.asarray(ids, dtype=np.int64), np.asarray(deltas, dtype=np.float32)
-        ids.flags.writeable = deltas.flags.writeable = False
+        if ids.size and not 0 <= ids.min() <= ids.max() < self.n:
+            raise InvalidArgument(f"ledger ids must lie in [0, {self.n})")
+        recorded_at = self._recorded_at.copy()
+        recorded_at[ids] = np.arange(ids.size)
+        ids.flags.writeable = deltas.flags.writeable = recorded_at.flags.writeable = False
         self.ledgers[i] = Ledger(ids, deltas, np.zeros(len(deltas), dtype=bool))
+        self._recorded_at = recorded_at
 
     def _ledger(self, i: int, j: int) -> Ledger:
         ledger = self.ledgers.get(int(i))
@@ -207,7 +221,8 @@ class StateStore:
         return ledger
 
     def get_increment(self, i: int, j: int) -> ParameterVector:
-        """Batch j's recorded delta in slice i, widened to a float64 vector."""
+        """Batch j's recorded delta in slice i, widened into a fresh float64
+        vector that the caller owns."""
         return ParameterVector(self._ledger(i, j).deltas[j - 1], self.layout)
 
     def mark_consumed(self, i: int, j: int) -> bool:
@@ -219,22 +234,24 @@ class StateStore:
         return True
 
     def recorded_batch_index(self, i: int, sample_id: int) -> int:
-        """Recording-time 1-based batch index of a sample within slice i."""
+        """Recording-time 1-based batch index of a sample within slice i: one
+        lookup of its indexed position, checked against slice i's ids."""
         ledger = self.ledgers.get(int(i))
         if ledger is None:
             raise NotFound(f"slice {i} has no recorded increments")
-        hits = np.flatnonzero(ledger.ids == int(sample_id))
-        if hits.size == 0:
+        sample_id = int(sample_id)
+        k = int(self._recorded_at[sample_id]) if 0 <= sample_id < self.n else -1
+        if not 0 <= k < ledger.ids.size or ledger.ids[k] != sample_id:
             raise NotFound(f"sample {sample_id} is not in slice {i}'s recorded batches")
-        return int(hits[0]) // self.config.batch_size + 1
+        return k // self.config.batch_size + 1
 
     def set_tombstones(self, ids) -> None:
         """Keep the revoked ids; a frozenset is kept as given, not copied."""
         self.tombstones = frozenset(ids)
 
     def clone(self) -> "StateStore":
-        """An independent store sharing the read-only checkpoints, ids and
-        deltas; only the consumed flags are copied."""
+        """An independent store sharing the read-only checkpoints, ids,
+        deltas and position index; only the consumed flags are copied."""
         dup = copy.copy(self)
         dup.checkpoints = dict(self.checkpoints)
         dup.ledgers = {i: x._replace(consumed=x.consumed.copy()) for i, x in self.ledgers.items()}

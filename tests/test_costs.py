@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mubench import CostConfig, retrain_cost, threshold
@@ -8,9 +10,10 @@ from mubench.errors import InvalidArgument
 
 
 def brute_force_threshold(n, s, phi):
-    """Independent oracle: scan the per-slice costs as a literal sum."""
+    """Independent oracle: scan the per-slice costs as a literal sum, in
+    exact rational arithmetic (a float phi converts to a Fraction exactly)."""
     for i in range(1, s + 1):
-        cost = sum(k * n / s for k in range(i, s + 1))
+        cost = sum(Fraction(k * n, s) for k in range(i, s + 1))
         if cost <= phi:
             return i
     return s + 1
@@ -81,6 +84,7 @@ def test_config_validation():
     s=st.integers(1, 64),
     phi_frac=st.floats(0.0, 1.5),
 )
+@example(n=167, s=60, phi_frac=1 / 3)  # phi ties cost(36); a float sum overshoots it
 def test_threshold_matches_brute_force(n, s, phi_frac):
     if n < s:
         n = s
@@ -88,3 +92,16 @@ def test_threshold_matches_brute_force(n, s, phi_frac):
     res = threshold(CostConfig(n, s, phi))
     assert res.t == brute_force_threshold(n, s, phi)
     assert res.r == (s - res.t + 1 if res.t <= s else 0)
+
+
+@pytest.mark.parametrize(
+    "n,s,i",
+    [(794_773, 50, 27), (295_529, 18, 5), (953_939, 33, 10)],
+)
+def test_threshold_at_a_rounded_down_cost(n, s, i):
+    """phi set to the float cost of slice i, which rounds below the exact
+    cost: slice i does not fit phi, so t lies above it."""
+    phi = retrain_cost(i, CostConfig(n, s, 0.0))
+    assert Fraction(phi) < Fraction(n, s) * sum(range(i, s + 1))
+    res = threshold(CostConfig(n, s, phi))
+    assert res.t == brute_force_threshold(n, s, phi) == i + 1

@@ -23,6 +23,7 @@ from mubench.errors import (
     AlreadyRevoked,
     DispatchError,
     InvalidArgument,
+    NotFound,
     TrainingDiverged,
 )
 from mubench.mia import fit_dense
@@ -665,6 +666,86 @@ def test_reload_rebuilds_plan_and_ledger_index(tiny_dataset, tiny_config, tmp_pa
     for request in requests:
         with pytest.raises(AlreadyRevoked):
             back.plan.locate(request.sample_id)
+
+
+def _assert_lookups_match_scans(eng):
+    """``locate``, ``tombstone`` and ``recorded_batch_index`` against
+    brute-force scans of the plan's slices and the ledgers' ids, for every
+    planned id, every revoked one and a few outside the plan."""
+    plan, store, size = eng.plan, eng.store, eng.config.batch_size
+    assert not any(ids.flags.writeable for ids in plan.slices)
+    assert not any(ledger.ids.flags.writeable for ledger in store.ledgers.values())
+    for sid in range(-2, plan.slice_of.size + 2):
+        home = [(i, int(np.flatnonzero(ids == sid)[0])) for i, ids in enumerate(plan.slices, 1)
+                if (ids == sid).any()]
+        if sid in plan.tombstones:
+            assert not home
+            with pytest.raises(AlreadyRevoked):
+                plan.locate(sid)
+            assert plan.tombstone(sid) is plan
+        elif not home:
+            for call in (plan.locate, plan.tombstone):
+                with pytest.raises(NotFound):
+                    call(sid)
+        else:
+            [(i, k)] = home
+            assert plan.locate(sid) == (i, k // size + 1)
+            after = plan.tombstone(sid)
+            assert after.tombstones == plan.tombstones | {sid}
+            assert after.slice_of is plan.slice_of
+            for m, (got, was) in enumerate(zip(after.slices, plan.slices), 1):
+                if m != i:
+                    assert got is was
+                    continue
+                assert got.dtype == np.int64 and not got.flags.writeable
+                assert np.array_equal(got, np.delete(was, k))
+        for i in range(1, eng.config.num_slices + 2):
+            ledger = store.ledgers.get(i)
+            hits = np.flatnonzero(ledger.ids == sid) if ledger is not None else ()
+            if len(hits):
+                assert store.recorded_batch_index(i, sid) == hits[0] // size + 1
+            else:
+                with pytest.raises(NotFound):
+                    store.recorded_batch_index(i, sid)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(12, 160),
+    s=st.integers(1, 5),
+    batch=st.integers(1, 24),
+    phi_frac=st.floats(0.0, 1.2),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_lookups_match_scans_over_mixed_streams(n, s, batch, phi_frac, seed, data):
+    """After a random PRS/DPUS/HS/OHS stream, whose retraining re-records
+    ledgers, in the engine, in a clone taken mid-stream and in the engine
+    persisted and loaded back, every lookup equals its brute-force scan."""
+    import tempfile
+
+    ds = gen_synthetic(n, 4, seed)
+    config = TrainConfig(
+        num_slices=s, batch_size=batch, seed=seed, phi=phi_frac * s * n, hidden_dims=(6,)
+    )
+    eng = UnlearnEngine.train(ds, config)
+    ids = sample_request_ids(eng.plan, data.draw(st.integers(0, n // 2)), seed)
+    clone_at = data.draw(st.integers(0, len(ids)))
+    twin = eng.clone()
+    for k, sid in enumerate(ids):
+        if k == clone_at:
+            twin = eng.clone()
+        strategy = data.draw(st.sampled_from(mubench.engine.STRATEGIES))
+        try:
+            eng.dispatch(UnlearnRequest(sid, strategy))
+        except DispatchError:
+            pass
+    _assert_lookups_match_scans(eng)
+    _assert_lookups_match_scans(twin)
+    with tempfile.TemporaryDirectory() as root:
+        eng.store.persist(root)
+        back = UnlearnEngine.from_store(ds, StateStore.load(root))
+    _assert_lookups_match_scans(back)
 
 
 def test_from_store_fingerprint_guard(tiny_dataset, tiny_config, tmp_path):

@@ -25,6 +25,8 @@ from mubench.errors import (
     ShapeMismatch,
 )
 
+from mubench.nn import EVAL_BLOCK_ROWS
+
 from conftest import balanced_batch
 
 F32 = np.float32
@@ -399,6 +401,17 @@ def test_evaluate_self_consistency(small_layout):
     assert evaluate(p, _Eval(feats, labels)) == 1.0
 
 
+def test_evaluate_in_blocks_equals_one_whole_forward(small_layout):
+    """A set of three blocks and a remainder, with labels near the decision
+    boundary: the blocked accuracy is the whole-set argmax's."""
+    p = init_params(small_layout, seed=2)
+    rows = 3 * EVAL_BLOCK_ROWS + 1234
+    feats = np.random.default_rng(6).standard_normal((rows, 6)).astype(F32)
+    whole = forward(p, feats)
+    labels = (whole[:, 1] > np.median(whole[:, 1])).astype(np.int64)
+    assert evaluate(p, _Eval(feats, labels)) == float((whole.argmax(axis=1) == labels).mean())
+
+
 def test_evaluate_empty(small_layout):
     p = init_params(small_layout, seed=8)
     with pytest.raises(EmptyInput):
@@ -432,6 +445,19 @@ def test_combine_subtract_add_roundtrip_full_size():
     diff = combine(base, delta, "-")
     assert len(diff) == 31_106
     assert combine(diff, delta, "+").bits_equal(base)
+
+
+def test_combine_into_an_operand(small_layout):
+    """With ``out`` the result lands in the given vector, bit-equal to a new
+    one, and the operands not named stay as they were."""
+    base, delta = init_params(small_layout, seed=5), init_params(small_layout, seed=6)
+    want = combine(base, delta, "-")
+    into = delta.copy()
+    assert combine(base, into, "-", out=into) is into
+    assert into.bits_equal(want)
+    assert combine(into, delta, "+", out=into).bits_equal(base)
+    with pytest.raises(ShapeMismatch):
+        combine(base, delta, "-", out=init_params(ModelLayout(3, (4,), 2), 0))
 
 
 def test_combine_shape_mismatch(small_layout):

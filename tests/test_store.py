@@ -121,10 +121,23 @@ def test_recorded_batch_lookup():
     store.record_increment(1, range(10, 30), deltas(0, 1))  # 10..25, then 26..29
     assert store.recorded_batch_index(1, 25) == 1
     assert store.recorded_batch_index(1, 28) == 2
-    with pytest.raises(NotFound):
-        store.recorded_batch_index(1, 99)
+    for absent in (9, 30, 99, -1, 100, 10**12):
+        with pytest.raises(NotFound):
+            store.recorded_batch_index(1, absent)
     with pytest.raises(NotFound):
         store.recorded_batch_index(2, 10)
+    store.record_increment(1, range(29, 19, -1), deltas(0))  # re-recorded: 29..20
+    assert store.recorded_batch_index(1, 20) == 1
+    with pytest.raises(NotFound):
+        store.recorded_batch_index(1, 19)  # in the old ledger only
+
+
+def test_record_rejects_ids_outside_the_store():
+    store = fresh_store()  # n = 100
+    for ids in ([3, -1], [100], [5, 2**40]):
+        with pytest.raises(InvalidArgument, match=r"\[0, 100\)"):
+            store.record_increment(1, ids, deltas(0))
+    assert not store.ledgers
 
 
 def populated_store():
@@ -220,11 +233,12 @@ def _config(edit):
         (_ledger_entry(_set("id_count", 40)), "ledger_0001.muck: 2 delta rows for 40 ids"),
         (_ledger_entry(_set("id_count", 30)), "ledger_0001.muck: ledger framing mismatch"),
         (_ledger_entry(_set("consumed", [False])), "ledger_0001.muck: .* and 1 consumed flags"),
+        (_set("n", 10), r"manifest.json: malformed .*ledger ids must lie in \[0, 10\)"),
     ],
     ids=[
         "no_S", "tombstone_string", "batch_size_zero", "no_train_seed", "seed_not_int",
         "layout_list", "threshold_one", "id_count_string", "no_consumed", "rows_short_of_ids",
-        "id_count_past_payload", "rows_past_consumed",
+        "id_count_past_payload", "rows_past_consumed", "ids_past_n",
     ],
 )
 def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
@@ -330,7 +344,8 @@ def test_checkpoint_sentinel_in_file(tmp_path):
 
 def test_clone_is_isolated():
     """A clone shares the read-only checkpoints, ids and deltas and owns its
-    consumed flags."""
+    consumed flags; a ledger recorded after the clone leaves the clone's
+    lookups as they were."""
     store = populated_store()
     dup = store.clone()
     for i, cp in store.checkpoints.items():
@@ -342,3 +357,7 @@ def test_clone_is_isolated():
     assert dup.tombstones is store.tombstones
     dup.mark_consumed(1, 1)
     assert not store.ledgers[1].consumed[0]
+    store.record_increment(1, range(16, 36), deltas(0, 1))
+    assert (store.recorded_batch_index(1, 17), dup.recorded_batch_index(1, 17)) == (1, 2)
+    with pytest.raises(NotFound):
+        dup.recorded_batch_index(1, 30)
