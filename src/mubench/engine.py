@@ -30,6 +30,7 @@ retraining build new ones, so checkpoints, the served model and each
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -47,6 +48,8 @@ from .errors import (
     TrainingDiverged,
 )
 from .nn import (
+    F32,
+    F64,
     Batch,
     ModelLayout,
     OptimizerState,
@@ -111,23 +114,60 @@ def train_batches(
 ) -> tuple[ParameterVector, OptimizerState]:
     """Take one Adam step per ``(epoch, j, batch)`` of ``batches``, in order.
 
+    The steps carry float32 from start to end. The start params are rounded to
+    float32 once, and the steps run in four float32 buffers allocated once per
+    call (the current and next params, which swap roles each step, the
+    gradient and Adam's scratch) on one copy of the Adam moments, since the
+    given ones may be a checkpoint's read-only arrays. ``loss_grad`` and
+    ``adam_step`` round to float32 where this loop keeps it, so each step is
+    bit for bit the one they take on float64 vectors. The result is widened to
+    a new float64 vector once at the end; a call that takes no step returns
+    ``params`` and ``state`` themselves.
+
     A non-finite loss or gradient raises TrainingDiverged naming ``where``
     and the epoch. With ``deltas`` given, each step's parameter change is
-    added to row ``deltas[j]``; Adam returns fresh vectors, so the step
-    before stays available for the difference without a copy.
+    added to row ``deltas[j]`` as an exact float64 difference; the first
+    step's is taken against the unrounded start, so the rounding of a start
+    that ``combine`` moved off the float32 grid is part of that batch's delta.
     """
+    layout = params.layout
+    start, spare, grad_out, scratch = np.empty((4, layout.param_count), dtype=F32)
+    start[:] = params.values
+    current = ParameterVector.float32(start, layout)
+    work = OptimizerState(state.m.copy(), state.v.copy(), state.step_count, state.hyper)
+    before = params.values
     for epoch, j, batch in batches:
-        loss, grad = loss_grad(params, batch)
+        loss, grad = loss_grad(current, batch, grad_out)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss in {where}, epoch {epoch}")
         try:
-            stepped, state = adam_step(params, state, grad)
+            stepped, work = adam_step(current, work, grad, (spare, scratch))
         except NumericError as exc:
             raise TrainingDiverged(f"non-finite gradient in {where}, epoch {epoch}") from exc
         if deltas is not None:
-            deltas[j] += stepped.values - params.values
-        params = stepped
-    return params, state
+            deltas[j] += np.subtract(stepped.values, before, dtype=F64)
+        spare, current = current.values, stepped
+        before = current.values
+    if work.step_count == state.step_count:
+        return params, state
+    return ParameterVector(current.values, layout), work
+
+
+@functools.lru_cache(maxsize=64)
+def _epoch_orders(
+    seed: int, slice_index: int, epochs: int, nb: int
+) -> tuple[tuple[int, ...], ...]:
+    """The batch visit order of each epoch 1..epochs of a slice with nb
+    batches: ``default_rng((seed, slice_index, epoch)).permutation(nb)``.
+
+    Pure in its arguments, so it is memoized, for at most 64 keys; the orders
+    are tuples, so no caller can change one that another is handed. ``nb``
+    is part of the key: a tombstone that changes a slice's batch count gives
+    its retrain a new order."""
+    return tuple(
+        tuple(int(j) for j in np.random.default_rng((seed, slice_index, epoch)).permutation(nb))
+        for epoch in range(1, epochs + 1)
+    )
 
 
 class UnlearnEngine:
@@ -232,10 +272,11 @@ class UnlearnEngine:
 
         Batch membership is fixed by the plan, so each batch is gathered once
         per call; each (slice, epoch) pass only shuffles the visit order, and a
-        batch's summed delta stays attributable across epochs. The shuffle
-        stream is derived from (seed, slice, epoch) and never from request
-        history, which keeps suffix retraining bit-reproducible regardless of
-        which revocation triggered it.
+        batch's summed delta stays attributable across epochs. The orders
+        come from ``_epoch_orders``, a function of (seed, slice, epochs, batch
+        count) and never of request history, which keeps suffix retraining
+        bit-reproducible regardless of which revocation triggered it; a
+        retrain of an unchanged batch count reuses the orders already drawn.
         """
         cfg = self.config
         nb = self.plan.num_batches(slice_index)
@@ -243,15 +284,10 @@ class UnlearnEngine:
         for j in range(1, nb + 1):
             ids = self.plan.batch_ids(slice_index, j)
             gathered.append(Batch(self.dataset.features[ids], self.dataset.labels[ids], ids))
-
-        def batches():
-            for epoch in range(1, cfg.epochs_per_slice + 1):
-                order = np.random.default_rng((cfg.seed, slice_index, epoch)).permutation(nb)
-                for j0 in (int(j) for j in order):
-                    yield epoch, j0, gathered[j0]
-
+        orders = _epoch_orders(cfg.seed, slice_index, cfg.epochs_per_slice, nb)
+        batches = ((epoch, j, gathered[j]) for epoch, order in enumerate(orders, 1) for j in order)
         deltas = np.zeros((nb, self.layout.param_count)) if record else None
-        params, state = train_batches(params, state, batches(), f"slice {slice_index}", deltas)
+        params, state = train_batches(params, state, batches, f"slice {slice_index}", deltas)
         if record:
             self.store.record_increment(slice_index, self.plan.slice_ids(slice_index), deltas)
         return params, state

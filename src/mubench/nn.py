@@ -1,20 +1,27 @@
 """Numeric core: a fixed-layout MLP over flat parameter vectors.
 
-Every operation here is a pure function of its inputs. Precision model:
+Every operation here is a pure function of its inputs, apart from the ``out``
+buffers that ``loss_grad`` and ``adam_step`` write into when given them.
+Precision model:
 
 * Training computes in float32. ``loss_grad`` runs forward and backward in
-  float32 on weights cast once per call (only the loss over the logits is
-  taken in float64), so its gradient sits on the float32 grid by
-  construction; ``adam_step`` does its moment arithmetic in float32 and
-  rounds the new parameters to the float32 grid. ``init_params`` draws on
+  float32 (only the loss over the logits and the backward step through the
+  output layer are taken in float64), so its gradient sits on the float32
+  grid by construction; ``adam_step`` does its moment arithmetic in float32
+  and rounds the new parameters to the float32 grid. ``init_params`` draws on
   that grid too, which is also the on-disk and ledger precision.
-* ``ParameterVector`` holds its values in a float64 container. That is what
-  ``combine`` needs: it keeps the exact float64 difference instead of
-  re-rounding, so subtracting a recorded increment and adding it back restores
-  the original bits; with float32 re-rounding that inverse does not exist.
-  ``forward`` and ``evaluate`` read the container in float64.
+* Float32 is carried only inside ``engine.train_batches``: it rounds the start
+  once, steps on float32 buffers (``ParameterVector.float32`` vectors, passed
+  to ``loss_grad`` and ``adam_step`` with ``out``) and widens once at the end.
+  Everywhere outside it, ``ParameterVector`` holds its values in a float64
+  container. That is what ``combine`` needs: it keeps the exact float64
+  difference instead of re-rounding, so subtracting a recorded increment and
+  adding it back restores the original bits; with float32 re-rounding that
+  inverse does not exist. ``forward`` and ``evaluate`` read the container in
+  float64.
 * A retraining start that ``combine`` amended off the grid is rounded to it
-  by the first training step.
+  once, where ``train_batches`` starts; a float64 call to ``loss_grad`` or
+  ``adam_step`` rounds it the same way, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -83,6 +90,16 @@ class ParameterVector:
                 f"{self.layout.dims}, got {v.size}"
             )
         self.values = v
+
+    @classmethod
+    def float32(cls, values: np.ndarray, layout: ModelLayout) -> "ParameterVector":
+        """A vector around a float32 buffer of the layout's length, used as
+        it is, without the widening copy: the working form of the parameters
+        and gradient inside ``engine.train_batches``, which widens before
+        anything leaves it."""
+        vec = cls.__new__(cls)
+        vec.values, vec.layout = values, layout
+        return vec
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -157,6 +174,13 @@ class Batch:
         return int(self.labels.size)
 
 
+def _out_buffer(out, layout: ModelLayout) -> np.ndarray:
+    """``out`` itself, checked to be a float32 array of the layout's length."""
+    if not isinstance(out, np.ndarray) or out.dtype != F32 or out.shape != (layout.param_count,):
+        raise ShapeMismatch(f"out must be a float32 array of shape ({layout.param_count},)")
+    return out
+
+
 def _layer_views(flat: np.ndarray, layout: ModelLayout) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a flat vector into (W, b) array views per layer."""
     return [
@@ -204,26 +228,34 @@ def forward(params: ParameterVector, features: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=1, keepdims=True)
 
 
-def loss_grad(params: ParameterVector, batch: Batch) -> tuple[float, ParameterVector]:
+def loss_grad(
+    params: ParameterVector, batch: Batch, out: np.ndarray | None = None
+) -> tuple[float, ParameterVector]:
     """Mean softmax cross-entropy and its gradient via backpropagation.
 
-    Forward and backward run in float32 on the weights cast once, except the
-    backward step through the thin output layer, which runs in float64; each
-    layer's gradient is written straight into its slice of one float32
-    vector, so the gradient sits on the float32 grid. The loss goes through
-    log-sum-exp over the logits in float64 with no probability clipping, so a
-    run that collapses to zero probability surfaces as an infinite loss
-    rather than being masked.
+    Forward and backward run in float32 on the weights cast once (not at all
+    when ``params`` already holds float32), except the backward step through
+    the thin output layer, which runs in float64; each layer's gradient is
+    written straight into its slice of one float32 vector, so the gradient
+    sits on the float32 grid. The loss goes through log-sum-exp over the
+    logits in float64 with no probability clipping, so a run that collapses
+    to zero probability surfaces as an infinite loss rather than being masked.
+
+    Without ``out`` the gradient comes back widened into a new float64
+    vector. With ``out`` (a float32 array of the layout's length, else
+    ShapeMismatch) it is written into ``out`` and comes back as a
+    ``ParameterVector.float32`` around it.
     """
     if len(batch) == 0:
         raise EmptyInput("loss_grad requires a non-empty batch")
     layout = params.layout
+    grad = np.empty(layout.param_count, dtype=F32) if out is None else _out_buffer(out, layout)
     feats = _check_features(layout, batch.features, F32)
     labels = batch.labels
     if labels.min() < 0 or labels.max() >= layout.output_dim:
         raise InvalidArgument("labels must be class indices within the layout's output_dim")
 
-    layers = _layer_views(params.values.astype(F32), layout)
+    layers = _layer_views(params.values.astype(F32, copy=False), layout)
     acts = [feats]
     for w, b in layers[:-1]:
         z = acts[-1] @ w
@@ -235,7 +267,7 @@ def loss_grad(params: ParameterVector, batch: Batch) -> tuple[float, ParameterVe
     rows = np.arange(len(batch))
     mx = logits.max(axis=1, keepdims=True)
     lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
-    loss = float(np.mean(lse - logits[rows, labels]))
+    loss = float((lse - logits[rows, labels]).sum() / len(batch))  # np.mean's bits, less overhead
 
     delta = np.exp(logits - lse[:, None])
     delta[rows, labels] -= 1.0
@@ -246,7 +278,6 @@ def loss_grad(params: ParameterVector, batch: Batch) -> tuple[float, ParameterVe
     # delta stays float64 through the output layer, whose matmuls are only
     # classes wide, and the last hidden layer's bias gradient is summed from
     # it; the hidden x hidden matmuls run in float32.
-    grad = np.empty(layout.param_count, dtype=F32)
     grad_views = _layer_views(grad, layout)
     gw, gb = grad_views[-1]
     gw[:] = acts[-1].T.astype(F64) @ delta
@@ -262,44 +293,66 @@ def loss_grad(params: ParameterVector, batch: Batch) -> tuple[float, ParameterVe
         else:
             np.sum(delta, axis=0, out=gb)
         np.matmul(acts[k - 1].T, delta, out=gw)
-    return loss, ParameterVector(grad, layout)
+    if out is None:
+        return loss, ParameterVector(grad, layout)
+    return loss, ParameterVector.float32(grad, layout)
 
 
 def adam_step(
-    params: ParameterVector, state: OptimizerState, grad: ParameterVector
+    params: ParameterVector,
+    state: OptimizerState,
+    grad: ParameterVector,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ParameterVector, OptimizerState]:
-    """One bias-corrected Adam update; returns fresh params and state.
+    """One bias-corrected Adam update.
 
     The moment and step arithmetic runs in float32 and the new parameters are
     quantized back to the float32 grid, so a checkpoint written to disk resumes
     bit-identically to an uninterrupted run.
+
+    Without ``out`` the inputs are left untouched: the result is a new
+    float64 vector and a state with new moments. With ``out``, a pair of
+    float32 arrays of the layout's length (else ShapeMismatch) sharing no
+    memory with ``params`` or ``grad``, the new parameters are written into
+    ``out[0]`` and come back as a ``ParameterVector.float32`` around it,
+    ``out[1]`` is scratch, and the moments are updated in place in
+    ``state.m`` and ``state.v``, which the returned state shares.
     """
-    if params.layout != grad.layout or state.m.size != params.values.size:
+    layout = params.layout
+    if layout != grad.layout or state.m.size != params.values.size:
         raise ShapeMismatch("params, state and grad must share one layout")
-    g = grad.values.astype(F32)
+    if out is None:
+        new, buf = np.empty(layout.param_count, dtype=F32), np.empty(layout.param_count, dtype=F32)
+        m, v = state.m.copy(), state.v.copy()
+    elif len(out) != 2:
+        raise ShapeMismatch(f"out must be a pair of buffers, got {len(out)}")
+    else:
+        new, buf = (_out_buffer(x, layout) for x in out)
+        m, v = state.m, state.v
+    g = grad.values.astype(F32, copy=False)
     if not np.isfinite(g).all():
         raise NumericError("gradient contains non-finite elements")
     h = state.hyper
     t = state.step_count + 1
     # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, then
     # step = lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in float32 and
-    # in that order, on two scratch buffers; g is this call's own copy.
-    buf = g * (1.0 - h.beta1)
-    m = state.m * h.beta1
+    # in that order; the denominator goes into ``new`` until the step is done.
+    np.multiply(g, 1.0 - h.beta1, out=buf)
+    m *= h.beta1
     m += buf
-    np.multiply(g, g, out=g)
-    g *= 1.0 - h.beta2
-    v = state.v * h.beta2
-    v += g
+    np.multiply(g, g, out=buf)
+    buf *= 1.0 - h.beta2
+    v *= h.beta2
+    v += buf
+    np.divide(v, 1.0 - h.beta2**t, out=new)
+    np.sqrt(new, out=new)
+    new += h.epsilon
     np.divide(m, 1.0 - h.beta1**t, out=buf)
-    np.divide(v, 1.0 - h.beta2**t, out=g)
-    np.sqrt(g, out=g)
-    g += h.epsilon
-    buf /= g
+    buf /= new
     buf *= h.learning_rate
-    new_values = params.values.astype(F32)
-    new_values -= buf
-    return ParameterVector(new_values, params.layout), OptimizerState(m, v, t, h)
+    np.subtract(params.values.astype(F32, copy=False), buf, out=new)
+    stepped = ParameterVector(new, layout) if out is None else ParameterVector.float32(new, layout)
+    return stepped, OptimizerState(m, v, t, h)
 
 
 EVAL_BLOCK_ROWS = 4096

@@ -10,11 +10,11 @@ count for a ledger), u64 payload length in 4-byte words, the little-endian
 payload, u32 CRC32 trailer over all preceding bytes. Checkpoint payloads are
 float32 (params, adam_m, adam_v); a ledger's payload is its ids as int64 in
 recording-time order, then its float32 delta rows in batch order. Loading
-keeps both as read-only views of the file's bytes and rebuilds the index of
-each id's recording-time position from the ids; the index is not stored. Step
-counters and consumed flags live in the manifest. Writes go to a temp file
-then ``os.replace``; once the new manifest is in place, the store files it
-does not name are removed.
+keeps both as read-only views of the file's bytes and, once every ledger is
+read, builds the index of each id's recording-time position from the ids in
+one pass; the index is not stored. Step counters and consumed flags live in
+the manifest. Writes go to a temp file then ``os.replace``; once the new
+manifest is in place, the store files it does not name are removed.
 """
 
 from __future__ import annotations
@@ -199,6 +199,10 @@ class StateStore:
         the stored dtype are kept, not copied, and made read-only. The ids
         must lie in [0, n); the engine records each id in its own slice only,
         and the index keeps an id's position in the ledger recorded last."""
+        self._index([self._put_ledger(i, ids, deltas)])
+
+    def _put_ledger(self, i: int, ids, deltas) -> Ledger:
+        """Check and store slice i's ledger, leaving the index as it is."""
         if i < 1:
             raise InvalidArgument("slice indices are 1-based")
         if i >= self.threshold:
@@ -208,10 +212,17 @@ class StateStore:
         ids, deltas = np.asarray(ids, dtype=np.int64), np.asarray(deltas, dtype=np.float32)
         if ids.size and not 0 <= ids.min() <= ids.max() < self.n:
             raise InvalidArgument(f"ledger ids must lie in [0, {self.n})")
+        ids.flags.writeable = deltas.flags.writeable = False
+        ledger = self.ledgers[i] = Ledger(ids, deltas, np.zeros(len(deltas), dtype=bool))
+        return ledger
+
+    def _index(self, ledgers) -> None:
+        """Point each id of ``ledgers``, taken in order, at its position in
+        its ledger, in a new copy of the index (clones share the old one)."""
         recorded_at = self._recorded_at.copy()
-        recorded_at[ids] = np.arange(ids.size)
-        ids.flags.writeable = deltas.flags.writeable = recorded_at.flags.writeable = False
-        self.ledgers[i] = Ledger(ids, deltas, np.zeros(len(deltas), dtype=bool))
+        for ledger in ledgers:
+            recorded_at[ledger.ids] = np.arange(ledger.ids.size)
+        recorded_at.flags.writeable = False
         self._recorded_at = recorded_at
 
     def _ledger(self, i: int, j: int) -> Ledger:
@@ -372,6 +383,7 @@ class StateStore:
             if si != entry["slice"] or payload.size != 2 * id_count + rows * count:
                 raise StoreCorruption(f"{entry['file']}: ledger framing mismatch")
             ids = payload[: 2 * id_count].view("<i8")
-            store.record_increment(si, ids, payload[2 * id_count :].reshape(rows, count))
-            store.ledgers[si].consumed[:] = consumed
+            ledger = store._put_ledger(si, ids, payload[2 * id_count :].reshape(rows, count))
+            ledger.consumed[:] = consumed
+        store._index(store.ledgers.values())  # once, in manifest order
         return store

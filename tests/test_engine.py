@@ -7,15 +7,21 @@ from hypothesis import strategies as st
 
 import mubench.engine
 from mubench import (
+    AdamHyper,
+    Batch,
     Dataset,
     ModelLayout,
+    OptimizerState,
+    ParameterVector,
     StateStore,
     TrainConfig,
     UnlearnEngine,
     UnlearnRequest,
+    adam_step,
     combine,
     evaluate,
     gen_synthetic,
+    init_params,
     sample_request_ids,
     split_dataset,
 )
@@ -26,6 +32,7 @@ from mubench.errors import (
     NotFound,
     TrainingDiverged,
 )
+from mubench.engine import _epoch_orders, train_batches
 from mubench.mia import fit_dense
 from mubench.nn import loss_grad
 
@@ -92,6 +99,114 @@ def test_train_divergence_detected(train):
     bad = Dataset(feats, np.arange(64) % 2)
     with pytest.raises(TrainingDiverged):
         train(bad)
+
+
+def _reference_train(params, state, steps, deltas=None):
+    """The per-step loop on float64 vectors that train_batches must equal bit
+    for bit: loss_grad, then adam_step, both without ``out``, and each step's
+    change added to its batch's delta row as a float64 difference."""
+    for _epoch, j, batch in steps:
+        _, grad = loss_grad(params, batch)
+        stepped, state = adam_step(params, state, grad)
+        if deltas is not None:
+            deltas[j] += stepped.values - params.values
+        params = stepped
+    return params, state
+
+
+def _u(values):
+    return values.view(f"u{values.itemsize}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    input_dim=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 9), max_size=2),
+    output_dim=st.integers(2, 3),
+    nb=st.integers(1, 3),
+    steps=st.integers(0, 7),
+    off_grid=st.booleans(),
+    warm=st.booleans(),
+    record=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_train_batches_bit_equal_to_per_step_reference(
+    input_dim, hidden, output_dim, nb, steps, off_grid, warm, record, seed
+):
+    """Float32 carried through the loop gives the bits of the float64
+    per-step loop: params, moments, step count and ledger deltas, from an
+    on-grid or an amended (off-grid) start, cold or warm Adam state."""
+    layout = ModelLayout(input_dim, tuple(hidden), output_dim)
+    n, rng = layout.param_count, np.random.default_rng(seed)
+    start = init_params(layout, seed)
+    if off_grid:  # as an OHS start: a checkpoint minus a recorded float32 delta
+        delta = ParameterVector(rng.standard_normal(n).astype(np.float32) * 1e-3, layout)
+        start = combine(start, delta, "-")
+    state = OptimizerState.fresh(layout, AdamHyper(learning_rate=0.01))
+    if warm:
+        state = OptimizerState(
+            (rng.standard_normal(n) * 1e-2).astype(np.float32),
+            (rng.standard_normal(n) * 1e-2).astype(np.float32) ** 2,
+            int(rng.integers(1, 500)),
+            state.hyper,
+        )
+    for values in (start.values, state.m, state.v):  # shared read-only, as a checkpoint's
+        values.flags.writeable = False
+    m0, v0 = state.m.copy(), state.v.copy()
+    batches = [
+        Batch(
+            rng.standard_normal((rows, input_dim)).astype(np.float32),
+            rng.integers(0, output_dim, rows),
+            np.arange(rows),
+        )
+        for rows in rng.integers(1, 10, nb)
+    ]
+    order = [(k // nb + 1, int(j), batches[j]) for k, j in enumerate(rng.integers(0, nb, steps))]
+    got_deltas, want_deltas = (np.zeros((nb, n)), np.zeros((nb, n))) if record else (None, None)
+
+    got, got_state = train_batches(start, state, iter(order), "test", got_deltas)
+    want, want_state = _reference_train(start, state, order, want_deltas)
+
+    assert got.values.dtype == np.float64 and got.layout == layout
+    assert np.array_equal(_u(got.values), _u(want.values))
+    assert np.array_equal(_u(got_state.m), _u(want_state.m))
+    assert np.array_equal(_u(got_state.v), _u(want_state.v))
+    assert got_state.step_count == state.step_count + steps
+    if record:
+        assert np.array_equal(_u(got_deltas), _u(want_deltas))
+    assert np.array_equal(_u(state.m), _u(m0)) and np.array_equal(_u(state.v), _u(v0))
+    if steps == 0:
+        assert got is start and got_state is state
+        return
+    # the results are the caller's: a later call writes none of their memory
+    kept = [x.copy() for x in (got.values, got_state.m, got_state.v)]
+    train_batches(start, state, iter(order), "again")
+    for now, before in zip((got.values, got_state.m, got_state.v), kept):
+        assert np.array_equal(_u(now), _u(before))
+
+
+def test_epoch_orders_are_the_seeded_permutations():
+    """Each cached order is the (seed, slice, epoch) permutation, held in
+    tuples; a changed batch count is a new key with a new order."""
+    for seed in (0, 4, 2**40):
+        for slice_index in (1, 2, 7):
+            for nb in (0, 1, 2, 5, 49):
+                orders = _epoch_orders(seed, slice_index, 3, nb)
+                want = (
+                    np.random.default_rng((seed, slice_index, epoch)).permutation(nb).tolist()
+                    for epoch in (1, 2, 3)
+                )
+                assert orders == tuple(map(tuple, want))
+                assert type(orders) is tuple and all(type(o) is tuple for o in orders)
+                assert _epoch_orders(seed, slice_index, 3, nb) is orders
+
+
+def test_epoch_order_cache_is_bounded():
+    limit = _epoch_orders.cache_info().maxsize
+    assert limit is not None
+    for seed in range(2 * limit):
+        _epoch_orders(seed, 1, 1, 3)
+    assert _epoch_orders.cache_info().currsize <= limit
 
 
 def test_telescoping_reconstruction(trained_engine):

@@ -380,6 +380,51 @@ def test_adam_length_mismatch(small_layout):
         adam_step(p, OptimizerState.fresh(small_layout), init_params(other, 1))
 
 
+def _wrong_buffers(layout):
+    n = layout.param_count
+    return [np.empty(n, dtype=np.float64), np.empty(n + 1, dtype=F32), np.empty((1, n), dtype=F32)]
+
+
+def test_loss_grad_checks_its_out_buffer(small_layout):
+    params, batch = init_params(small_layout, seed=1), balanced_batch(small_layout, 8, seed=0)
+    for out in _wrong_buffers(small_layout):
+        with pytest.raises(ShapeMismatch):
+            loss_grad(params, batch, out)
+
+
+def test_adam_step_checks_its_out_buffers(small_layout):
+    n = small_layout.param_count
+    params, state = init_params(small_layout, seed=1), OptimizerState.fresh(small_layout)
+    _, grad = loss_grad(params, balanced_batch(small_layout, 8, seed=0))
+    for bad in _wrong_buffers(small_layout):
+        for out in ((bad, np.empty(n, dtype=F32)), (np.empty(n, dtype=F32), bad)):
+            with pytest.raises(ShapeMismatch):
+                adam_step(params, state, grad, out)
+    with pytest.raises(ShapeMismatch):
+        adam_step(params, state, grad, (np.empty(n, dtype=F32),) * 3)
+
+
+def test_out_calls_write_the_bits_of_allocating_calls(small_layout):
+    """With ``out``, the gradient, new params and in-place moments are the
+    float32 forms of what the allocating calls return."""
+    n = small_layout.param_count
+    params = init_params(small_layout, seed=3)
+    batch = balanced_batch(small_layout, 9, seed=1)
+    state = OptimizerState(np.full(n, 0.1, F32), np.full(n, 0.01, F32), 7, AdamHyper())
+    loss, grad = loss_grad(params, batch)
+    out_loss, out_grad = loss_grad(params, batch, np.empty(n, dtype=F32))
+    assert out_loss == loss and out_grad.values.dtype == F32
+    assert np.array_equal(out_grad.values.astype(np.float64), grad.values)
+    want, want_state = adam_step(params, state, grad)
+    work = OptimizerState(state.m.copy(), state.v.copy(), state.step_count, state.hyper)
+    got, got_state = adam_step(params, work, out_grad, (np.empty(n, F32), np.empty(n, F32)))
+    assert got.values.dtype == F32
+    assert np.array_equal(got.values.astype(np.float64), want.values)
+    assert np.shares_memory(got_state.m, work.m) and np.shares_memory(got_state.v, work.v)
+    assert np.array_equal(work.m, want_state.m) and np.array_equal(work.v, want_state.v)
+    assert got_state.step_count == want_state.step_count
+
+
 # ------------------------------------------------------------------- evaluate
 class _Eval:
     def __init__(self, features, labels):

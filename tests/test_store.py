@@ -275,6 +275,30 @@ def test_one_ledger_file_per_recorded_slice(tiny_dataset, tiny_config, tmp_path)
     assert not list(tmp_path.glob("increment_*"))
 
 
+def test_loaded_position_index_equals_the_in_memory_one(tiny_dataset, tiny_config, tmp_path):
+    """Load builds the id -> recording-time position index once, from every
+    ledger it read; it equals the index the engine built ledger by ledger,
+    also over slices a request re-recorded, apart from the revoked id."""
+    engine = UnlearnEngine.train(tiny_dataset, replace(tiny_config, phi=0.0))
+    engine.store.persist(tmp_path)
+    loaded = StateStore.load(tmp_path)
+    assert len(loaded.ledgers) == tiny_config.num_slices
+    assert np.array_equal(loaded._recorded_at, engine.store._recorded_at)
+    assert not loaded._recorded_at.flags.writeable
+
+    revoked = int(engine.plan.slice_ids(1)[3])
+    engine.unlearn_prs(revoked)  # re-records slices 1..3 without it
+    engine.store.persist(tmp_path)
+    loaded = StateStore.load(tmp_path)
+    kept = np.arange(tiny_dataset.n) != revoked
+    assert np.array_equal(loaded._recorded_at[kept], engine.store._recorded_at[kept])
+    # in memory the revoked id keeps a position that no ledger holds any more
+    assert loaded._recorded_at[revoked] == -1
+    for store in (loaded, engine.store):
+        with pytest.raises(NotFound):
+            store.recorded_batch_index(1, revoked)
+
+
 def test_config_survives_persist_and_reload(tiny_dataset, tmp_path):
     """The store keeps the engine's training config as one record, so a
     reloaded engine trains under exactly the config that wrote its store."""
