@@ -172,8 +172,11 @@ class SlicePlan:
     ``slices[i-1]`` holds slice i's live ids in training order as a read-only
     int64 array; batch j is the j-th run of ``batch_size`` ids in it.
     ``slice_of`` gives every planned id's slice and is shared by all versions
-    of a plan. ``tombstone`` and ``tombstone_all`` return a new plan sharing
-    every untouched slice, so concurrent readers of older snapshots stay valid.
+    of a plan. Ids only ever leave the slice ``slice_of`` names, so a planned
+    id is revoked exactly when that slice no longer holds it; the plan keeps
+    no other record of its revocations. ``tombstone`` and ``tombstone_all``
+    return a new plan sharing every untouched slice, so concurrent readers of
+    older snapshots stay valid.
     """
 
     num_slices: int
@@ -181,7 +184,19 @@ class SlicePlan:
     shuffle_seed: int
     slices: tuple[np.ndarray, ...]
     slice_of: np.ndarray
-    tombstones: frozenset[int] = frozenset()
+    # (id, slice, index) of the last id ``_position`` found in this plan, so
+    # that ``tombstone`` after ``locate`` of the same id scans its slice once.
+    # Not a field: set with object.__setattr__, never copied to a new plan.
+    _found = (-1, 0, 0)
+
+    @property
+    def tombstones(self) -> frozenset[int]:
+        """The revoked ids, derived from the slices in O(n); for inspection
+        and tests, not for the request path."""
+        live = np.zeros(self.slice_of.size, dtype=bool)
+        for ids in self.slices:
+            live[ids] = True
+        return frozenset(np.flatnonzero(~live).tolist())
 
     def locate(self, sample_id: int) -> tuple[int, int]:
         """1-based (slice, batch) position of a live sample id."""
@@ -189,30 +204,22 @@ class SlicePlan:
         return i, k // self.batch_size + 1
 
     def tombstone(self, sample_id: int) -> "SlicePlan":
-        """Revoke an id: drop it from its slice; the survivors keep their order."""
-        sample_id = int(sample_id)
-        if sample_id in self.tombstones:
+        """Revoke an id: drop it from its slice; the survivors keep their
+        order. An id that is already revoked leaves the plan as it is."""
+        try:
+            i, k = self._position(int(sample_id))
+        except AlreadyRevoked:
             return self
-        i, k = self._position(sample_id)
         ids = self.slices[i - 1]
         kept = np.concatenate((ids[:k], ids[k + 1 :]))
         kept.flags.writeable = False
-        return SlicePlan(
-            self.num_slices,
-            self.batch_size,
-            self.shuffle_seed,
-            self.slices[: i - 1] + (kept,) + self.slices[i:],
-            self.slice_of,
-            self.tombstones | {sample_id},
-        )
+        slices = self.slices[: i - 1] + (kept,) + self.slices[i:]
+        return SlicePlan(self.num_slices, self.batch_size, self.shuffle_seed, slices, self.slice_of)
 
     def tombstone_all(self, sample_ids) -> "SlicePlan":
         """Revoke many ids in one pass: each touched slice is filtered once,
         and the plan equals the one ``tombstone`` gives called on each id."""
-        fresh = {int(x) for x in sample_ids} - self.tombstones
-        if not fresh:
-            return self
-        dead_ids = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
+        dead_ids = np.fromiter(sample_ids, dtype=np.int64)
         unplanned = dead_ids[(dead_ids < 0) | (dead_ids >= self.slice_of.size)]
         if unplanned.size:
             raise NotFound(f"sample {unplanned[0]} is not in the plan")
@@ -221,9 +228,13 @@ class SlicePlan:
         slices = list(self.slices)
         for i in np.unique(self.slice_of[dead_ids]):
             ids = slices[i - 1]
-            slices[i - 1] = kept = ids[~dead[ids]]
-            kept.flags.writeable = False
-        return replace(self, slices=tuple(slices), tombstones=self.tombstones | fresh)
+            kept = ids[~dead[ids]]
+            if kept.size < ids.size:  # ids already revoked are in no slice
+                kept.flags.writeable = False
+                slices[i - 1] = kept
+        if all(a is b for a, b in zip(slices, self.slices)):
+            return self
+        return replace(self, slices=tuple(slices))
 
     def live_ids(self) -> np.ndarray:
         return np.sort(np.concatenate(self.slices))
@@ -246,14 +257,20 @@ class SlicePlan:
 
     def _position(self, sample_id: int) -> tuple[int, int]:
         """Slice and 0-based index in it of a live id, found by one scan of
-        that slice: a planned id that is not tombstoned is always in the slice
-        ``slice_of`` names, so the first match is the only one."""
-        if sample_id in self.tombstones:
-            raise AlreadyRevoked(f"sample {sample_id} was already revoked")
+        the slice ``slice_of`` names, or taken from the scan that found the
+        same id last in this plan. A planned id that scan misses is revoked."""
         if not 0 <= sample_id < self.slice_of.size:
             raise NotFound(f"sample {sample_id} is not in the plan")
+        found, i, k = self._found
+        if found == sample_id and self.slices[i - 1][k] == sample_id:
+            return i, k
         i = int(self.slice_of[sample_id])
-        return i, int((self.slices[i - 1] == sample_id).argmax())
+        ids = self.slices[i - 1]
+        k = int((ids == sample_id).argmax()) if ids.size else 0  # argmax of nothing raises
+        if k >= ids.size or ids[k] != sample_id:
+            raise AlreadyRevoked(f"sample {sample_id} was already revoked")
+        object.__setattr__(self, "_found", (sample_id, i, k))
+        return i, k
 
 
 def make_slice_plan(dataset: Dataset, num_slices: int, batch_size: int, seed: int) -> SlicePlan:

@@ -292,10 +292,6 @@ class UnlearnEngine:
             self.store.record_increment(slice_index, self.plan.slice_ids(slice_index), deltas)
         return params, state
 
-    def _tombstone(self, sample_id: int) -> None:
-        self.plan = self.plan.tombstone(sample_id)
-        self.store.set_tombstones(self.plan.tombstones)
-
     def _require_model(self) -> Model:
         if self.model is None:
             raise InvalidArgument("engine is not trained yet")
@@ -348,7 +344,8 @@ class UnlearnEngine:
             if fresh:  # the widened increment, which this request owns, takes the result
                 increment = self.store.get_increment(i, j)
                 params = combine(params, increment, "-", out=increment)
-        self._tombstone(sample_id)
+        self.plan = self.plan.tombstone(sample_id)  # reuses locate's scan
+        self.store.add_tombstone(sample_id)
         rewritten, rows_read = [], 0
         if base is not None:
             self.store.plan_version += 1

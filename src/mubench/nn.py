@@ -398,8 +398,10 @@ def combine(
     the same layout, which may be ``a`` or ``b`` itself), written into
     ``out``, which is returned.
     """
-    if a.layout != b.layout or (out is not None and out.layout != a.layout):
-        raise ShapeMismatch("combine requires vectors with identical layouts")
+    layout = a.layout
+    for other in (b, out):  # identity first: the layouts are usually one object
+        if other is not None and other.layout is not layout and other.layout != layout:
+            raise ShapeMismatch("combine requires vectors with identical layouts")
     if sign in ("-", "−"):
         op = np.subtract
     elif sign == "+":
@@ -407,6 +409,6 @@ def combine(
     else:
         raise InvalidArgument(f"sign must be '+' or '-', got {sign!r}")
     if out is None:
-        return ParameterVector(op(a.values, b.values), a.layout)
+        return ParameterVector(op(a.values, b.values), layout)
     op(a.values, b.values, out=out.values)
     return out

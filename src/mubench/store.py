@@ -170,7 +170,10 @@ class StateStore:
         self.dataset_fingerprint = ""
         self.checkpoints: dict[int, Checkpoint] = {}
         self.ledgers: dict[int, Ledger] = {}
-        self.tombstones: frozenset[int] = frozenset()
+        # The revoked ids, appended in request order; ``tombstones`` is the
+        # set of them, derived and cached until the next change.
+        self._revoked: list[int] = []
+        self._tombstones: frozenset[int] | None = frozenset()
         # Derived from the ledgers and never persisted: id -> its position in
         # the ledger that recorded it last (-1: never recorded). Read-only, so
         # clones share it; record_increment builds a new one.
@@ -198,8 +201,11 @@ class StateStore:
         and index each id at its position in ``ids``. Arrays that already have
         the stored dtype are kept, not copied, and made read-only. The ids
         must lie in [0, n); the engine records each id in its own slice only,
-        and the index keeps an id's position in the ledger recorded last."""
-        self._index([self._put_ledger(i, ids, deltas)])
+        and the index keeps an id's position in the ledger recorded last;
+        an id that slice i's previous ledger held and this one does not is
+        indexed as never recorded."""
+        old = self.ledgers.get(i)
+        self._index([self._put_ledger(i, ids, deltas)], [old] if old is not None else [])
 
     def _put_ledger(self, i: int, ids, deltas) -> Ledger:
         """Check and store slice i's ledger, leaving the index as it is."""
@@ -216,10 +222,13 @@ class StateStore:
         ledger = self.ledgers[i] = Ledger(ids, deltas, np.zeros(len(deltas), dtype=bool))
         return ledger
 
-    def _index(self, ledgers) -> None:
-        """Point each id of ``ledgers``, taken in order, at its position in
-        its ledger, in a new copy of the index (clones share the old one)."""
+    def _index(self, ledgers, replaced=()) -> None:
+        """Mark the ids of the ``replaced`` ledgers as never recorded, then
+        point each id of ``ledgers``, taken in order, at its position in its
+        ledger, in a new copy of the index (clones share the old one)."""
         recorded_at = self._recorded_at.copy()
+        for ledger in replaced:
+            recorded_at[ledger.ids] = -1
         for ledger in ledgers:
             recorded_at[ledger.ids] = np.arange(ledger.ids.size)
         recorded_at.flags.writeable = False
@@ -256,14 +265,29 @@ class StateStore:
             raise NotFound(f"sample {sample_id} is not in slice {i}'s recorded batches")
         return k // self.config.batch_size + 1
 
+    @property
+    def tombstones(self) -> frozenset[int]:
+        """The revoked ids."""
+        if self._tombstones is None:
+            self._tombstones = frozenset(self._revoked)
+        return self._tombstones
+
     def set_tombstones(self, ids) -> None:
-        """Keep the revoked ids; a frozenset is kept as given, not copied."""
-        self.tombstones = frozenset(ids)
+        """Replace the revoked ids with ``ids``."""
+        self._revoked = [int(x) for x in ids]
+        self._tombstones = None
+
+    def add_tombstone(self, sample_id: int) -> None:
+        """Append one newly revoked id to the revoked ids."""
+        self._revoked.append(int(sample_id))
+        self._tombstones = None
 
     def clone(self) -> "StateStore":
         """An independent store sharing the read-only checkpoints, ids,
-        deltas and position index; only the consumed flags are copied."""
+        deltas and position index; the consumed flags and the revoked ids
+        are copied."""
         dup = copy.copy(self)
+        dup._revoked = list(self._revoked)
         dup.checkpoints = dict(self.checkpoints)
         dup.ledgers = {i: x._replace(consumed=x.consumed.copy()) for i, x in self.ledgers.items()}
         return dup
@@ -312,7 +336,7 @@ class StateStore:
             "n": self.n,
             "plan_version": self.plan_version,
             "dataset_fingerprint": self.dataset_fingerprint,
-            "tombstones": sorted(map(int, self.tombstones)),
+            "tombstones": sorted(self.tombstones),
             "checkpoints": cp_entries,
             "ledgers": ledger_entries,
         }
@@ -352,7 +376,7 @@ class StateStore:
         store = cls(config, layout, manifest["n"], manifest["threshold"])
         store.plan_version = int(manifest["plan_version"])
         store.dataset_fingerprint = str(manifest["dataset_fingerprint"])
-        store.tombstones = frozenset(int(x) for x in manifest["tombstones"])
+        store.set_tombstones(manifest["tombstones"])
         count = layout.param_count
         for entry in manifest["checkpoints"]:
             si, bi, payload, crc = read_vector_file(root / entry["file"])

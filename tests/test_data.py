@@ -339,6 +339,29 @@ def test_tombstone_all_edge_sets(plan_1000):
     assert plan_1000.tombstone_all(range(1000)).slice_sizes() == (0, 0, 0, 0)
     with pytest.raises(NotFound):
         plan_1000.tombstone_all([5, 123456])
+    emptied = plan_1000.tombstone_all(whole)
+    assert emptied.slice_sizes() == (250, 0, 250, 250)
+    for sid in whole[:3]:
+        with pytest.raises(AlreadyRevoked):
+            emptied.locate(sid)
+        assert emptied.tombstone(sid) is emptied
+
+
+def test_tombstone_at_history_scale():
+    """20,000 ids revoked one by one, half of them located first as the
+    engine does, from an n=50,000, S=8 plan give the plan ``tombstone_all``
+    gives for the same ids."""
+    n = 50_000
+    ds = Dataset(np.zeros((n, 1), dtype=np.float32), np.arange(n) % 2)
+    base = make_slice_plan(ds, 8, 128, seed=3)
+    ids = np.random.default_rng(4).choice(n, 20_000, replace=False).tolist()
+    plan = base
+    for sid in ids:
+        if sid % 2:
+            plan.locate(sid)
+        plan = plan.tombstone(sid)
+    _assert_same_plan(base.tombstone_all(ids), plan, base)
+    assert plan.tombstones == set(ids)
 
 
 def test_tombstoned_ids_never_reappear(plan_1000):

@@ -288,7 +288,7 @@ def test_dpus_consume_once(trained_engine):
     assert out2.strategy_executed == "noop-consumed"
     assert eng.model.params.bits_equal(frozen)
     assert second in eng.plan.tombstones
-    assert eng.store.tombstones is eng.plan.tombstones  # kept once, not copied
+    assert eng.store.tombstones == eng.plan.tombstones == {first, second}
 
 
 def test_dpus_dispatch_guard(trained_engine):
@@ -783,17 +783,33 @@ def test_reload_rebuilds_plan_and_ledger_index(tiny_dataset, tiny_config, tmp_pa
             back.plan.locate(request.sample_id)
 
 
+def _assert_revoked(eng, revoked):
+    """The store's revoked ids, the requested ones and the ids missing from
+    the plan's slices are one set; each raises AlreadyRevoked, and ids
+    outside the plan raise NotFound."""
+    n, plan = eng.dataset.n, eng.plan
+    missing = set(range(n)) - set(np.concatenate(plan.slices).tolist())
+    assert eng.store.tombstones == set(revoked) == missing == plan.tombstones
+    for sid in revoked:
+        with pytest.raises(AlreadyRevoked):
+            plan.locate(sid)
+    for sid in (-1, n):
+        with pytest.raises(NotFound):
+            plan.locate(sid)
+
+
 def _assert_lookups_match_scans(eng):
     """``locate``, ``tombstone`` and ``recorded_batch_index`` against
     brute-force scans of the plan's slices and the ledgers' ids, for every
     planned id, every revoked one and a few outside the plan."""
     plan, store, size = eng.plan, eng.store, eng.config.batch_size
+    revoked = plan.tombstones
     assert not any(ids.flags.writeable for ids in plan.slices)
     assert not any(ledger.ids.flags.writeable for ledger in store.ledgers.values())
     for sid in range(-2, plan.slice_of.size + 2):
         home = [(i, int(np.flatnonzero(ids == sid)[0])) for i, ids in enumerate(plan.slices, 1)
                 if (ids == sid).any()]
-        if sid in plan.tombstones:
+        if sid in revoked:
             assert not home
             with pytest.raises(AlreadyRevoked):
                 plan.locate(sid)
@@ -806,7 +822,7 @@ def _assert_lookups_match_scans(eng):
             [(i, k)] = home
             assert plan.locate(sid) == (i, k // size + 1)
             after = plan.tombstone(sid)
-            assert after.tombstones == plan.tombstones | {sid}
+            assert after.tombstones == revoked | {sid}
             assert after.slice_of is plan.slice_of
             for m, (got, was) in enumerate(zip(after.slices, plan.slices), 1):
                 if m != i:
@@ -824,6 +840,17 @@ def _assert_lookups_match_scans(eng):
                     store.recorded_batch_index(i, sid)
 
 
+def _serve_counted(eng, revoked, sid, strategy):
+    """Dispatch one request; a served one joins ``revoked``."""
+    try:
+        eng.dispatch(UnlearnRequest(sid, strategy))
+    except DispatchError:
+        pass
+    else:
+        revoked.append(sid)
+    _assert_revoked(eng, revoked)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(12, 160),
@@ -835,8 +862,11 @@ def _assert_lookups_match_scans(eng):
 )
 def test_lookups_match_scans_over_mixed_streams(n, s, batch, phi_frac, seed, data):
     """After a random PRS/DPUS/HS/OHS stream, whose retraining re-records
-    ledgers, in the engine, in a clone taken mid-stream and in the engine
-    persisted and loaded back, every lookup equals its brute-force scan."""
+    ledgers, in the engine, in a clone taken mid-stream that then serves ids
+    of its own, and in the engine persisted and loaded back, every lookup
+    equals its brute-force scan. After every request the revoked ids agree
+    (``_assert_revoked``). The stream may end by revoking every id of one
+    slice, which leaves that slice empty."""
     import tempfile
 
     ds = gen_synthetic(n, 4, seed)
@@ -845,21 +875,29 @@ def test_lookups_match_scans_over_mixed_streams(n, s, batch, phi_frac, seed, dat
     )
     eng = UnlearnEngine.train(ds, config)
     ids = sample_request_ids(eng.plan, data.draw(st.integers(0, n // 2)), seed)
+    if data.draw(st.booleans()):
+        whole = eng.plan.slice_ids(data.draw(st.integers(1, s))).tolist()
+        ids += [sid for sid in whole if sid not in ids]
     clone_at = data.draw(st.integers(0, len(ids)))
-    twin = eng.clone()
+    twin, revoked, twin_revoked = eng.clone(), [], []
+    strategies = st.sampled_from(mubench.engine.STRATEGIES)
     for k, sid in enumerate(ids):
         if k == clone_at:
-            twin = eng.clone()
-        strategy = data.draw(st.sampled_from(mubench.engine.STRATEGIES))
-        try:
-            eng.dispatch(UnlearnRequest(sid, strategy))
-        except DispatchError:
-            pass
+            twin, twin_revoked = eng.clone(), list(revoked)
+        _serve_counted(eng, revoked, sid, data.draw(strategies))
+    # the twin serves ids its parent never revoked: neither sees the other's
+    count = data.draw(st.integers(0, min(3, sum(eng.plan.slice_sizes()))))
+    for sid in sample_request_ids(eng.plan, count, seed):
+        _serve_counted(twin, twin_revoked, sid, data.draw(strategies))
+    _assert_revoked(eng, revoked)
     _assert_lookups_match_scans(eng)
     _assert_lookups_match_scans(twin)
     with tempfile.TemporaryDirectory() as root:
         eng.store.persist(root)
-        back = UnlearnEngine.from_store(ds, StateStore.load(root))
+        loaded = StateStore.load(root)
+        assert loaded.tombstones == set(revoked)
+        back = UnlearnEngine.from_store(ds, loaded)
+    _assert_revoked(back, revoked)
     _assert_lookups_match_scans(back)
 
 
