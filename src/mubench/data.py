@@ -1,11 +1,19 @@
-"""Dataset ingestion, the synthetic generator, and slice/batch planning."""
+"""Dataset ingestion, the synthetic generator, and slice/batch planning.
+
+A ``Dataset`` holds read-only arrays, so it hashes them once. A ``SlicePlan``
+fixes each slice's order when it is made and records revocations as one live
+mask per slice: locating an id is two array reads and one mask bit, revoking
+one copies one mask of n/S bytes, and a slice's live ids are built only when
+something reads them.
+"""
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,17 +29,31 @@ from .errors import (
 F32 = np.float32
 
 
-@dataclass
+def _read_only(values, dtype) -> np.ndarray:
+    """``values`` as a read-only C-contiguous array of ``dtype``. An array
+    that conversion leaves shared with a writable ``values`` is copied first,
+    so the caller's own array keeps its flag."""
+    out = np.ascontiguousarray(values, dtype=dtype)
+    if out.flags.writeable and isinstance(values, np.ndarray) and np.may_share_memory(out, values):
+        out = out.copy()
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
 class Dataset:
-    """Binary-labeled numeric dataset with dense ids 0..n-1 in row order."""
+    """Binary-labeled numeric dataset with dense ids 0..n-1 in row order.
+
+    ``features`` and ``labels`` are read-only, so ``fingerprint`` hashes them
+    once per instance."""
 
     features: np.ndarray
     labels: np.ndarray
     name: str = "dataset"
 
     def __post_init__(self) -> None:
-        self.features = np.ascontiguousarray(self.features, dtype=F32)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64).ravel()
+        object.__setattr__(self, "features", _read_only(self.features, F32))
+        object.__setattr__(self, "labels", _read_only(self.labels, np.int64).ravel())
         if self.features.ndim != 2:
             raise InvalidArgument("features must be a 2-D matrix")
         if self.features.shape[0] != self.labels.size:
@@ -55,12 +77,18 @@ class Dataset:
     def subset(self, ids, name: str | None = None) -> "Dataset":
         """New dataset from the given rows, re-indexed to dense ids."""
         idx = np.asarray(ids, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], name or f"{self.name}-subset")
+        features, labels = self.features[idx], self.labels[idx]  # fresh arrays, handed over
+        features.flags.writeable = labels.flags.writeable = False
+        return Dataset(features, labels, name or f"{self.name}-subset")
 
     def fingerprint(self) -> str:
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.features))  # hashed in place, not copied
-        h.update(np.ascontiguousarray(self.labels))
+        h.update(self.features)  # hashed in place, not copied
+        h.update(self.labels)
         return h.hexdigest()
 
 
@@ -141,8 +169,9 @@ def gen_synthetic(n: int, dim: int, seed: int) -> Dataset:
     teacher = rng.standard_normal(dim)
     feats = rng.standard_normal((n, dim))
     margin = feats @ teacher / np.sqrt(dim) + NOISE_SCALE * rng.standard_normal(n)
-    labels = (margin > 0).astype(np.int64)
-    return Dataset(feats.astype(F32), labels, name=f"synthetic-n{n}-d{dim}-s{seed}")
+    features, labels = feats.astype(F32), (margin > 0).astype(np.int64)
+    features.flags.writeable = labels.flags.writeable = False  # handed over, not copied
+    return Dataset(features, labels, name=f"synthetic-n{n}-d{dim}-s{seed}")
 
 
 def split_ids(n: int, eval_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,72 +198,94 @@ def split_dataset(dataset: Dataset, eval_fraction: float, seed: int) -> tuple[Da
 class SlicePlan:
     """Immutable partition of sample ids into ordered slices of batches.
 
-    ``slices[i-1]`` holds slice i's live ids in training order as a read-only
-    int64 array; batch j is the j-th run of ``batch_size`` ids in it.
-    ``slice_of`` gives every planned id's slice and is shared by all versions
-    of a plan. Ids only ever leave the slice ``slice_of`` names, so a planned
-    id is revoked exactly when that slice no longer holds it; the plan keeps
-    no other record of its revocations. ``tombstone`` and ``tombstone_all``
-    return a new plan sharing every untouched slice, so concurrent readers of
-    older snapshots stay valid.
+    Slice i holds the ids of its as-planned order ``order[i-1]`` whose bit in
+    the read-only live mask ``masks[i-1]`` is set, in that order; batch j is
+    the j-th run of ``batch_size`` of those live ids. ``order``, ``slice_of``
+    (every planned id's slice) and ``pos_of`` (its index in ``order`` of that
+    slice) are shared by all versions of a plan, so a lookup is two array
+    reads and one mask bit, and a clear bit means revoked.
+
+    ``tombstone`` and ``tombstone_all`` return a new plan that copies the
+    mask of each slice they touch and shares every other mask, so concurrent
+    readers of older snapshots stay valid. A slice's live ids are built the
+    first time they are read (``slices``, ``slice_ids``, ``batch_ids``,
+    ``live_ids``) and kept in a cell that every version sharing the slice's
+    mask shares; a slice nothing has revoked from is its ``order`` array.
     """
 
     num_slices: int
     batch_size: int
     shuffle_seed: int
-    slices: tuple[np.ndarray, ...]
+    order: tuple[np.ndarray, ...]
     slice_of: np.ndarray
-    # (id, slice, index) of the last id ``_position`` found in this plan, so
-    # that ``tombstone`` after ``locate`` of the same id scans its slice once.
-    # Not a field: set with object.__setattr__, never copied to a new plan.
-    _found = (-1, 0, 0)
+    pos_of: np.ndarray
+    masks: tuple[np.ndarray, ...]
+    # Per slice, a one-item list holding its built live ids, or None.
+    _cells: tuple[list, ...] = field(repr=False)
+
+    @property
+    def slices(self) -> tuple[np.ndarray, ...]:
+        """Each slice's live ids in training order, as read-only int64 arrays."""
+        return tuple(self._live(k) for k in range(self.num_slices))
 
     @property
     def tombstones(self) -> frozenset[int]:
-        """The revoked ids, derived from the slices in O(n); for inspection
+        """The revoked ids, derived from the masks in O(n); for inspection
         and tests, not for the request path."""
-        live = np.zeros(self.slice_of.size, dtype=bool)
-        for ids in self.slices:
-            live[ids] = True
-        return frozenset(np.flatnonzero(~live).tolist())
+        dead = [ids[~live] for ids, live in zip(self.order, self.masks)]
+        return frozenset(np.concatenate(dead).tolist())
+
+    def position(self, sample_id: int) -> tuple[int, int]:
+        """1-based slice and 0-based as-planned index of a live id."""
+        sample_id = int(sample_id)
+        if not 0 <= sample_id < self.slice_of.size:
+            raise NotFound(f"sample {sample_id} is not in the plan")
+        i, k = int(self.slice_of[sample_id]), int(self.pos_of[sample_id])
+        if not self.masks[i - 1][k]:
+            raise AlreadyRevoked(f"sample {sample_id} was already revoked")
+        return i, k
+
+    def batch_at(self, i: int, k: int) -> int:
+        """1-based batch of the live id at as-planned index k of slice i: the
+        live ids before it, counted in the mask, in runs of ``batch_size``."""
+        return int(np.count_nonzero(self.masks[i - 1][:k])) // self.batch_size + 1
 
     def locate(self, sample_id: int) -> tuple[int, int]:
         """1-based (slice, batch) position of a live sample id."""
-        i, k = self._position(int(sample_id))
-        return i, k // self.batch_size + 1
+        i, k = self.position(sample_id)
+        return i, self.batch_at(i, k)
 
-    def tombstone(self, sample_id: int) -> "SlicePlan":
-        """Revoke an id: drop it from its slice; the survivors keep their
-        order. An id that is already revoked leaves the plan as it is."""
-        try:
-            i, k = self._position(int(sample_id))
-        except AlreadyRevoked:
-            return self
-        ids = self.slices[i - 1]
-        kept = np.concatenate((ids[:k], ids[k + 1 :]))
-        kept.flags.writeable = False
-        slices = self.slices[: i - 1] + (kept,) + self.slices[i:]
-        return SlicePlan(self.num_slices, self.batch_size, self.shuffle_seed, slices, self.slice_of)
+    def tombstone(self, sample_id: int, at: tuple[int, int] | None = None) -> "SlicePlan":
+        """Revoke an id: clear its bit; the survivors keep their order. An id
+        that is already revoked leaves the plan as it is. ``at`` is the
+        ``position(sample_id)`` of this plan when the caller has it, which
+        saves the lookup."""
+        if at is None:
+            try:
+                at = self.position(sample_id)
+            except AlreadyRevoked:
+                return self
+        i, k = at
+        live = self.masks[i - 1].copy()
+        live[k] = False
+        return self._with({i - 1: live})
 
     def tombstone_all(self, sample_ids) -> "SlicePlan":
-        """Revoke many ids in one pass: each touched slice is filtered once,
-        and the plan equals the one ``tombstone`` gives called on each id."""
+        """Revoke many ids in one pass: each touched slice's mask is cleared
+        once, and the plan equals the one ``tombstone`` gives called on each
+        id."""
         dead_ids = np.fromiter(sample_ids, dtype=np.int64)
         unplanned = dead_ids[(dead_ids < 0) | (dead_ids >= self.slice_of.size)]
         if unplanned.size:
             raise NotFound(f"sample {unplanned[0]} is not in the plan")
         dead = np.zeros(self.slice_of.size, dtype=bool)
         dead[dead_ids] = True
-        slices = list(self.slices)
-        for i in np.unique(self.slice_of[dead_ids]):
-            ids = slices[i - 1]
-            kept = ids[~dead[ids]]
-            if kept.size < ids.size:  # ids already revoked are in no slice
-                kept.flags.writeable = False
-                slices[i - 1] = kept
-        if all(a is b for a, b in zip(slices, self.slices)):
-            return self
-        return replace(self, slices=tuple(slices))
+        masks = {}
+        for i in np.unique(self.slice_of[dead_ids]).tolist():
+            live = self.masks[i - 1] & ~dead[self.order[i - 1]]
+            if not np.array_equal(live, self.masks[i - 1]):  # ids already revoked change nothing
+                masks[i - 1] = live
+        return self._with(masks) if masks else self
 
     def live_ids(self) -> np.ndarray:
         return np.sort(np.concatenate(self.slices))
@@ -242,7 +293,7 @@ class SlicePlan:
     def slice_ids(self, i: int) -> np.ndarray:
         if not 1 <= i <= self.num_slices:
             raise NotFound(f"no slice {i} in a {self.num_slices}-slice plan")
-        return self.slices[i - 1]
+        return self._live(i - 1)
 
     def num_batches(self, i: int) -> int:
         return (self.slice_ids(i).size + self.batch_size - 1) // self.batch_size
@@ -250,27 +301,34 @@ class SlicePlan:
     def batch_ids(self, i: int, j: int) -> np.ndarray:
         if not 1 <= j <= self.num_batches(i):
             raise NotFound(f"slice {i} has no batch {j}")
-        return self.slices[i - 1][(j - 1) * self.batch_size : j * self.batch_size]
+        return self._live(i - 1)[(j - 1) * self.batch_size : j * self.batch_size]
 
     def slice_sizes(self) -> tuple[int, ...]:
-        return tuple(ids.size for ids in self.slices)
+        return tuple(int(np.count_nonzero(live)) for live in self.masks)
 
-    def _position(self, sample_id: int) -> tuple[int, int]:
-        """Slice and 0-based index in it of a live id, found by one scan of
-        the slice ``slice_of`` names, or taken from the scan that found the
-        same id last in this plan. A planned id that scan misses is revoked."""
-        if not 0 <= sample_id < self.slice_of.size:
-            raise NotFound(f"sample {sample_id} is not in the plan")
-        found, i, k = self._found
-        if found == sample_id and self.slices[i - 1][k] == sample_id:
-            return i, k
-        i = int(self.slice_of[sample_id])
-        ids = self.slices[i - 1]
-        k = int((ids == sample_id).argmax()) if ids.size else 0  # argmax of nothing raises
-        if k >= ids.size or ids[k] != sample_id:
-            raise AlreadyRevoked(f"sample {sample_id} was already revoked")
-        object.__setattr__(self, "_found", (sample_id, i, k))
-        return i, k
+    def _live(self, k: int) -> np.ndarray:
+        """Slice k+1's live ids (0-based k), built once per mask."""
+        cell = self._cells[k]
+        if cell[0] is None:
+            cell[0] = self._build(k)
+        return cell[0]
+
+    def _build(self, k: int) -> np.ndarray:
+        ids = self.order[k][self.masks[k]]
+        ids.flags.writeable = False
+        return ids
+
+    def _with(self, changed: dict[int, np.ndarray]) -> "SlicePlan":
+        """This plan with the masks of the 0-based slices in ``changed``
+        replaced; each gets an empty cell, the others keep theirs."""
+        masks, cells = list(self.masks), list(self._cells)
+        for k, live in changed.items():
+            live.flags.writeable = False
+            masks[k], cells[k] = live, [None]
+        return SlicePlan(
+            self.num_slices, self.batch_size, self.shuffle_seed, self.order,
+            self.slice_of, self.pos_of, tuple(masks), tuple(cells),
+        )
 
 
 def make_slice_plan(dataset: Dataset, num_slices: int, batch_size: int, seed: int) -> SlicePlan:
@@ -280,17 +338,25 @@ def make_slice_plan(dataset: Dataset, num_slices: int, batch_size: int, seed: in
         raise InvalidArgument(f"num_slices must be in [1, {n}], got {num_slices}")
     if batch_size < 1:
         raise InvalidArgument("batch_size must be >= 1")
-    order = np.random.default_rng(seed).permutation(n).astype(np.int64)
-    order.flags.writeable = False
-    slices = tuple(np.array_split(order, num_slices))
-    slice_of = np.empty(n, dtype=np.int64)
-    for i, ids in enumerate(slices, start=1):
+    perm = np.random.default_rng(seed).permutation(n).astype(np.int64, copy=False)
+    perm.flags.writeable = False
+    order = tuple(np.array_split(perm, num_slices))
+    # int32 (n < 2**31), half the memory of int64: each engine holds one pair.
+    slice_of, pos_of = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+    for i, ids in enumerate(order, start=1):
         slice_of[ids] = i
-    slice_of.flags.writeable = False
+        pos_of[ids] = np.arange(ids.size)
+    slice_of.flags.writeable = pos_of.flags.writeable = False
+    masks = tuple(np.ones(ids.size, dtype=bool) for ids in order)
+    for live in masks:
+        live.flags.writeable = False
     return SlicePlan(
         num_slices=num_slices,
         batch_size=batch_size,
         shuffle_seed=seed,
-        slices=slices,
+        order=order,
         slice_of=slice_of,
+        pos_of=pos_of,
+        masks=masks,
+        _cells=tuple([ids] for ids in order),
     )

@@ -314,7 +314,9 @@ class UnlearnEngine:
         The ledger is addressed by recording-time batch membership, since
         tombstoning re-chunks the live plan. A batch's delta is subtracted at
         most once; at r = 0 a later request hitting a consumed batch only
-        tombstones.
+        tombstones. The plan is asked for the sample's position once; only
+        the retraining path counts its live batch, which it reports, while an
+        amend reports the recording-time batch.
         """
         model = self._require_model()
         t0 = time.perf_counter()
@@ -324,7 +326,7 @@ class UnlearnEngine:
             r = self.default_ohs_depth if depth is None else int(depth)
             if not 0 <= r <= num_slices:
                 raise InvalidArgument("ohs depth must be in [0, num_slices]")
-        i, j = self.plan.locate(sample_id)
+        i, k = self.plan.position(sample_id)
         if strategy == "dpus" and i >= self.threshold:
             raise DispatchError(
                 f"sample {sample_id} sits in slice {i} >= threshold {self.threshold}, "
@@ -336,7 +338,6 @@ class UnlearnEngine:
         start = num_slices - r + 1 if amend else i
         base = self.store.get_checkpoint(start - 1) if start <= num_slices else None
         params = model.params if base is None else base.params
-        executed = "prs"
         if amend:
             j = self.store.recorded_batch_index(i, sample_id)
             fresh = self.store.mark_consumed(i, j)
@@ -344,7 +345,9 @@ class UnlearnEngine:
             if fresh:  # the widened increment, which this request owns, takes the result
                 increment = self.store.get_increment(i, j)
                 params = combine(params, increment, "-", out=increment)
-        self.plan = self.plan.tombstone(sample_id)  # reuses locate's scan
+        else:
+            j, executed = self.plan.batch_at(i, k), "prs"
+        self.plan = self.plan.tombstone(sample_id, at=(i, k))
         self.store.add_tombstone(sample_id)
         rewritten, rows_read = [], 0
         if base is not None:

@@ -76,6 +76,21 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
 
 
+def test_dataset_arrays_are_read_only():
+    """A Dataset's arrays refuse writes, so its cached fingerprint cannot go
+    stale; a caller's writable arrays are copied, not frozen in place."""
+    feats, labels = np.ones((4, 2), dtype=np.float32), np.array([0, 1, 1, 0])
+    ds = Dataset(feats, labels)
+    for arr in (ds.features, ds.labels):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert feats.flags.writeable and labels.flags.writeable
+    feats[0, 0] = 5.0
+    assert ds.features[0, 0] == 1.0
+    assert ds.fingerprint() is ds.fingerprint()
+    assert ds.fingerprint() == Dataset(np.ones((4, 2)), [0, 1, 1, 0]).fingerprint()
+
+
 # ------------------------------------------------------------------ synthetic
 def test_gen_synthetic_deterministic():
     a = gen_synthetic(1000, 20, seed=3)
@@ -362,6 +377,42 @@ def test_tombstone_at_history_scale():
         plan = plan.tombstone(sid)
     _assert_same_plan(base.tombstone_all(ids), plan, base)
     assert plan.tombstones == set(ids)
+
+
+def test_plan_versions_are_copy_on_write_snapshots():
+    """100 tombstones from p0, a third of them in one slice: each new plan
+    shares the as-planned order, ``slice_of``, ``pos_of`` and every untouched
+    slice's mask and built ids with its parent and copies exactly one mask,
+    and p0 reads bit for bit as it did before."""
+    n = 5_000
+    ds = Dataset(np.zeros((n, 1), dtype=np.float32), np.arange(n) % 2)
+    p0 = make_slice_plan(ds, 8, 64, seed=2)
+    rng = np.random.default_rng(6)
+    ids = rng.choice(n, 67, replace=False).tolist()
+    ids += [sid for sid in rng.choice(p0.slice_ids(3), 40, replace=False).tolist()
+            if sid not in ids][:33]
+    before = ([a.copy() for a in p0.slices], p0.live_ids().copy(), p0.slice_sizes(),
+              [p0.locate(sid) for sid in range(n)])
+    plan = p0
+    for sid in ids:
+        built = plan.slices
+        after = plan.tombstone(sid)
+        i = plan.locate(sid)[0]
+        assert after.order is plan.order
+        assert after.slice_of is plan.slice_of and after.pos_of is plan.pos_of
+        for k, (got, was) in enumerate(zip(after.masks, plan.masks)):
+            if k == i - 1:
+                assert got is not was and not got.flags.writeable
+                assert np.flatnonzero(got != was).tolist() == [plan.pos_of[sid]]
+            else:
+                assert got is was and after.slices[k] is built[k]
+        plan = after
+    assert len(ids) == 100 and plan.tombstones == set(ids)
+    slices, live, sizes, located = before
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(p0.slices, slices))
+    assert np.array_equal(p0.live_ids(), live)
+    assert p0.slice_sizes() == sizes
+    assert [p0.locate(sid) for sid in range(n)] == located
 
 
 def test_tombstoned_ids_never_reappear(plan_1000):

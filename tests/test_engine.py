@@ -291,6 +291,32 @@ def test_dpus_consume_once(trained_engine):
     assert eng.store.tombstones == eng.plan.tombstones == {first, second}
 
 
+def test_dpus_stream_builds_no_slice_ids(monkeypatch):
+    """A 400-request DPUS stream on an n=50,000, S=8 engine looks each
+    sample's position up once and builds no slice's live ids: its plan work
+    does not grow with n/S beyond one mask copy."""
+    from mubench import SlicePlan
+
+    ds = gen_synthetic(50_000, 4, seed=3)
+    config = TrainConfig(num_slices=8, batch_size=128, seed=1, hidden_dims=(4,))
+    eng = UnlearnEngine.train(ds, config)
+    ids = sample_request_ids(eng.plan, 400, seed=2)
+    calls = {"position": 0, "_build": 0}
+    for name in calls:
+        original = getattr(SlicePlan, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(SlicePlan, name, counted)
+    report = eng.process_stream([UnlearnRequest(sid, "dpus") for sid in ids])
+    assert not report.partial
+    assert {row.strategy_executed for row in report.rows} <= {"dpus", "noop-consumed"}
+    assert calls == {"position": 400, "_build": 0}
+    assert sum(eng.plan.slice_sizes()) == 50_000 - 400
+
+
 def test_dpus_dispatch_guard(trained_engine):
     eng = trained_engine
     late = eng.plan.slice_ids(3)[0]
