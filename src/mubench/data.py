@@ -230,8 +230,8 @@ class SlicePlan:
 
     @property
     def tombstones(self) -> frozenset[int]:
-        """The revoked ids, derived from the masks in O(n); for inspection
-        and tests, not for the request path."""
+        """The revoked ids, derived from the masks in O(n); for persistence,
+        inspection and tests, not for the request path."""
         dead = [ids[~live] for ids, live in zip(self.order, self.masks)]
         return frozenset(np.concatenate(dead).tolist())
 
@@ -331,9 +331,9 @@ class SlicePlan:
         )
 
 
-def make_slice_plan(dataset: Dataset, num_slices: int, batch_size: int, seed: int) -> SlicePlan:
-    """Shuffle ids by seed and split them into near-equal contiguous slices."""
-    n = dataset.n
+def make_slice_plan(n: int, num_slices: int, batch_size: int, seed: int) -> SlicePlan:
+    """Shuffle the ids 0..n-1 by seed and split them into near-equal
+    contiguous slices."""
     if not 1 <= num_slices <= n:
         raise InvalidArgument(f"num_slices must be in [1, {n}], got {num_slices}")
     if batch_size < 1:

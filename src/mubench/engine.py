@@ -171,9 +171,17 @@ def _epoch_orders(
 
 
 class UnlearnEngine:
-    """Owns the dataset view, slice plan, state store and current model."""
+    """Owns the dataset view, the state store with its slice plan, and the
+    current model."""
 
     def __init__(self, dataset: Dataset, config: TrainConfig, ohs_depth: int | None = None):
+        self._configure(dataset, config, ohs_depth)
+        plan = make_slice_plan(dataset.n, config.num_slices, config.batch_size, config.seed)
+        self.store = StateStore(config, self.layout, plan, self.threshold)
+        self.model: Model | None = None
+
+    def _configure(self, dataset: Dataset, config: TrainConfig, ohs_depth: int | None) -> None:
+        """Check the config and set everything but the store and the model."""
         config.validate()
         if config.num_slices > dataset.n:
             raise InvalidArgument("num_slices cannot exceed the dataset size")
@@ -187,9 +195,15 @@ class UnlearnEngine:
         self.default_ohs_depth = decision.r if ohs_depth is None else int(ohs_depth)
         if not 0 <= self.default_ohs_depth <= config.num_slices:
             raise InvalidArgument("ohs_depth must be in [0, num_slices]")
-        self.plan = make_slice_plan(dataset, config.num_slices, config.batch_size, config.seed)
-        self.store = StateStore(config, self.layout, dataset.n, self.threshold)
-        self.model: Model | None = None
+
+    @property
+    def plan(self) -> SlicePlan:
+        """The store's slice plan."""
+        return self.store.plan
+
+    @plan.setter
+    def plan(self, plan: SlicePlan) -> None:
+        self.store.plan = plan
 
     # ---- construction helpers -----------------------------------------
     @classmethod
@@ -200,20 +214,17 @@ class UnlearnEngine:
 
     @classmethod
     def from_store(cls, dataset: Dataset, store: StateStore, ohs_depth: int | None = None):
-        """Rebuild a live engine around a loaded store.
-
-        The plan drops all stored tombstones in one pass (``tombstone_all``),
-        equal to revoking them one by one; the engine serves checkpoint S."""
+        """Rebuild a live engine around a loaded store, whose plan already
+        holds its tombstones; the engine serves checkpoint S."""
         if store.n != dataset.n:
             raise InvalidArgument(
                 f"store was trained on n={store.n}, dataset has n={dataset.n}"
             )
         if store.dataset_fingerprint and store.dataset_fingerprint != dataset.fingerprint():
             raise InvalidArgument("dataset fingerprint does not match the store")
-        engine = cls(dataset, store.config, ohs_depth=ohs_depth)
-        engine.store = store
-        engine.threshold = store.threshold
-        engine.plan = engine.plan.tombstone_all(store.tombstones)
+        engine = cls.__new__(cls)
+        engine._configure(dataset, store.config, ohs_depth)
+        engine.store, engine.threshold = store, store.threshold
         engine.model = Model(store.get_checkpoint(store.config.num_slices).params)
         return engine
 
@@ -230,8 +241,7 @@ class UnlearnEngine:
             raise InvalidArgument("engine is already trained")
         params = init_params(self.layout, self.config.seed)
         state = OptimizerState.fresh(self.layout, self.config.hyper())
-        self.store.set_tombstones(self.plan.tombstones)
-        self.store.put_checkpoint(Checkpoint(0, params, state, self.store.plan_version))
+        self.store.put_checkpoint(Checkpoint(0, params, state))
         params, _, _ = self._train_slices(1, params, state)
         self.store.dataset_fingerprint = self.dataset.fingerprint()
         self.model = Model(params)
@@ -246,9 +256,9 @@ class UnlearnEngine:
         Checkpoint k is reused instead of retraining slice k when it was
         trained from bit-identical start params, Adam state and live slice
         ids: training is deterministic in those, so it would write the same
-        bits. A reused checkpoint is re-put under the current plan version and
-        a reused recorded slice re-records its own ledger with fresh consumed
-        flags, exactly as a retrain leaves them; it reads no rows."""
+        bits. A reused checkpoint is re-put and a reused recorded slice
+        re-records its own ledger with fresh consumed flags, exactly as a
+        retrain leaves them; it reads no rows."""
         trained, rows_read = list(range(start_slice, self.config.num_slices + 1)), 0
         for k in trained:
             ids, record = self.plan.slice_ids(k), k < self.threshold
@@ -262,7 +272,7 @@ class UnlearnEngine:
             else:
                 params, state = self._train_slice(params, state, k, record)
                 rows_read += ids.size * self.config.epochs_per_slice
-            self.store.put_checkpoint(Checkpoint(k, params, state, self.store.plan_version, start))
+            self.store.put_checkpoint(Checkpoint(k, params, state, start))
         return params, trained, rows_read
 
     def _train_slice(
@@ -348,10 +358,8 @@ class UnlearnEngine:
         else:
             j, executed = self.plan.batch_at(i, k), "prs"
         self.plan = self.plan.tombstone(sample_id, at=(i, k))
-        self.store.add_tombstone(sample_id)
         rewritten, rows_read = [], 0
         if base is not None:
-            self.store.plan_version += 1
             params, rewritten, rows_read = self._train_slices(start, params, base.opt_state)
         params.values.flags.writeable = False
         model.params = params

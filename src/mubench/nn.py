@@ -402,7 +402,7 @@ def combine(
     for other in (b, out):  # identity first: the layouts are usually one object
         if other is not None and other.layout is not layout and other.layout != layout:
             raise ShapeMismatch("combine requires vectors with identical layouts")
-    if sign in ("-", "−"):
+    if sign == "-":
         op = np.subtract
     elif sign == "+":
         op = np.add

@@ -1,20 +1,23 @@
-"""Persistence of per-slice checkpoints and the per-slice increment ledger.
+"""Persistence of per-slice checkpoints, the per-slice increment ledger and
+the slice plan, whose live masks are the record of the revoked ids.
 
 On-disk layout: ``manifest.json`` plus one binary file per checkpoint or
 recorded slice. The manifest holds the training config as one ``config``
-section (the engine's ``TrainConfig``), the input width, the threshold, the
-tombstones and one entry per file; a ledger's entry holds its slice, file, id
-count, consumed flags and CRC. Binary framing: magic ``MUCK``, u32 framing
-version, u32 slice index, u32 batch field (0xFFFFFFFF for checkpoints, the row
-count for a ledger), u64 payload length in 4-byte words, the little-endian
-payload, u32 CRC32 trailer over all preceding bytes. Checkpoint payloads are
-float32 (params, adam_m, adam_v); a ledger's payload is its ids as int64 in
-recording-time order, then its float32 delta rows in batch order. Loading
-keeps both as read-only views of the file's bytes and, once every ledger is
-read, builds the index of each id's recording-time position from the ids in
-one pass; the index is not stored. Step counters and consumed flags live in
-the manifest. Writes go to a temp file then ``os.replace``; once the new
-manifest is in place, the store files it does not name are removed.
+section (the engine's ``TrainConfig``), the input width, the threshold, n, the
+tombstones and one entry per file: a checkpoint's holds its slice, file, Adam
+step count and CRC, a ledger's its slice, file, id count and CRC. Binary
+framing: magic ``MUCK``, u32 framing version, u32 slice index, u32 batch field
+(0xFFFFFFFF for checkpoints, the row count for a ledger), u64 payload length
+in 4-byte words, the little-endian payload, u32 CRC32 trailer over all
+preceding bytes. Checkpoint payloads are float32 (params, adam_m, adam_v); a
+ledger's payload is its ids as int64 in recording-time order, then its float32
+delta rows in batch order. Loading keeps both as read-only views of the file's
+bytes, rebuilds the plan from the config and n, revokes the tombstones in it
+and, once every ledger is read, derives in one pass each id's recording-time
+position and each batch's consumed flag (set exactly when one of its ids is
+revoked, as the engine leaves it); neither is stored. Writes go to a temp file
+then ``os.replace``; once the new manifest is in place, the store files it
+does not name are removed.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import SlicePlan, make_slice_plan
 from .errors import (
     InvalidArgument,
     NotFound,
@@ -40,7 +44,7 @@ from .errors import (
 from .nn import AdamHyper, ModelLayout, OptimizerState, ParameterVector
 
 MAGIC = b"MUCK"
-FORMAT_VERSION = 5  # of the manifest; it also fixes what a ledger payload holds
+FORMAT_VERSION = 6  # of the manifest; it also fixes what a ledger payload holds
 FRAME_VERSION = 3  # of the binary files; the header has not changed since version 3
 CHECKPOINT_SENTINEL = 0xFFFFFFFF
 _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
@@ -91,7 +95,6 @@ class Checkpoint:
     slice_index: int
     params: ParameterVector
     opt_state: OptimizerState
-    plan_version: int
     trained_from: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -111,7 +114,8 @@ class Checkpoint:
 class Ledger(NamedTuple):
     """A recorded slice: its ids in recording-time order (batch j is their j-th
     run of ``batch_size``) and one float32 delta row per batch, both read-only
-    and shared by clones, and one consumed flag per batch."""
+    and shared by clones, and one consumed flag per batch, set while the batch
+    holds a revoked id."""
 
     ids: np.ndarray
     deltas: np.ndarray
@@ -155,25 +159,22 @@ def read_vector_file(path: Path) -> tuple[int, int, np.ndarray, int]:
 
 
 class StateStore:
-    """Single-writer store of checkpoints, increments and plan bookkeeping.
+    """Single-writer store of checkpoints, increments and the slice plan.
 
     ``config`` is the training recipe that wrote the checkpoints and ledgers,
     kept as the one record the engine trains from; retraining resumes a stored
-    checkpoint only under it."""
+    checkpoint only under it. ``plan`` is the slice plan of the n ids under
+    ``config``; its live masks are the one record of the revoked ids."""
 
-    def __init__(self, config: TrainConfig, layout: ModelLayout, n: int, threshold: int) -> None:
+    def __init__(self, config: TrainConfig, layout: ModelLayout, plan: SlicePlan, threshold: int):
         self.config = config
         self.layout = layout
-        self.n = int(n)
+        self.plan = plan
+        self.n = int(plan.slice_of.size)
         self.threshold = int(threshold)
-        self.plan_version = 0
         self.dataset_fingerprint = ""
         self.checkpoints: dict[int, Checkpoint] = {}
         self.ledgers: dict[int, Ledger] = {}
-        # The revoked ids, appended in request order; ``tombstones`` is the
-        # set of them, derived and cached until the next change.
-        self._revoked: list[int] = []
-        self._tombstones: frozenset[int] | None = frozenset()
         # Derived from the ledgers and never persisted: id -> its position in
         # the ledger that recorded it last (-1: never recorded). Read-only, so
         # clones share it; record_increment builds a new one.
@@ -267,27 +268,18 @@ class StateStore:
 
     @property
     def tombstones(self) -> frozenset[int]:
-        """The revoked ids."""
-        if self._tombstones is None:
-            self._tombstones = frozenset(self._revoked)
-        return self._tombstones
+        """The revoked ids, derived from the plan's live masks."""
+        return self.plan.tombstones
 
     def set_tombstones(self, ids) -> None:
-        """Replace the revoked ids with ``ids``."""
-        self._revoked = [int(x) for x in ids]
-        self._tombstones = None
-
-    def add_tombstone(self, sample_id: int) -> None:
-        """Append one newly revoked id to the revoked ids."""
-        self._revoked.append(int(sample_id))
-        self._tombstones = None
+        """Revoke ``ids`` in the plan; ids it already revoked stay revoked."""
+        self.plan = self.plan.tombstone_all(ids)
 
     def clone(self) -> "StateStore":
-        """An independent store sharing the read-only checkpoints, ids,
-        deltas and position index; the consumed flags and the revoked ids
-        are copied."""
+        """An independent store sharing the immutable plan and the read-only
+        checkpoints, ids, deltas and position index; the consumed flags are
+        copied."""
         dup = copy.copy(self)
-        dup._revoked = list(self._revoked)
         dup.checkpoints = dict(self.checkpoints)
         dup.ledgers = {i: x._replace(consumed=x.consumed.copy()) for i, x in self.ledgers.items()}
         return dup
@@ -306,27 +298,14 @@ class StateStore:
             payload = np.concatenate([cp.params.values, cp.opt_state.m, cp.opt_state.v])
             crc = write_vector_file(root / fname, i, CHECKPOINT_SENTINEL, payload)
             cp_entries.append(
-                {
-                    "slice": i,
-                    "file": fname,
-                    "step_count": cp.opt_state.step_count,
-                    "plan_version": cp.plan_version,
-                    "crc32": crc,
-                }
+                {"slice": i, "file": fname, "step_count": cp.opt_state.step_count, "crc32": crc}
             )
         ledger_entries = []
         for i, ledger in sorted(self.ledgers.items()):
             fname = f"ledger_{i:04d}.muck"
-            rows = ledger.consumed.size
-            crc = write_vector_file(root / fname, i, rows, ledger.deltas, ledger.ids)
+            crc = write_vector_file(root / fname, i, len(ledger.deltas), ledger.deltas, ledger.ids)
             ledger_entries.append(
-                {
-                    "slice": i,
-                    "file": fname,
-                    "id_count": ledger.ids.size,
-                    "consumed": ledger.consumed.tolist(),
-                    "crc32": crc,
-                }
+                {"slice": i, "file": fname, "id_count": ledger.ids.size, "crc32": crc}
             )
         manifest = {
             "format_version": FORMAT_VERSION,
@@ -334,7 +313,6 @@ class StateStore:
             "input_dim": self.layout.input_dim,
             "threshold": self.threshold,
             "n": self.n,
-            "plan_version": self.plan_version,
             "dataset_fingerprint": self.dataset_fingerprint,
             "tombstones": sorted(self.tombstones),
             "checkpoints": cp_entries,
@@ -351,7 +329,8 @@ class StateStore:
 
     @classmethod
     def load(cls, directory) -> "StateStore":
-        """Load a persisted store; a damaged manifest raises StoreCorruption."""
+        """Load a persisted store; a damaged manifest, a tombstone outside the
+        plan among them, raises StoreCorruption."""
         root = Path(directory)
         manifest_path = root / "manifest.json"
         if not manifest_path.exists():
@@ -360,7 +339,9 @@ class StateStore:
             return cls._from_manifest(root, json.loads(manifest_path.read_text(encoding="utf-8")))
         except KeyError as exc:
             raise StoreCorruption(f"manifest.json: missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError, InvalidArgument, PolicyViolation) as exc:
+        except (
+            AttributeError, TypeError, ValueError, InvalidArgument, NotFound, PolicyViolation
+        ) as exc:
             raise StoreCorruption(f"manifest.json: malformed ({exc})") from exc
 
     @classmethod
@@ -373,10 +354,9 @@ class StateStore:
         config.hidden_dims = tuple(config.hidden_dims)  # JSON gave a list
         config.validate()
         layout = ModelLayout(manifest["input_dim"], config.hidden_dims)
-        store = cls(config, layout, manifest["n"], manifest["threshold"])
-        store.plan_version = int(manifest["plan_version"])
+        plan = make_slice_plan(manifest["n"], config.num_slices, config.batch_size, config.seed)
+        store = cls(config, layout, plan, manifest["threshold"])
         store.dataset_fingerprint = str(manifest["dataset_fingerprint"])
-        store.set_tombstones(manifest["tombstones"])
         count = layout.param_count
         for entry in manifest["checkpoints"]:
             si, bi, payload, crc = read_vector_file(root / entry["file"])
@@ -388,26 +368,36 @@ class StateStore:
             state = OptimizerState(
                 payload[count : 2 * count],
                 payload[2 * count :],
-                entry["step_count"],
+                _count(entry["step_count"], "step_count"),
                 config.hyper(),
             )
-            store.checkpoints[si] = Checkpoint(si, params, state, entry["plan_version"])
+            store.checkpoints[si] = Checkpoint(si, params, state)
         for entry in manifest["ledgers"]:
-            id_count, consumed = entry["id_count"], np.array(entry["consumed"], dtype=bool)
-            if type(id_count) is not int or id_count < 0:
-                raise ValueError(f"id_count must be a non-negative integer, got {id_count!r}")
+            id_count = _count(entry["id_count"], "id_count")
             si, rows, payload, crc = read_vector_file(root / entry["file"])
             if crc != entry["crc32"]:
                 raise StoreCorruption(f"{entry['file']}: manifest checksum disagrees")
-            if rows != -(-id_count // config.batch_size) or rows != consumed.size:
-                raise StoreCorruption(
-                    f"{entry['file']}: {rows} delta rows for {id_count} ids "
-                    f"and {consumed.size} consumed flags"
-                )
+            if rows != -(-id_count // config.batch_size):
+                raise StoreCorruption(f"{entry['file']}: {rows} delta rows for {id_count} ids")
             if si != entry["slice"] or payload.size != 2 * id_count + rows * count:
                 raise StoreCorruption(f"{entry['file']}: ledger framing mismatch")
             ids = payload[: 2 * id_count].view("<i8")
-            ledger = store._put_ledger(si, ids, payload[2 * id_count :].reshape(rows, count))
-            ledger.consumed[:] = consumed
+            store._put_ledger(si, ids, payload[2 * id_count :].reshape(rows, count))
         store._index(store.ledgers.values())  # once, in manifest order
+        store.set_tombstones(_count(x, "a tombstone") for x in manifest["tombstones"])
+        # A batch is consumed exactly when one of its ids is revoked.
+        revoked = np.zeros(store.n, dtype=bool)
+        revoked[list(store.tombstones)] = True
+        for ledger in store.ledgers.values():
+            hit = np.zeros(ledger.consumed.size * config.batch_size, dtype=bool)
+            hit[: ledger.ids.size] = revoked[ledger.ids]
+            ledger.consumed[:] = hit.reshape(-1, config.batch_size).any(axis=1)
         return store
+
+
+def _count(value, name: str) -> int:
+    """``value``, a manifest's ``name``, checked to be a non-negative int (a
+    bool is not)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return value

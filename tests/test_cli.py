@@ -141,10 +141,10 @@ def test_replay_damaged_manifest_fails(out_root, capsys):
     assert main(["train", "--config", str(cfg)]) == 0
     manifest_path = out_root / "run" / "store" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    del manifest["ledgers"][0]["consumed"]
+    del manifest["ledgers"][0]["id_count"]
     manifest_path.write_text(json.dumps(manifest))
     assert main(["replay", "--config", str(cfg)]) == 1
-    assert "error: manifest.json: missing field 'consumed'" in capsys.readouterr().err
+    assert "error: manifest.json: missing field 'id_count'" in capsys.readouterr().err
 
 
 def test_replay_zero_requests(out_root):

@@ -135,16 +135,16 @@ def test_split_dataset_partitions_rows():
 # ----------------------------------------------------------------------- plan
 def test_plan_fully_determined_by_inputs():
     ds = gen_synthetic(300, 4, seed=0)
-    a = make_slice_plan(ds, 4, 32, seed=5)
-    b = make_slice_plan(ds, 4, 32, seed=5)
-    c = make_slice_plan(ds, 4, 32, seed=6)
+    a = make_slice_plan(ds.n, 4, 32, seed=5)
+    b = make_slice_plan(ds.n, 4, 32, seed=5)
+    c = make_slice_plan(ds.n, 4, 32, seed=6)
     assert all(np.array_equal(a.slice_ids(i), b.slice_ids(i)) for i in range(1, 5))
     assert not all(np.array_equal(a.slice_ids(i), c.slice_ids(i)) for i in range(1, 5))
 
 
 def test_plan_equal_split_and_batches():
     ds = gen_synthetic(1000, 4, seed=0)
-    plan = make_slice_plan(ds, 4, 128, seed=5)
+    plan = make_slice_plan(ds.n, 4, 128, seed=5)
     assert plan.num_slices == 4
     assert plan.slice_sizes() == (250, 250, 250, 250)
     for i in range(1, 5):
@@ -155,7 +155,7 @@ def test_plan_equal_split_and_batches():
 
 def test_plan_near_equal_split_remainder():
     ds = gen_synthetic(1002, 4, seed=0)
-    plan = make_slice_plan(ds, 4, 128, seed=5)
+    plan = make_slice_plan(ds.n, 4, 128, seed=5)
     sizes = plan.slice_sizes()
     assert sum(sizes) == 1002
     assert max(sizes) - min(sizes) <= 1
@@ -164,19 +164,19 @@ def test_plan_near_equal_split_remainder():
 def test_plan_rejects_oversized_s():
     ds = gen_synthetic(10, 4, seed=0)
     with pytest.raises(InvalidArgument):
-        make_slice_plan(ds, 11, 4, seed=0)
+        make_slice_plan(ds.n, 11, 4, seed=0)
 
 
 def test_locate_first_of_shuffled_order():
     ds = gen_synthetic(100, 4, seed=0)
-    plan = make_slice_plan(ds, 4, 16, seed=7)
+    plan = make_slice_plan(ds.n, 4, 16, seed=7)
     first = plan.slice_ids(1)[0]
     assert plan.locate(first) == (1, 1)
 
 
 def test_locate_unknown_and_revoked():
     ds = gen_synthetic(50, 4, seed=0)
-    plan = make_slice_plan(ds, 5, 8, seed=1)
+    plan = make_slice_plan(ds.n, 5, 8, seed=1)
     with pytest.raises(NotFound):
         plan.locate(999)
     plan2 = plan.tombstone(3)
@@ -195,7 +195,7 @@ def test_partition_property(n, s, batch, seed):
     """Every live id maps to exactly one (slice, batch)."""
     s = min(s, n)
     ds = Dataset(np.zeros((n, 2), dtype=np.float32), np.arange(n) % 2)
-    plan = make_slice_plan(ds, s, batch, seed)
+    plan = make_slice_plan(ds.n, s, batch, seed)
     seen = [
         sid
         for i in range(1, s + 1)
@@ -212,7 +212,7 @@ def test_partition_property(n, s, batch, seed):
 @pytest.fixture()
 def plan_1000():
     ds = gen_synthetic(1000, 4, seed=0)
-    return make_slice_plan(ds, 4, 128, seed=5)
+    return make_slice_plan(ds.n, 4, 128, seed=5)
 
 
 def test_tombstone_idempotent(plan_1000):
@@ -264,7 +264,7 @@ def test_tombstone_sequence_matches_list_reference(n, s, batch, seed, data):
     flatten the victim's slice, remove it, re-chunk the survivors in order."""
     s = min(s, n)
     ds = Dataset(np.zeros((n, 2), dtype=np.float32), np.arange(n) % 2)
-    plan = make_slice_plan(ds, s, batch, seed)
+    plan = make_slice_plan(ds.n, s, batch, seed)
     order = np.random.default_rng(seed).permutation(n)
     ref = [_chunk(part.tolist(), batch) for part in np.array_split(order, s)]
     revoked = set()
@@ -333,7 +333,7 @@ def test_tombstone_all_matches_one_by_one(n, s, batch, seed, data):
     s = min(s, n)
     ds = Dataset(np.zeros((n, 2), dtype=np.float32), np.arange(n) % 2)
     ids = st.lists(st.integers(0, n - 1), max_size=n)
-    base = _tombstone_each(make_slice_plan(ds, s, batch, seed), data.draw(ids))
+    base = _tombstone_each(make_slice_plan(ds.n, s, batch, seed), data.draw(ids))
     revoked = set(data.draw(ids))
     if data.draw(st.booleans()):
         revoked |= set(base.slices[data.draw(st.integers(0, s - 1))].tolist())
@@ -368,7 +368,7 @@ def test_tombstone_at_history_scale():
     gives for the same ids."""
     n = 50_000
     ds = Dataset(np.zeros((n, 1), dtype=np.float32), np.arange(n) % 2)
-    base = make_slice_plan(ds, 8, 128, seed=3)
+    base = make_slice_plan(ds.n, 8, 128, seed=3)
     ids = np.random.default_rng(4).choice(n, 20_000, replace=False).tolist()
     plan = base
     for sid in ids:
@@ -386,7 +386,7 @@ def test_plan_versions_are_copy_on_write_snapshots():
     and p0 reads bit for bit as it did before."""
     n = 5_000
     ds = Dataset(np.zeros((n, 1), dtype=np.float32), np.arange(n) % 2)
-    p0 = make_slice_plan(ds, 8, 64, seed=2)
+    p0 = make_slice_plan(ds.n, 8, 64, seed=2)
     rng = np.random.default_rng(6)
     ids = rng.choice(n, 67, replace=False).tolist()
     ids += [sid for sid in rng.choice(p0.slice_ids(3), 40, replace=False).tolist()

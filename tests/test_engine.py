@@ -445,7 +445,6 @@ def _engine_state(eng):
             cp.opt_state.m.tobytes(),
             cp.opt_state.v.tobytes(),
             cp.opt_state.step_count,
-            cp.plan_version,
         )
         for k, cp in eng.store.checkpoints.items()
     }
@@ -573,7 +572,7 @@ def _rows(eng, slices):
 def test_reuse_is_bit_identical_to_retraining(item1_engine, stream):
     """After every request of a mixed stream, the engine that reuses
     checkpoints equals one made to retrain every slice it rewrites: outcomes,
-    served params, checkpoints with Adam state and plan version, ledgers with
+    served params, checkpoints with Adam state, ledgers with
     their consumed flags, and tombstones."""
     eng, ref = item1_engine.clone(), item1_engine.clone()
     for strategy, i, pos in stream:
@@ -812,10 +811,15 @@ def test_reload_rebuilds_plan_and_ledger_index(tiny_dataset, tiny_config, tmp_pa
 def _assert_revoked(eng, revoked):
     """The store's revoked ids, the requested ones and the ids missing from
     the plan's slices are one set; each raises AlreadyRevoked, and ids
-    outside the plan raise NotFound."""
+    outside the plan raise NotFound. A ledger batch is consumed exactly when
+    one of its ids is revoked, which is what a load derives."""
     n, plan = eng.dataset.n, eng.plan
     missing = set(range(n)) - set(np.concatenate(plan.slices).tolist())
     assert eng.store.tombstones == set(revoked) == missing == plan.tombstones
+    size = eng.config.batch_size
+    for ledger in eng.store.ledgers.values():
+        batches = [ledger.ids[j : j + size].tolist() for j in range(0, ledger.ids.size, size)]
+        assert ledger.consumed.tolist() == [not missing.isdisjoint(b) for b in batches]
     for sid in revoked:
         with pytest.raises(AlreadyRevoked):
             plan.locate(sid)

@@ -512,8 +512,9 @@ def test_combine_shape_mismatch(small_layout):
 
 def test_combine_bad_sign(small_layout):
     p = init_params(small_layout, seed=0)
-    with pytest.raises(InvalidArgument):
-        combine(p, p, "*")
+    for sign in ("*", "\u2212"):  # U+2212 MINUS SIGN is not "-"
+        with pytest.raises(InvalidArgument):
+            combine(p, p, sign)
 
 
 @settings(max_examples=200, deadline=None)

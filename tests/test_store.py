@@ -12,6 +12,7 @@ from mubench import (
     TrainConfig,
     UnlearnEngine,
     init_params,
+    make_slice_plan,
 )
 from mubench.errors import (
     InvalidArgument,
@@ -27,7 +28,8 @@ LAYOUT = ModelLayout(4, (5,), 2)
 
 def fresh_store(num_slices=4, threshold=3):
     config = TrainConfig(num_slices=num_slices, batch_size=16, phi=50.0, hidden_dims=(5,))
-    return StateStore(config, LAYOUT, 100, threshold)
+    plan = make_slice_plan(100, num_slices, config.batch_size, config.seed)
+    return StateStore(config, LAYOUT, plan, threshold)
 
 
 def make_checkpoint(i, seed=0):
@@ -35,7 +37,7 @@ def make_checkpoint(i, seed=0):
     state = OptimizerState.fresh(LAYOUT)
     state.m[:] = np.float32(0.25) * (i + 1)
     state.step_count = 3 * i
-    return Checkpoint(i, params, state, plan_version=0)
+    return Checkpoint(i, params, state)
 
 
 def test_checkpoint_roundtrip_in_memory():
@@ -141,12 +143,16 @@ def test_record_rejects_ids_outside_the_store():
 
 
 def populated_store():
-    store = fresh_store(num_slices=2, threshold=2)
-    for i in range(3):
+    """A state the engine can reach: five slices of 20 ids, all checkpointed;
+    slice 1 recorded (t = 2) as two batches of its plan ids; two ids of batch
+    1 revoked, the first by a direct update that consumed that batch."""
+    store = fresh_store(num_slices=5, threshold=2)
+    for i in range(6):
         store.put_checkpoint(make_checkpoint(i, seed=40))
-    store.record_increment(1, range(20), deltas(91, 92))  # batch size 16: two batches
-    store.mark_consumed(1, 2)
-    store.set_tombstones([5, 9])
+    ids = store.plan.slice_ids(1)
+    store.record_increment(1, ids, deltas(91, 92))  # batch size 16: two batches
+    store.mark_consumed(1, 1)
+    store.set_tombstones([ids[5], ids[9]])
     store.dataset_fingerprint = "abc123"
     return store
 
@@ -155,7 +161,8 @@ def test_persist_load_bit_identical(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
     loaded = StateStore.load(tmp_path)
-    for i in range(3):
+    assert loaded.checkpoints.keys() == store.checkpoints.keys()
+    for i in store.checkpoints:
         a, b = loaded.get_checkpoint(i), store.get_checkpoint(i)
         assert a.params.bits_equal(b.params)
         assert np.array_equal(a.opt_state.m, b.opt_state.m)
@@ -167,8 +174,10 @@ def test_persist_load_bit_identical(tmp_path):
         assert np.array_equal(got.ids, ledger.ids)
         assert got.ids.dtype == np.int64 and not got.ids.flags.writeable
         assert np.array_equal(got.deltas.view(np.uint32), ledger.deltas.view(np.uint32))
-        assert np.array_equal(got.consumed, ledger.consumed)
-    assert loaded.tombstones == store.tombstones
+        assert np.array_equal(got.consumed, ledger.consumed)  # derived on load
+    assert loaded.tombstones == store.tombstones == loaded.plan.tombstones
+    for i in range(1, 6):
+        assert np.array_equal(loaded.plan.slice_ids(i), store.plan.slice_ids(i))
     assert loaded.threshold == store.threshold
     assert loaded.config == store.config
     assert loaded.layout == LAYOUT
@@ -190,12 +199,15 @@ def test_manifest_version_99_rejected(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    # version 4 kept each ledger's ids in the manifest; version 3 also spelled
-    # the training config as separate keys; version 2 also kept one increment
-    # file per batch; version 1 also kept each slice's recorded ids as nested
-    # per-batch lists
+    # version 5 also kept each ledger's consumed flags and a plan version;
+    # version 4 also kept each ledger's ids in the manifest; version 3 also
+    # spelled the training config as separate keys; version 2 also kept one
+    # increment file per batch; version 1 also kept each slice's recorded ids
+    # as nested per-batch lists
+    manifest["plan_version"] = 0
+    manifest["ledgers"][0]["consumed"] = [True, False]
     manifest["recorded_batches"] = {"1": [list(range(16)), list(range(16, 20))]}
-    for version in (99, 4, 3, 2, 1):
+    for version in (99, 5, 4, 3, 2, 1):
         manifest["format_version"] = version
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreVersionError):
@@ -214,8 +226,15 @@ def _ledger_entry(edit):
     return lambda m: edit(m["ledgers"][0])
 
 
+def _checkpoint_entry(edit):
+    return lambda m: edit(m["checkpoints"][1])
+
+
 def _config(edit):
     return lambda m: edit(m["config"])
+
+
+_STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative integer, got "
 
 
 @pytest.mark.parametrize(
@@ -223,22 +242,31 @@ def _config(edit):
     [
         (_config(_drop("num_slices")), "manifest.json: missing field 'num_slices'"),
         (_set("tombstones", ["x"]), "manifest.json: malformed .*'x'"),
+        (_set("tombstones", [5, 100]), "manifest.json: malformed .*sample 100 is not in the plan"),
+        (_set("tombstones", [-1]), "manifest.json: malformed .*a tombstone must be .* got -1"),
+        (_set("tombstones", [16.7]), "manifest.json: malformed .*a tombstone must be .* got 16.7"),
+        (_set("tombstones", [True]), "manifest.json: malformed .*a tombstone must be .* got True"),
         (_config(_set("batch_size", 0)), "manifest.json: malformed .*batch_size must be >= 1"),
         (_config(_drop("seed")), "manifest.json: missing field 'seed'"),
         (_config(_set("seed", 1.5)), "manifest.json: malformed .*seed must be a non-negative int"),
         (_set("input_dim", []), "manifest.json: malformed"),
         (_set("threshold", 1), "manifest.json: malformed .*slices below 1"),
         (_ledger_entry(_set("id_count", "abc")), "manifest.json: malformed .*'abc'"),
-        (_ledger_entry(_drop("consumed")), "manifest.json: missing field 'consumed'"),
+        (_ledger_entry(_drop("id_count")), "manifest.json: missing field 'id_count'"),
         (_ledger_entry(_set("id_count", 40)), "ledger_0001.muck: 2 delta rows for 40 ids"),
         (_ledger_entry(_set("id_count", 30)), "ledger_0001.muck: ledger framing mismatch"),
-        (_ledger_entry(_set("consumed", [False])), "ledger_0001.muck: .* and 1 consumed flags"),
         (_set("n", 10), r"manifest.json: malformed .*ledger ids must lie in \[0, 10\)"),
+        (_checkpoint_entry(_set("step_count", 1.5)), _STEP_COUNT + "1.5"),
+        (_checkpoint_entry(_set("step_count", 3.0)), _STEP_COUNT + r"3\.0"),
+        (_checkpoint_entry(_set("step_count", True)), _STEP_COUNT + "True"),
+        (_checkpoint_entry(_set("step_count", -1)), _STEP_COUNT + "-1"),
     ],
     ids=[
-        "no_S", "tombstone_string", "batch_size_zero", "no_train_seed", "seed_not_int",
-        "layout_list", "threshold_one", "id_count_string", "no_consumed", "rows_short_of_ids",
-        "id_count_past_payload", "rows_past_consumed", "ids_past_n",
+        "no_S", "tombstone_string", "tombstone_past_n", "tombstone_negative", "tombstone_float",
+        "tombstone_bool", "batch_size_zero", "no_train_seed", "seed_not_int", "layout_list",
+        "threshold_one", "id_count_string", "no_id_count", "rows_short_of_ids",
+        "id_count_past_payload", "ids_past_n", "step_count_float", "step_count_integral_float",
+        "step_count_bool", "step_count_negative",
     ],
 )
 def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
@@ -251,11 +279,13 @@ def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
 
 
 def test_ledger_ids_live_in_the_ledger_file(tmp_path):
-    """The manifest keeps only each ledger's id count; a truncated ledger file
-    fails its checks."""
+    """The manifest keeps only each ledger's id count, and no consumed flags
+    or plan version; a truncated ledger file fails its checks."""
     populated_store().persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert set(manifest["ledgers"][0]) == {"slice", "file", "id_count", "consumed", "crc32"}
+    assert set(manifest["ledgers"][0]) == {"slice", "file", "id_count", "crc32"}
+    assert set(manifest["checkpoints"][0]) == {"slice", "file", "step_count", "crc32"}
+    assert "plan_version" not in manifest
     assert manifest["ledgers"][0]["id_count"] == 20
     victim = tmp_path / "ledger_0001.muck"
     victim.write_bytes(victim.read_bytes()[:-12])
@@ -366,9 +396,10 @@ def test_checkpoint_sentinel_in_file(tmp_path):
 
 def test_clone_is_isolated():
     """A clone shares the read-only checkpoints, ids and deltas and owns its
-    consumed flags; a ledger recorded after the clone leaves the clone's
-    lookups as they were."""
+    plan and consumed flags; a ledger recorded after the clone leaves the
+    clone's lookups as they were."""
     store = populated_store()
+    ids = store.ledgers[1].ids
     dup = store.clone()
     for i, cp in store.checkpoints.items():
         assert dup.get_checkpoint(i) is cp
@@ -376,12 +407,14 @@ def test_clone_is_isolated():
             with pytest.raises(ValueError):
                 values[0] += 1.0
     assert dup.ledgers[1].deltas is store.ledgers[1].deltas
-    store.add_tombstone(11)
-    dup.add_tombstone(12)
-    assert (store.tombstones, dup.tombstones) == ({5, 9, 11}, {5, 9, 12})
-    dup.mark_consumed(1, 1)
-    assert not store.ledgers[1].consumed[0]
-    store.record_increment(1, range(16, 36), deltas(0, 1))
-    assert (store.recorded_batch_index(1, 17), dup.recorded_batch_index(1, 17)) == (1, 2)
+    store.set_tombstones([ids[11]])
+    dup.set_tombstones([ids[12]])
+    assert store.tombstones == set(ids[[5, 9, 11]].tolist())
+    assert dup.tombstones == set(ids[[5, 9, 12]].tolist())
+    dup.mark_consumed(1, 2)
+    assert not store.ledgers[1].consumed[1]
+    other = store.plan.slice_ids(2)[:16]
+    store.record_increment(1, np.concatenate([ids[16:], other]), deltas(0, 1))
+    assert (store.recorded_batch_index(1, ids[17]), dup.recorded_batch_index(1, ids[17])) == (1, 2)
     with pytest.raises(NotFound):
-        dup.recorded_batch_index(1, 30)
+        dup.recorded_batch_index(1, other[0])
