@@ -2,9 +2,9 @@
 
 A ``Dataset`` holds read-only arrays, so it hashes them once. A ``SlicePlan``
 fixes each slice's order when it is made and records revocations as one live
-mask per slice: locating an id is two array reads and one mask bit, revoking
-one copies one mask of n/S bytes, and a slice's live ids are built only when
-something reads them.
+mask per slice, which it owns and clears in place: locating an id is two array
+reads and one mask bit, revoking one clears that bit, and a slice's live ids
+are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import functools
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,23 +194,25 @@ def split_dataset(dataset: Dataset, eval_fraction: float, seed: int) -> tuple[Da
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class SlicePlan:
-    """Immutable partition of sample ids into ordered slices of batches.
+    """Partition of sample ids into ordered slices of batches, owned by one
+    store and revoked from in place.
 
     Slice i holds the ids of its as-planned order ``order[i-1]`` whose bit in
-    the read-only live mask ``masks[i-1]`` is set, in that order; batch j is
-    the j-th run of ``batch_size`` of those live ids. ``order``, ``slice_of``
-    (every planned id's slice) and ``pos_of`` (its index in ``order`` of that
-    slice) are shared by all versions of a plan, so a lookup is two array
-    reads and one mask bit, and a clear bit means revoked.
+    the live mask ``masks[i-1]`` is set, in that order; batch j is the j-th
+    run of ``batch_size`` of those live ids. ``order``, ``slice_of`` (every
+    planned id's slice) and ``pos_of`` (its index in ``order`` of that slice)
+    never change, so a lookup is two array reads and one mask bit, and a clear
+    bit means revoked.
 
-    ``tombstone`` and ``tombstone_all`` return a new plan that copies the
-    mask of each slice they touch and shares every other mask, so concurrent
-    readers of older snapshots stay valid. A slice's live ids are built the
-    first time they are read (``slices``, ``slice_ids``, ``batch_ids``,
-    ``live_ids``) and kept in a cell that every version sharing the slice's
-    mask shares; a slice nothing has revoked from is its ``order`` array.
+    ``tombstone`` and ``tombstone_all`` clear bits in this plan's own masks
+    and return the plan itself. A slice's live ids are built the first time
+    they are read (``slices``, ``slice_ids``, ``batch_ids``, ``live_ids``) as
+    a read-only array, kept until a revocation touches the slice, and never
+    changed after, so a reader may keep it; a slice nothing has revoked from
+    is its ``order`` array. ``copy`` gives a plan that revokes independently
+    of this one.
     """
 
     num_slices: int
@@ -220,8 +222,8 @@ class SlicePlan:
     slice_of: np.ndarray
     pos_of: np.ndarray
     masks: tuple[np.ndarray, ...]
-    # Per slice, a one-item list holding its built live ids, or None.
-    _cells: tuple[list, ...] = field(repr=False)
+    # Per slice, its built live ids, or None until they are read.
+    _built: list = field(repr=False)
 
     @property
     def slices(self) -> tuple[np.ndarray, ...]:
@@ -236,7 +238,10 @@ class SlicePlan:
         return frozenset(np.concatenate(dead).tolist())
 
     def position(self, sample_id: int) -> tuple[int, int]:
-        """1-based slice and 0-based as-planned index of a live id."""
+        """1-based slice and 0-based as-planned index of a live id; an id
+        that is not a Python or numpy int (a bool is not) is InvalidArgument."""
+        if type(sample_id) is not int and not isinstance(sample_id, np.integer):
+            raise InvalidArgument(f"sample ids are integers, got {sample_id!r}")
         sample_id = int(sample_id)
         if not 0 <= sample_id < self.slice_of.size:
             raise NotFound(f"sample {sample_id} is not in the plan")
@@ -256,36 +261,42 @@ class SlicePlan:
         return i, self.batch_at(i, k)
 
     def tombstone(self, sample_id: int, at: tuple[int, int] | None = None) -> "SlicePlan":
-        """Revoke an id: clear its bit; the survivors keep their order. An id
-        that is already revoked leaves the plan as it is. ``at`` is the
-        ``position(sample_id)`` of this plan when the caller has it, which
-        saves the lookup."""
+        """Revoke an id in place: clear its bit; the survivors keep their
+        order. An id that is already revoked leaves the plan as it is. ``at``
+        is ``position(sample_id)`` when the caller has it, which saves the
+        lookup. Returns the plan."""
         if at is None:
             try:
                 at = self.position(sample_id)
             except AlreadyRevoked:
                 return self
         i, k = at
-        live = self.masks[i - 1].copy()
-        live[k] = False
-        return self._with({i - 1: live})
+        self.masks[i - 1][k] = False
+        self._built[i - 1] = None
+        return self
 
     def tombstone_all(self, sample_ids) -> "SlicePlan":
-        """Revoke many ids in one pass: each touched slice's mask is cleared
-        once, and the plan equals the one ``tombstone`` gives called on each
-        id."""
+        """Revoke many ids in one pass, in place, leaving the plan that
+        ``tombstone`` leaves called on each id; an id outside the plan raises
+        NotFound before any is revoked. Returns the plan."""
         dead_ids = np.fromiter(sample_ids, dtype=np.int64)
         unplanned = dead_ids[(dead_ids < 0) | (dead_ids >= self.slice_of.size)]
         if unplanned.size:
             raise NotFound(f"sample {unplanned[0]} is not in the plan")
-        dead = np.zeros(self.slice_of.size, dtype=bool)
-        dead[dead_ids] = True
-        masks = {}
-        for i in np.unique(self.slice_of[dead_ids]).tolist():
-            live = self.masks[i - 1] & ~dead[self.order[i - 1]]
-            if not np.array_equal(live, self.masks[i - 1]):  # ids already revoked change nothing
-                masks[i - 1] = live
-        return self._with(masks) if masks else self
+        slices, pos = self.slice_of[dead_ids] - 1, self.pos_of[dead_ids]
+        for k in np.unique(slices).tolist():
+            live, at = self.masks[k], pos[slices == k]
+            if live[at].any():  # ids already revoked change nothing
+                live[at] = False
+                self._built[k] = None
+        return self
+
+    def copy(self) -> "SlicePlan":
+        """A plan that revokes independently of this one: it copies the
+        masks (n bytes) and the list of built ids, and shares ``order``,
+        ``slice_of``, ``pos_of`` and the built read-only id arrays."""
+        return replace(self, masks=tuple(live.copy() for live in self.masks),
+                       _built=list(self._built))
 
     def live_ids(self) -> np.ndarray:
         return np.sort(np.concatenate(self.slices))
@@ -307,28 +318,15 @@ class SlicePlan:
         return tuple(int(np.count_nonzero(live)) for live in self.masks)
 
     def _live(self, k: int) -> np.ndarray:
-        """Slice k+1's live ids (0-based k), built once per mask."""
-        cell = self._cells[k]
-        if cell[0] is None:
-            cell[0] = self._build(k)
-        return cell[0]
+        """Slice k+1's live ids (0-based k), built once per revocation."""
+        if self._built[k] is None:
+            self._built[k] = self._build(k)
+        return self._built[k]
 
     def _build(self, k: int) -> np.ndarray:
         ids = self.order[k][self.masks[k]]
         ids.flags.writeable = False
         return ids
-
-    def _with(self, changed: dict[int, np.ndarray]) -> "SlicePlan":
-        """This plan with the masks of the 0-based slices in ``changed``
-        replaced; each gets an empty cell, the others keep theirs."""
-        masks, cells = list(self.masks), list(self._cells)
-        for k, live in changed.items():
-            live.flags.writeable = False
-            masks[k], cells[k] = live, [None]
-        return SlicePlan(
-            self.num_slices, self.batch_size, self.shuffle_seed, self.order,
-            self.slice_of, self.pos_of, tuple(masks), tuple(cells),
-        )
 
 
 def make_slice_plan(n: int, num_slices: int, batch_size: int, seed: int) -> SlicePlan:
@@ -347,9 +345,6 @@ def make_slice_plan(n: int, num_slices: int, batch_size: int, seed: int) -> Slic
         slice_of[ids] = i
         pos_of[ids] = np.arange(ids.size)
     slice_of.flags.writeable = pos_of.flags.writeable = False
-    masks = tuple(np.ones(ids.size, dtype=bool) for ids in order)
-    for live in masks:
-        live.flags.writeable = False
     return SlicePlan(
         num_slices=num_slices,
         batch_size=batch_size,
@@ -357,6 +352,6 @@ def make_slice_plan(n: int, num_slices: int, batch_size: int, seed: int) -> Slic
         order=order,
         slice_of=slice_of,
         pos_of=pos_of,
-        masks=masks,
-        _cells=tuple([ids] for ids in order),
+        masks=tuple(np.ones(ids.size, dtype=bool) for ids in order),
+        _built=list(order),
     )

@@ -198,11 +198,12 @@ class UnlearnEngine:
 
     @property
     def plan(self) -> SlicePlan:
-        """The store's slice plan."""
+        """The store's slice plan, which requests revoke from in place."""
         return self.store.plan
 
     @plan.setter
     def plan(self, plan: SlicePlan) -> None:
+        # For callers that write ``engine.plan = engine.plan.tombstone(sid)``.
         self.store.plan = plan
 
     # ---- construction helpers -----------------------------------------
@@ -220,7 +221,7 @@ class UnlearnEngine:
             raise InvalidArgument(
                 f"store was trained on n={store.n}, dataset has n={dataset.n}"
             )
-        if store.dataset_fingerprint and store.dataset_fingerprint != dataset.fingerprint():
+        if store.dataset_fingerprint != dataset.fingerprint():
             raise InvalidArgument("dataset fingerprint does not match the store")
         engine = cls.__new__(cls)
         engine._configure(dataset, store.config, ohs_depth)
@@ -256,9 +257,10 @@ class UnlearnEngine:
         Checkpoint k is reused instead of retraining slice k when it was
         trained from bit-identical start params, Adam state and live slice
         ids: training is deterministic in those, so it would write the same
-        bits. A reused checkpoint is re-put and a reused recorded slice
-        re-records its own ledger with fresh consumed flags, exactly as a
-        retrain leaves them; it reads no rows."""
+        bits. A reused checkpoint is re-put and reads no rows; a reused
+        recorded slice keeps its ledger, whose ids are the same and whose
+        batches are unconsumed (a consumed batch comes with a tombstone in
+        its slice, which forces a retrain)."""
         trained, rows_read = list(range(start_slice, self.config.num_slices + 1)), 0
         for k in trained:
             ids, record = self.plan.slice_ids(k), k < self.threshold
@@ -266,9 +268,6 @@ class UnlearnEngine:
             cp = self.store.checkpoints.get(k)
             if cp is not None and cp.was_trained_from(start):
                 params, state = cp.params, cp.opt_state
-                if record:
-                    ledger = self.store.ledgers[k]
-                    self.store.record_increment(k, ledger.ids, ledger.deltas)
             else:
                 params, state = self._train_slice(params, state, k, record)
                 rows_read += ids.size * self.config.epochs_per_slice
@@ -357,7 +356,7 @@ class UnlearnEngine:
                 params = combine(params, increment, "-", out=increment)
         else:
             j, executed = self.plan.batch_at(i, k), "prs"
-        self.plan = self.plan.tombstone(sample_id, at=(i, k))
+        self.plan.tombstone(sample_id, at=(i, k))
         rewritten, rows_read = [], 0
         if base is not None:
             params, rewritten, rows_read = self._train_slices(start, params, base.opt_state)

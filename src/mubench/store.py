@@ -164,7 +164,9 @@ class StateStore:
     ``config`` is the training recipe that wrote the checkpoints and ledgers,
     kept as the one record the engine trains from; retraining resumes a stored
     checkpoint only under it. ``plan`` is the slice plan of the n ids under
-    ``config``; its live masks are the one record of the revoked ids."""
+    ``config``; its live masks are the one record of the revoked ids. The
+    store owns it: requests revoke in it in place, and only ``clone`` copies
+    it."""
 
     def __init__(self, config: TrainConfig, layout: ModelLayout, plan: SlicePlan, threshold: int):
         self.config = config
@@ -273,13 +275,14 @@ class StateStore:
 
     def set_tombstones(self, ids) -> None:
         """Revoke ``ids`` in the plan; ids it already revoked stay revoked."""
-        self.plan = self.plan.tombstone_all(ids)
+        self.plan.tombstone_all(ids)
 
     def clone(self) -> "StateStore":
-        """An independent store sharing the immutable plan and the read-only
-        checkpoints, ids, deltas and position index; the consumed flags are
+        """An independent store sharing the read-only checkpoints, ids, deltas
+        and position index; the plan's masks and the consumed flags are
         copied."""
         dup = copy.copy(self)
+        dup.plan = self.plan.copy()
         dup.checkpoints = dict(self.checkpoints)
         dup.ledgers = {i: x._replace(consumed=x.consumed.copy()) for i, x in self.ledgers.items()}
         return dup
@@ -354,8 +357,9 @@ class StateStore:
         config.hidden_dims = tuple(config.hidden_dims)  # JSON gave a list
         config.validate()
         layout = ModelLayout(manifest["input_dim"], config.hidden_dims)
-        plan = make_slice_plan(manifest["n"], config.num_slices, config.batch_size, config.seed)
-        store = cls(config, layout, plan, manifest["threshold"])
+        n = _count(manifest["n"], "n")
+        plan = make_slice_plan(n, config.num_slices, config.batch_size, config.seed)
+        store = cls(config, layout, plan, _count(manifest["threshold"], "threshold"))
         store.dataset_fingerprint = str(manifest["dataset_fingerprint"])
         count = layout.param_count
         for entry in manifest["checkpoints"]:

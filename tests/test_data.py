@@ -222,12 +222,21 @@ def test_tombstone_idempotent(plan_1000):
 
 
 def test_tombstone_shrinks_only_affected_slice(plan_1000):
-    victim = plan_1000.slice_ids(2)[0]
-    after = plan_1000.tombstone(victim)
-    assert after.slice_sizes() == (250, 249, 250, 250)
-    assert after.slice_ids(1) is plan_1000.slice_ids(1)
-    assert after.slice_ids(3) is plan_1000.slice_ids(3)
-    assert after.slice_ids(4) is plan_1000.slice_ids(4)
+    """Revoking one id rebuilds only its slice's ids, whether by
+    ``tombstone`` or ``tombstone_all``; copies taken after the slices were
+    built share the untouched ones with the base, which stays whole."""
+    built = plan_1000.slices
+    victim = int(built[1][0])
+    for after in (plan_1000.copy().tombstone(victim), plan_1000.copy().tombstone_all([victim])):
+        assert after is not plan_1000
+        assert after.slice_sizes() == (250, 249, 250, 250)
+        assert after.tombstones == {victim}
+        assert np.array_equal(after.slice_ids(2), built[1][1:])
+        assert after.slice_ids(1) is built[0]
+        assert after.slice_ids(3) is built[2]
+        assert after.slice_ids(4) is built[3]
+    assert plan_1000.slice_sizes() == (250, 250, 250, 250) and not plan_1000.tombstones
+    assert all(a is b for a, b in zip(plan_1000.slices, built))
 
 
 def test_tombstone_preserves_survivor_order(plan_1000):
@@ -304,11 +313,23 @@ def _tombstone_each(plan, ids):
     return plan
 
 
+def _revoke_both_ways(base, ids):
+    """``tombstone_all`` and one-by-one ``tombstone`` of ``ids``, each on its
+    own copy of ``base``, whose slices are built first so that the copies
+    share them; ``base`` itself is left as it was."""
+    ids, revoked, built = list(ids), base.tombstones, base.slices
+    got, want = base.copy().tombstone_all(ids), _tombstone_each(base.copy(), ids)
+    assert got is not want and base.tombstones == revoked
+    assert all(a is b for a, b in zip(base.slices, built))
+    assert want.tombstones == revoked | set(ids)
+    return got, want
+
+
 def _assert_same_plan(got, want, base):
     """Bit-equal slices with the same read-only flags, shared with ``base``
     where ``want`` shares them; the same tombstones, batches and locations."""
     assert got.tombstones == want.tombstones
-    assert got.slice_of is want.slice_of
+    assert got.slice_of is want.slice_of is base.slice_of
     for k, (a, b) in enumerate(zip(got.slices, want.slices)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert not a.flags.writeable and not b.flags.writeable
@@ -339,27 +360,34 @@ def test_tombstone_all_matches_one_by_one(n, s, batch, seed, data):
         revoked |= set(base.slices[data.draw(st.integers(0, s - 1))].tolist())
     if data.draw(st.booleans()):
         revoked |= {int(part[0]) for part in base.slices if part.size}
-    _assert_same_plan(base.tombstone_all(revoked), _tombstone_each(base, revoked), base)
+    _assert_same_plan(*_revoke_both_ways(base, revoked), base)
 
 
 def test_tombstone_all_edge_sets(plan_1000):
-    assert plan_1000.tombstone_all([]) is plan_1000
-    once = plan_1000.tombstone_all([3, 4])
-    assert once.tombstone_all([4, 3]) is once
-    whole = plan_1000.slice_ids(2).tolist()
-    every = [int(part[-1]) for part in plan_1000.slices]
+    """The empty set, ids already revoked, a whole slice, one id per slice and
+    every id; an id outside the plan revokes nothing."""
+    built = plan_1000.slices
+    assert plan_1000.tombstone_all([]) is plan_1000 and not plan_1000.tombstones
+    once = plan_1000.copy()
+    assert once.tombstone_all([3, 4]) is once and once.tombstones == {3, 4}
+    rebuilt = once.slices
+    assert once.tombstone_all([4, 3]) is once and once.tombstones == {3, 4}
+    assert all(a is b for a, b in zip(once.slices, rebuilt))  # nothing to rebuild
+    whole = built[1].tolist()
+    every = [int(part[-1]) for part in built]
     for revoked in (whole, every, range(1000)):
-        want = _tombstone_each(plan_1000, revoked)
-        _assert_same_plan(plan_1000.tombstone_all(revoked), want, plan_1000)
-    assert plan_1000.tombstone_all(range(1000)).slice_sizes() == (0, 0, 0, 0)
+        _assert_same_plan(*_revoke_both_ways(plan_1000, revoked), plan_1000)
+    assert plan_1000.copy().tombstone_all(range(1000)).slice_sizes() == (0, 0, 0, 0)
     with pytest.raises(NotFound):
         plan_1000.tombstone_all([5, 123456])
-    emptied = plan_1000.tombstone_all(whole)
+    assert not plan_1000.tombstones
+    emptied = plan_1000.copy().tombstone_all(whole)
     assert emptied.slice_sizes() == (250, 0, 250, 250)
     for sid in whole[:3]:
         with pytest.raises(AlreadyRevoked):
             emptied.locate(sid)
         assert emptied.tombstone(sid) is emptied
+    assert plan_1000.slice_sizes() == (250, 250, 250, 250)
 
 
 def test_tombstone_at_history_scale():
@@ -369,50 +397,63 @@ def test_tombstone_at_history_scale():
     n = 50_000
     ds = Dataset(np.zeros((n, 1), dtype=np.float32), np.arange(n) % 2)
     base = make_slice_plan(ds.n, 8, 128, seed=3)
+    base.slices
     ids = np.random.default_rng(4).choice(n, 20_000, replace=False).tolist()
-    plan = base
+    plan = base.copy()
     for sid in ids:
         if sid % 2:
             plan.locate(sid)
-        plan = plan.tombstone(sid)
-    _assert_same_plan(base.tombstone_all(ids), plan, base)
-    assert plan.tombstones == set(ids)
+        assert plan.tombstone(sid) is plan
+    _assert_same_plan(base.copy().tombstone_all(ids), plan, base)
+    assert plan.tombstones == set(ids) and not base.tombstones
 
 
-def test_plan_versions_are_copy_on_write_snapshots():
-    """100 tombstones from p0, a third of them in one slice: each new plan
-    shares the as-planned order, ``slice_of``, ``pos_of`` and every untouched
-    slice's mask and built ids with its parent and copies exactly one mask,
-    and p0 reads bit for bit as it did before."""
-    n = 5_000
-    ds = Dataset(np.zeros((n, 1), dtype=np.float32), np.arange(n) % 2)
-    p0 = make_slice_plan(ds.n, 8, 64, seed=2)
-    rng = np.random.default_rng(6)
-    ids = rng.choice(n, 67, replace=False).tolist()
-    ids += [sid for sid in rng.choice(p0.slice_ids(3), 40, replace=False).tolist()
-            if sid not in ids][:33]
-    before = ([a.copy() for a in p0.slices], p0.live_ids().copy(), p0.slice_sizes(),
-              [p0.locate(sid) for sid in range(n)])
-    plan = p0
-    for sid in ids:
-        built = plan.slices
-        after = plan.tombstone(sid)
-        i = plan.locate(sid)[0]
-        assert after.order is plan.order
-        assert after.slice_of is plan.slice_of and after.pos_of is plan.pos_of
-        for k, (got, was) in enumerate(zip(after.masks, plan.masks)):
-            if k == i - 1:
-                assert got is not was and not got.flags.writeable
-                assert np.flatnonzero(got != was).tolist() == [plan.pos_of[sid]]
-            else:
-                assert got is was and after.slices[k] is built[k]
-        plan = after
-    assert len(ids) == 100 and plan.tombstones == set(ids)
-    slices, live, sizes, located = before
-    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(p0.slices, slices))
-    assert np.array_equal(p0.live_ids(), live)
-    assert p0.slice_sizes() == sizes
-    assert [p0.locate(sid) for sid in range(n)] == located
+def _planned_slices(n, s, seed):
+    """Each slice's as-planned ids, drawn the way ``make_slice_plan`` draws
+    them."""
+    return [part.tolist() for part in np.array_split(np.random.default_rng(seed).permutation(n), s)]
+
+
+def _assert_plan_reads(plan, planned, revoked, batch):
+    """``plan``'s slices, live ids, sizes, tombstones and locations are those
+    of the ``planned`` slices without the ``revoked`` ids."""
+    want = [[sid for sid in part if sid not in revoked] for part in planned]
+    assert [ids.tolist() for ids in plan.slices] == want
+    assert plan.live_ids().tolist() == sorted(sid for part in want for sid in part)
+    assert plan.slice_sizes() == tuple(len(part) for part in want)
+    assert plan.tombstones == revoked
+    for i, part in enumerate(want, start=1):
+        for k, sid in enumerate(part):
+            assert plan.locate(sid) == (i, k // batch + 1)
+    for sid in revoked:
+        with pytest.raises(AlreadyRevoked):
+            plan.locate(sid)
+
+
+def test_plan_copies_revoke_independently():
+    """A copy taken after the slices were built shares none of the revoked
+    state: base and copy each revoke their own ids in every slice, by
+    ``tombstone`` and by ``tombstone_all``, the copy builds its ids first, and
+    each side then reads as the planned slices without its own ids."""
+    n, s, batch = 2_000, 8, 16
+    planned = _planned_slices(n, s, seed=2)
+    base = make_slice_plan(n, s, batch, seed=2)
+    built = base.slices
+    dup = base.copy()
+    assert dup is not base
+    assert dup.order is base.order and dup.slice_of is base.slice_of and dup.pos_of is base.pos_of
+    assert all(a is b for a, b in zip(dup.slices, built))
+    assert not any(a is b for a, b in zip(dup.masks, base.masks))
+    mine = {part[3] for part in planned} | {part[10] for part in planned}
+    theirs = {part[5] for part in planned} | {part[-1] for part in planned}
+    for sid in sorted(mine)[::2]:
+        assert base.tombstone(sid) is base
+    assert base.tombstone_all(sorted(mine)[1::2]) is base
+    for sid in sorted(theirs)[::2]:
+        assert dup.tombstone(sid) is dup
+    assert dup.tombstone_all(sorted(theirs)[1::2]) is dup
+    _assert_plan_reads(dup, planned, theirs, batch)
+    _assert_plan_reads(base, planned, mine, batch)
 
 
 def test_tombstoned_ids_never_reappear(plan_1000):

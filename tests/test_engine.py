@@ -293,15 +293,16 @@ def test_dpus_consume_once(trained_engine):
 
 def test_dpus_stream_builds_no_slice_ids(monkeypatch):
     """A 400-request DPUS stream on an n=50,000, S=8 engine looks each
-    sample's position up once and builds no slice's live ids: its plan work
-    does not grow with n/S beyond one mask copy."""
+    sample's position up once, builds no slice's live ids and revokes in its
+    one plan, which it never copies: its plan work does not grow with n/S."""
     from mubench import SlicePlan
 
     ds = gen_synthetic(50_000, 4, seed=3)
     config = TrainConfig(num_slices=8, batch_size=128, seed=1, hidden_dims=(4,))
     eng = UnlearnEngine.train(ds, config)
-    ids = sample_request_ids(eng.plan, 400, seed=2)
-    calls = {"position": 0, "_build": 0}
+    plan = eng.plan
+    ids = sample_request_ids(plan, 400, seed=2)
+    calls = {"position": 0, "_build": 0, "copy": 0}
     for name in calls:
         original = getattr(SlicePlan, name)
 
@@ -313,8 +314,35 @@ def test_dpus_stream_builds_no_slice_ids(monkeypatch):
     report = eng.process_stream([UnlearnRequest(sid, "dpus") for sid in ids])
     assert not report.partial
     assert {row.strategy_executed for row in report.rows} <= {"dpus", "noop-consumed"}
-    assert calls == {"position": 400, "_build": 0}
-    assert sum(eng.plan.slice_sizes()) == 50_000 - 400
+    assert calls == {"position": 400, "_build": 0, "copy": 0}
+    assert eng.plan is plan and eng.store.plan is plan
+    assert sum(plan.slice_sizes()) == 50_000 - 400
+
+
+@pytest.mark.parametrize(
+    "sid",
+    [3.7, 3.0, np.float64(3.0), True, np.True_, "3", None],
+    ids=["float", "integral_float", "numpy_float", "bool", "numpy_bool", "string", "none"],
+)
+def test_non_integer_ids_revoke_nothing(trained_engine, sid):
+    """A float, a bool or any other non-integer id is InvalidArgument at
+    ``dispatch``, ``unlearn_prs`` and ``locate``, and nothing is revoked;
+    Python and numpy ints are accepted."""
+    eng = trained_engine
+    before = _engine_state(eng)
+    for call in (
+        lambda: eng.dispatch(UnlearnRequest(sid, "dpus")),
+        lambda: eng.unlearn_prs(sid),
+        lambda: eng.plan.locate(sid),
+    ):
+        with pytest.raises(InvalidArgument, match="sample ids are integers"):
+            call()
+    assert _engine_state(eng) == before and not eng.plan.tombstones
+    early = eng.plan.slice_ids(1)[:2]
+    assert eng.plan.locate(np.int32(early[0])) == eng.plan.locate(int(early[0]))
+    assert eng.dispatch(UnlearnRequest(early[0], "dpus")).strategy_executed == "dpus"
+    assert eng.unlearn_prs(int(early[1])).strategy_executed == "prs"
+    assert eng.plan.tombstones == set(early.tolist())
 
 
 def test_dpus_dispatch_guard(trained_engine):
@@ -480,6 +508,7 @@ def test_clone_stream_leaves_the_original_bit_identical(tiny_dataset, tiny_confi
     eng = UnlearnEngine.train(tiny_dataset, tiny_config)
     before = _engine_state(eng)
     twin = eng.clone()
+    assert twin.plan is not eng.plan
     outcomes, snapshots = [], []
     for k, sid in enumerate(sample_request_ids(eng.plan, 24, seed=6)):
         strategy = ("prs", "dpus", "hs", "ohs")[k % 4]
@@ -615,21 +644,21 @@ def test_repeated_consumed_batch_ohs_trains_nothing(item1_engine, monkeypatch):
     assert _engine_state(eng) == _engine_state(ref)
 
 
-def test_reused_recorded_slice_resets_its_consumed_flags(item1_engine):
-    """A consumed flag in slice k comes with a tombstone in slice k, which
-    changes its live ids and forces a retrain; so the flag is set by hand here,
-    to pin that a reused recorded slice re-records its ledger with fresh
-    consumed flags, as a retrain does."""
+def test_reused_recorded_slice_keeps_its_ledger(item1_engine):
+    """A reused recorded slice keeps its ledger: its live ids are those the
+    ledger recorded, and none of its batches is consumed, since a consumed
+    flag in slice k comes with a tombstone in slice k, which changes its live
+    ids and forces a retrain. The state equals a retrain's."""
     eng = item1_engine.clone()
     a, b = (int(x) for x in eng.plan.slice_ids(1)[5:7])
     assert eng.unlearn_hs(a).strategy_executed == "dpus"  # consumes batch 1 of slice 1
-    eng.store.ledgers[2].consumed[0] = True
+    ledger = eng.store.ledgers[2]
     ref = eng.clone()
     _forget_training_starts(ref)
     out = eng.unlearn_ohs(b, depth=3)  # pristine checkpoint 1, slices 2..4 unchanged
     assert (out.strategy_executed, out.checkpoints_rewritten) == ("ohs", [2, 3, 4])
     assert out.rows_read == 0
-    assert not eng.store.ledgers[2].consumed.any()
+    assert eng.store.ledgers[2] is ledger
     assert ref.unlearn_ohs(b, depth=3).rows_read == _rows(ref, [2, 3, 4])
     assert _engine_state(eng) == _engine_state(ref)
 
@@ -851,8 +880,8 @@ def _assert_lookups_match_scans(eng):
         else:
             [(i, k)] = home
             assert plan.locate(sid) == (i, k // size + 1)
-            after = plan.tombstone(sid)
-            assert after.tombstones == revoked | {sid}
+            after = plan.copy().tombstone(sid)
+            assert after.tombstones == revoked | {sid} and plan.tombstones == revoked
             assert after.slice_of is plan.slice_of
             for m, (got, was) in enumerate(zip(after.slices, plan.slices), 1):
                 if m != i:
@@ -932,11 +961,13 @@ def test_lookups_match_scans_over_mixed_streams(n, s, batch, phi_frac, seed, dat
 
 
 def test_from_store_fingerprint_guard(tiny_dataset, tiny_config, tmp_path):
+    """A store serves only the dataset it was trained on, also when its
+    manifest's fingerprint is empty."""
     eng = UnlearnEngine.train(tiny_dataset, tiny_config)
-    eng.store.persist(tmp_path)
-    from mubench import StateStore
-
-    loaded = StateStore.load(tmp_path)
     other = gen_synthetic(600, 8, 2)
-    with pytest.raises(InvalidArgument):
-        UnlearnEngine.from_store(other, loaded)
+    for fingerprint in (eng.store.dataset_fingerprint, ""):
+        eng.store.dataset_fingerprint = fingerprint
+        eng.store.persist(tmp_path)
+        loaded = StateStore.load(tmp_path)
+        with pytest.raises(InvalidArgument):
+            UnlearnEngine.from_store(other, loaded)

@@ -251,6 +251,8 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
         (_config(_set("seed", 1.5)), "manifest.json: malformed .*seed must be a non-negative int"),
         (_set("input_dim", []), "manifest.json: malformed"),
         (_set("threshold", 1), "manifest.json: malformed .*slices below 1"),
+        (_set("threshold", 2.5), "manifest.json: malformed .*threshold must be .* got 2.5"),
+        (_set("n", 100.0), r"manifest.json: malformed .*n must be .* got 100\.0"),
         (_ledger_entry(_set("id_count", "abc")), "manifest.json: malformed .*'abc'"),
         (_ledger_entry(_drop("id_count")), "manifest.json: missing field 'id_count'"),
         (_ledger_entry(_set("id_count", 40)), "ledger_0001.muck: 2 delta rows for 40 ids"),
@@ -264,7 +266,7 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
     ids=[
         "no_S", "tombstone_string", "tombstone_past_n", "tombstone_negative", "tombstone_float",
         "tombstone_bool", "batch_size_zero", "no_train_seed", "seed_not_int", "layout_list",
-        "threshold_one", "id_count_string", "no_id_count", "rows_short_of_ids",
+        "threshold_one", "threshold_float", "n_float", "id_count_string", "no_id_count", "rows_short_of_ids",
         "id_count_past_payload", "ids_past_n", "step_count_float", "step_count_integral_float",
         "step_count_bool", "step_count_negative",
     ],
