@@ -194,6 +194,13 @@ def split_dataset(dataset: Dataset, eval_fraction: float, seed: int) -> tuple[Da
     )
 
 
+def as_sample_id(value) -> int:
+    """``value`` as an id; InvalidArgument unless a Python or numpy int (not a bool)."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise InvalidArgument(f"sample ids are integers, got {value!r}")
+    return int(value)
+
+
 @dataclass(eq=False)
 class SlicePlan:
     """Partition of sample ids into ordered slices of batches, owned by one
@@ -217,7 +224,6 @@ class SlicePlan:
 
     num_slices: int
     batch_size: int
-    shuffle_seed: int
     order: tuple[np.ndarray, ...]
     slice_of: np.ndarray
     pos_of: np.ndarray
@@ -239,14 +245,13 @@ class SlicePlan:
 
     def position(self, sample_id: int) -> tuple[int, int]:
         """1-based slice and 0-based as-planned index of a live id; an id
-        that is not a Python or numpy int (a bool is not) is InvalidArgument."""
-        if type(sample_id) is not int and not isinstance(sample_id, np.integer):
-            raise InvalidArgument(f"sample ids are integers, got {sample_id!r}")
-        sample_id = int(sample_id)
+        that ``as_sample_id`` refuses is InvalidArgument."""
+        if type(sample_id) is not int:
+            sample_id = as_sample_id(sample_id)
         if not 0 <= sample_id < self.slice_of.size:
             raise NotFound(f"sample {sample_id} is not in the plan")
-        i, k = int(self.slice_of[sample_id]), int(self.pos_of[sample_id])
-        if not self.masks[i - 1][k]:
+        i, k = self.slice_of.item(sample_id), self.pos_of.item(sample_id)
+        if not self.masks[i - 1].item(k):
             raise AlreadyRevoked(f"sample {sample_id} was already revoked")
         return i, k
 
@@ -277,13 +282,14 @@ class SlicePlan:
 
     def tombstone_all(self, sample_ids) -> "SlicePlan":
         """Revoke many ids in one pass, in place, leaving the plan that
-        ``tombstone`` leaves called on each id; an id outside the plan raises
-        NotFound before any is revoked. Returns the plan."""
-        dead_ids = np.fromiter(sample_ids, dtype=np.int64)
-        unplanned = dead_ids[(dead_ids < 0) | (dead_ids >= self.slice_of.size)]
+        ``tombstone`` leaves called on each id; an id that is not an integer
+        raises InvalidArgument, and one outside the plan NotFound, before any
+        is revoked. Returns the plan."""
+        dead = np.array([x if type(x) is int else as_sample_id(x) for x in sample_ids], np.int64)
+        unplanned = dead[(dead < 0) | (dead >= self.slice_of.size)]
         if unplanned.size:
             raise NotFound(f"sample {unplanned[0]} is not in the plan")
-        slices, pos = self.slice_of[dead_ids] - 1, self.pos_of[dead_ids]
+        slices, pos = self.slice_of[dead] - 1, self.pos_of[dead]
         for k in np.unique(slices).tolist():
             live, at = self.masks[k], pos[slices == k]
             if live[at].any():  # ids already revoked change nothing
@@ -348,7 +354,6 @@ def make_slice_plan(n: int, num_slices: int, batch_size: int, seed: int) -> Slic
     return SlicePlan(
         num_slices=num_slices,
         batch_size=batch_size,
-        shuffle_seed=seed,
         order=order,
         slice_of=slice_of,
         pos_of=pos_of,

@@ -177,7 +177,7 @@ class UnlearnEngine:
     def __init__(self, dataset: Dataset, config: TrainConfig, ohs_depth: int | None = None):
         self._configure(dataset, config, ohs_depth)
         plan = make_slice_plan(dataset.n, config.num_slices, config.batch_size, config.seed)
-        self.store = StateStore(config, self.layout, plan, self.threshold)
+        self.store = StateStore(config, self.layout, plan)
         self.model: Model | None = None
 
     def _configure(self, dataset: Dataset, config: TrainConfig, ohs_depth: int | None) -> None:
@@ -191,10 +191,14 @@ class UnlearnEngine:
         decision = compute_threshold(
             CostConfig(n=dataset.n, num_slices=config.num_slices, phi=config.phi)
         )
-        self.threshold = decision.t
         self.default_ohs_depth = decision.r if ohs_depth is None else int(ohs_depth)
         if not 0 <= self.default_ohs_depth <= config.num_slices:
             raise InvalidArgument("ohs_depth must be in [0, num_slices]")
+
+    @property
+    def threshold(self) -> int:
+        """The dispatch threshold t, derived by the store from its config and n."""
+        return self.store.threshold
 
     @property
     def plan(self) -> SlicePlan:
@@ -225,7 +229,7 @@ class UnlearnEngine:
             raise InvalidArgument("dataset fingerprint does not match the store")
         engine = cls.__new__(cls)
         engine._configure(dataset, store.config, ohs_depth)
-        engine.store, engine.threshold = store, store.threshold
+        engine.store = store
         engine.model = Model(store.get_checkpoint(store.config.num_slices).params)
         return engine
 
@@ -292,7 +296,7 @@ class UnlearnEngine:
         gathered = []
         for j in range(1, nb + 1):
             ids = self.plan.batch_ids(slice_index, j)
-            gathered.append(Batch(self.dataset.features[ids], self.dataset.labels[ids], ids))
+            gathered.append(Batch(self.dataset.features[ids], self.dataset.labels[ids]))
         orders = _epoch_orders(cfg.seed, slice_index, cfg.epochs_per_slice, nb)
         batches = ((epoch, j, gathered[j]) for epoch, order in enumerate(orders, 1) for j in order)
         deltas = np.zeros((nb, self.layout.param_count)) if record else None

@@ -91,7 +91,7 @@ def fit_dense(
             order = np.random.default_rng((seed, epoch)).permutation(n)
             for k in range(0, n, batch_size):
                 idx = order[k : k + batch_size]
-                yield epoch, k // batch_size, Batch(features[idx], labels[idx], idx)
+                yield epoch, k // batch_size, Batch(features[idx], labels[idx])
 
     state = OptimizerState.fresh(layout, AdamHyper(learning_rate=learning_rate))
     params, _ = train_batches(init_params(layout, seed), state, batches(), "fit_dense")

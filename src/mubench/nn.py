@@ -157,18 +157,16 @@ class OptimizerState:
 
 @dataclass
 class Batch:
-    """One training mini-batch with its dataset-global sample ids."""
+    """One training mini-batch."""
 
     features: np.ndarray
     labels: np.ndarray
-    sample_ids: np.ndarray
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=F32)
         self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
-        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64).ravel()
-        if not (self.features.shape[0] == self.labels.size == self.sample_ids.size):
-            raise ShapeMismatch("features, labels and sample_ids must have equal row counts")
+        if self.features.shape[0] != self.labels.size:
+            raise ShapeMismatch("features and labels must have equal row counts")
 
     def __len__(self) -> int:
         return int(self.labels.size)

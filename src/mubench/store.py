@@ -3,27 +3,29 @@ the slice plan, whose live masks are the record of the revoked ids.
 
 On-disk layout: ``manifest.json`` plus one binary file per checkpoint or
 recorded slice. The manifest holds the training config as one ``config``
-section (the engine's ``TrainConfig``), the input width, the threshold, n, the
-tombstones and one entry per file: a checkpoint's holds its slice, file, Adam
+section (the engine's ``TrainConfig``), the input width, n, the tombstones and
+one entry per file: a checkpoint's holds its slice, file, Adam
 step count and CRC, a ledger's its slice, file, id count and CRC. Binary
 framing: magic ``MUCK``, u32 framing version, u32 slice index, u32 batch field
 (0xFFFFFFFF for checkpoints, the row count for a ledger), u64 payload length
 in 4-byte words, the little-endian payload, u32 CRC32 trailer over all
 preceding bytes. Checkpoint payloads are float32 (params, adam_m, adam_v); a
-ledger's payload is its ids as int64 in recording-time order, then its float32
-delta rows in batch order. Loading keeps both as read-only views of the file's
-bytes, rebuilds the plan from the config and n, revokes the tombstones in it
-and, once every ledger is read, derives in one pass each id's recording-time
-position and each batch's consumed flag (set exactly when one of its ids is
-revoked, as the engine leaves it); neither is stored. Writes go to a temp file
-then ``os.replace``; once the new manifest is in place, the store files it
-does not name are removed.
+ledger's payload is its ids as int64 (its slice's live ids at recording time,
+in plan order), then its float32 delta rows in batch order. Nothing derivable
+is stored: the dispatch threshold comes from the config and n, each ledger's
+row index from its ids, and each batch's consumed flag (set exactly when one
+of its ids is revoked, as the engine leaves it) from its slice's live mask.
+Loading keeps the ids and deltas as read-only views of the file's bytes,
+rebuilds the plan from the config and n and revokes the tombstones in it.
+Writes go to a temp file then ``os.replace``; once the new manifest is in
+place, the store files it does not name are removed.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import struct
 import zlib
@@ -33,7 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import SlicePlan, make_slice_plan
+from .costs import CostConfig, threshold
+from .data import SlicePlan, as_sample_id, make_slice_plan
 from .errors import (
     InvalidArgument,
     NotFound,
@@ -44,7 +47,7 @@ from .errors import (
 from .nn import AdamHyper, ModelLayout, OptimizerState, ParameterVector
 
 MAGIC = b"MUCK"
-FORMAT_VERSION = 6  # of the manifest; it also fixes what a ledger payload holds
+FORMAT_VERSION = 7  # of the manifest; it also fixes what a ledger payload holds
 FRAME_VERSION = 3  # of the binary files; the header has not changed since version 3
 CHECKPOINT_SENTINEL = 0xFFFFFFFF
 _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
@@ -64,18 +67,24 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (128, 128)
 
     def validate(self) -> None:
-        if self.num_slices < 1:
-            raise InvalidArgument("num_slices must be >= 1")
-        if self.batch_size < 1:
-            raise InvalidArgument("batch_size must be >= 1")
+        ints = (("num_slices", 1), ("batch_size", 1), ("epochs_per_slice", 1), ("seed", 0))
+        for name, low in ints:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise InvalidArgument(f"{name} must be >= {low}")
+        for name, value in (("learning_rate", self.learning_rate), ("phi", self.phi)):
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):
+                raise InvalidArgument(f"{name} must be a finite real number, got {value!r}")
         if self.learning_rate <= 0:
             raise InvalidArgument("learning_rate must be positive")
-        if self.epochs_per_slice < 1:
-            raise InvalidArgument("epochs_per_slice must be >= 1")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidArgument("seed must be a non-negative integer")
         if self.phi < 0:
             raise InvalidArgument("phi must be non-negative")
+        dims = self.hidden_dims
+        if not isinstance(dims, (tuple, list)) or not all(type(d) is int and d > 0 for d in dims):
+            raise InvalidArgument(f"hidden_dims must hold positive integers, got {dims!r}")
 
     def hyper(self) -> AdamHyper:
         return AdamHyper(learning_rate=self.learning_rate)
@@ -112,14 +121,16 @@ class Checkpoint:
 
 
 class Ledger(NamedTuple):
-    """A recorded slice: its ids in recording-time order (batch j is their j-th
-    run of ``batch_size``) and one float32 delta row per batch, both read-only
-    and shared by clones, and one consumed flag per batch, set while the batch
-    holds a revoked id."""
+    """A recorded slice: its live ids at recording time in plan order (batch j
+    is their j-th run of ``batch_size``), one float32 delta row per batch and
+    ``index``, each as-planned position's row in ``ids`` as int32 (-1: not
+    recorded), all read-only and shared by clones; and one consumed flag per
+    batch, set while the batch holds a revoked id."""
 
     ids: np.ndarray
     deltas: np.ndarray
     consumed: np.ndarray
+    index: np.ndarray
 
 
 def write_vector_file(path: Path, slice_index: int, batch_index: int, values, ids=()) -> int:
@@ -166,22 +177,17 @@ class StateStore:
     checkpoint only under it. ``plan`` is the slice plan of the n ids under
     ``config``; its live masks are the one record of the revoked ids. The
     store owns it: requests revoke in it in place, and only ``clone`` copies
-    it."""
+    it. ``threshold`` is the dispatch threshold t of ``config`` and n."""
 
-    def __init__(self, config: TrainConfig, layout: ModelLayout, plan: SlicePlan, threshold: int):
+    def __init__(self, config: TrainConfig, layout: ModelLayout, plan: SlicePlan):
         self.config = config
         self.layout = layout
         self.plan = plan
         self.n = int(plan.slice_of.size)
-        self.threshold = int(threshold)
+        self.threshold = threshold(CostConfig(self.n, config.num_slices, config.phi)).t
         self.dataset_fingerprint = ""
         self.checkpoints: dict[int, Checkpoint] = {}
         self.ledgers: dict[int, Ledger] = {}
-        # Derived from the ledgers and never persisted: id -> its position in
-        # the ledger that recorded it last (-1: never recorded). Read-only, so
-        # clones share it; record_increment builds a new one.
-        self._recorded_at = np.full(self.n, -1, dtype=np.int64)
-        self._recorded_at.flags.writeable = False
 
     # ---- checkpoints -------------------------------------------------
     def put_checkpoint(self, checkpoint: Checkpoint) -> None:
@@ -200,42 +206,30 @@ class StateStore:
 
     # ---- increments --------------------------------------------------
     def record_increment(self, i: int, ids, deltas) -> None:
-        """Replace slice i's ledger with ``ids`` and ``deltas``, none consumed,
-        and index each id at its position in ``ids``. Arrays that already have
-        the stored dtype are kept, not copied, and made read-only. The ids
-        must lie in [0, n); the engine records each id in its own slice only,
-        and the index keeps an id's position in the ledger recorded last;
-        an id that slice i's previous ledger held and this one does not is
-        indexed as never recorded."""
-        old = self.ledgers.get(i)
-        self._index([self._put_ledger(i, ids, deltas)], [old] if old is not None else [])
+        """Replace slice i's ledger with ``ids`` and ``deltas``, none consumed."""
+        self._put_ledger(i, ids, deltas)
 
-    def _put_ledger(self, i: int, ids, deltas) -> Ledger:
-        """Check and store slice i's ledger, leaving the index as it is."""
+    def _put_ledger(self, i: int, ids, deltas) -> None:
+        """Check and store slice i's ledger and build its row index. The ids
+        must be slice i's in plan order, as the engine records them. Arrays
+        that already have the stored dtype are kept, not copied, and made
+        read-only."""
         if i < 1:
             raise InvalidArgument("slice indices are 1-based")
+        ids, deltas = np.asarray(ids, dtype=np.int64), np.asarray(deltas, dtype=np.float32)
+        if ids.size and not 0 <= ids.min() <= ids.max() < self.n:
+            raise InvalidArgument(f"ledger ids must lie in [0, {self.n})")
         if i >= self.threshold:
             raise PolicyViolation(
                 f"increments are recorded only for slices below {self.threshold}, got {i}"
             )
-        ids, deltas = np.asarray(ids, dtype=np.int64), np.asarray(deltas, dtype=np.float32)
-        if ids.size and not 0 <= ids.min() <= ids.max() < self.n:
-            raise InvalidArgument(f"ledger ids must lie in [0, {self.n})")
-        ids.flags.writeable = deltas.flags.writeable = False
-        ledger = self.ledgers[i] = Ledger(ids, deltas, np.zeros(len(deltas), dtype=bool))
-        return ledger
-
-    def _index(self, ledgers, replaced=()) -> None:
-        """Mark the ids of the ``replaced`` ledgers as never recorded, then
-        point each id of ``ledgers``, taken in order, at its position in its
-        ledger, in a new copy of the index (clones share the old one)."""
-        recorded_at = self._recorded_at.copy()
-        for ledger in replaced:
-            recorded_at[ledger.ids] = -1
-        for ledger in ledgers:
-            recorded_at[ledger.ids] = np.arange(ledger.ids.size)
-        recorded_at.flags.writeable = False
-        self._recorded_at = recorded_at
+        at = self.plan.pos_of[ids]
+        if (self.plan.slice_of[ids] != i).any() or (at[1:] <= at[:-1]).any():
+            raise InvalidArgument(f"ledger ids must be slice {i}'s, in plan order")
+        index = np.full(self.plan.order[i - 1].size, -1, dtype=np.int32)
+        index[at] = np.arange(ids.size, dtype=np.int32)
+        ids.flags.writeable = deltas.flags.writeable = index.flags.writeable = False
+        self.ledgers[i] = Ledger(ids, deltas, np.zeros(len(deltas), dtype=bool), index)
 
     def _ledger(self, i: int, j: int) -> Ledger:
         ledger = self.ledgers.get(int(i))
@@ -257,14 +251,17 @@ class StateStore:
         return True
 
     def recorded_batch_index(self, i: int, sample_id: int) -> int:
-        """Recording-time 1-based batch index of a sample within slice i: one
-        lookup of its indexed position, checked against slice i's ids."""
+        """Recording-time 1-based batch index of a sample within slice i: its
+        row in slice i's ledger, read through the ledger's index at the
+        sample's as-planned position."""
         ledger = self.ledgers.get(int(i))
         if ledger is None:
             raise NotFound(f"slice {i} has no recorded increments")
-        sample_id = int(sample_id)
-        k = int(self._recorded_at[sample_id]) if 0 <= sample_id < self.n else -1
-        if not 0 <= k < ledger.ids.size or ledger.ids[k] != sample_id:
+        if type(sample_id) is not int:
+            sample_id = as_sample_id(sample_id)
+        planned = 0 <= sample_id < self.n and self.plan.slice_of.item(sample_id) == i
+        k = ledger.index.item(self.plan.pos_of.item(sample_id)) if planned else -1
+        if k < 0:
             raise NotFound(f"sample {sample_id} is not in slice {i}'s recorded batches")
         return k // self.config.batch_size + 1
 
@@ -278,9 +275,9 @@ class StateStore:
         self.plan.tombstone_all(ids)
 
     def clone(self) -> "StateStore":
-        """An independent store sharing the read-only checkpoints, ids, deltas
-        and position index; the plan's masks and the consumed flags are
-        copied."""
+        """An independent store sharing the read-only checkpoints and each
+        ledger's ids, deltas and index; the plan's masks and the consumed
+        flags are copied."""
         dup = copy.copy(self)
         dup.plan = self.plan.copy()
         dup.checkpoints = dict(self.checkpoints)
@@ -314,7 +311,6 @@ class StateStore:
             "format_version": FORMAT_VERSION,
             "config": asdict(self.config),
             "input_dim": self.layout.input_dim,
-            "threshold": self.threshold,
             "n": self.n,
             "dataset_fingerprint": self.dataset_fingerprint,
             "tombstones": sorted(self.tombstones),
@@ -359,7 +355,7 @@ class StateStore:
         layout = ModelLayout(manifest["input_dim"], config.hidden_dims)
         n = _count(manifest["n"], "n")
         plan = make_slice_plan(n, config.num_slices, config.batch_size, config.seed)
-        store = cls(config, layout, plan, _count(manifest["threshold"], "threshold"))
+        store = cls(config, layout, plan)
         store.dataset_fingerprint = str(manifest["dataset_fingerprint"])
         count = layout.param_count
         for entry in manifest["checkpoints"]:
@@ -387,15 +383,11 @@ class StateStore:
                 raise StoreCorruption(f"{entry['file']}: ledger framing mismatch")
             ids = payload[: 2 * id_count].view("<i8")
             store._put_ledger(si, ids, payload[2 * id_count :].reshape(rows, count))
-        store._index(store.ledgers.values())  # once, in manifest order
         store.set_tombstones(_count(x, "a tombstone") for x in manifest["tombstones"])
         # A batch is consumed exactly when one of its ids is revoked.
-        revoked = np.zeros(store.n, dtype=bool)
-        revoked[list(store.tombstones)] = True
-        for ledger in store.ledgers.values():
-            hit = np.zeros(ledger.consumed.size * config.batch_size, dtype=bool)
-            hit[: ledger.ids.size] = revoked[ledger.ids]
-            ledger.consumed[:] = hit.reshape(-1, config.batch_size).any(axis=1)
+        for i, ledger in store.ledgers.items():
+            rows = ledger.index[~plan.masks[i - 1]]
+            ledger.consumed[rows[rows >= 0] // config.batch_size] = True
         return store
 
 

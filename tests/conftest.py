@@ -33,4 +33,4 @@ def balanced_batch(layout: ModelLayout, rows: int, seed: int):
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((rows, layout.input_dim)).astype(np.float32)
     labels = np.arange(rows) % 2
-    return Batch(feats, labels, np.arange(rows))
+    return Batch(feats, labels)

@@ -390,6 +390,22 @@ def test_tombstone_all_edge_sets(plan_1000):
     assert plan_1000.slice_sizes() == (250, 250, 250, 250)
 
 
+def test_tombstone_all_refuses_non_integer_ids(plan_1000):
+    """A float, a bool or any other non-integer id raises InvalidArgument
+    before any id is revoked, in a list or as an array's dtype; numpy ints,
+    in a list or as an array, are still accepted."""
+    for bad in (
+        [3.7, True], [5, True], [2, np.float64(4.0)], [1, "2"], [None], [np.bool_(True)],
+        np.array([1.0, 2.0]), np.array([True]),
+    ):
+        with pytest.raises(InvalidArgument, match="sample ids are integers"):
+            plan_1000.tombstone_all(bad)
+        assert not plan_1000.tombstones
+    assert plan_1000.copy().tombstone_all([np.int64(3), np.int32(5), 7]).tombstones == {3, 5, 7}
+    for ids, want in ((np.array([3, 5], np.uint8), {3, 5}), (iter([6]), {6}), (np.zeros(0), set())):
+        assert plan_1000.copy().tombstone_all(ids).tombstones == want
+
+
 def test_tombstone_at_history_scale():
     """20,000 ids revoked one by one, half of them located first as the
     engine does, from an n=50,000, S=8 plan give the plan ``tombstone_all``

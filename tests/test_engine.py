@@ -157,7 +157,6 @@ def test_train_batches_bit_equal_to_per_step_reference(
         Batch(
             rng.standard_normal((rows, input_dim)).astype(np.float32),
             rng.integers(0, output_dim, rows),
-            np.arange(rows),
         )
         for rows in rng.integers(1, 10, nb)
     ]

@@ -125,7 +125,7 @@ def test_loss_zero_params_is_ln2(small_layout):
 
 def test_loss_grad_empty_batch(small_layout):
     p = init_params(small_layout, seed=0)
-    empty = Batch(np.zeros((0, 6), dtype=F32), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    empty = Batch(np.zeros((0, 6), dtype=F32), np.zeros(0, dtype=int))
     with pytest.raises(EmptyInput):
         loss_grad(p, empty)
 
@@ -136,7 +136,6 @@ def test_loss_grad_duplication_invariant(small_layout):
     doubled = Batch(
         np.vstack([batch.features, batch.features]),
         np.concatenate([batch.labels, batch.labels]),
-        np.concatenate([batch.sample_ids, batch.sample_ids + 4]),
     )
     loss1, g1 = loss_grad(p, batch)
     loss2, g2 = loss_grad(p, doubled)
@@ -244,7 +243,7 @@ def test_loss_grad_matches_float64_backprop(input_dim, hidden, output_dim, rows,
     labels = rng.integers(0, output_dim, rows)
     ref_loss, ref_grad, kink = _reference_loss_grad(params.values, layout, feats, labels)
     assume(kink > 1e-6)
-    loss, grad = loss_grad(params, Batch(feats, labels, np.arange(rows)))
+    loss, grad = loss_grad(params, Batch(feats, labels))
     assert np.abs(grad.values - ref_grad).max() <= 1e-5 * np.abs(ref_grad).max()
     assert abs(loss - ref_loss) <= 1e-5 * max(1.0, ref_loss)
 

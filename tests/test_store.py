@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from mubench import (
     Checkpoint,
+    CostConfig,
     ModelLayout,
     OptimizerState,
     StateStore,
@@ -13,6 +16,7 @@ from mubench import (
     UnlearnEngine,
     init_params,
     make_slice_plan,
+    threshold,
 )
 from mubench.errors import (
     InvalidArgument,
@@ -26,10 +30,11 @@ from mubench.store import CHECKPOINT_SENTINEL, write_vector_file
 LAYOUT = ModelLayout(4, (5,), 2)
 
 
-def fresh_store(num_slices=4, threshold=3):
-    config = TrainConfig(num_slices=num_slices, batch_size=16, phi=50.0, hidden_dims=(5,))
+def fresh_store(num_slices=4, phi=200.0):
+    """n = 100; the default phi gives t = 3 at four slices."""
+    config = TrainConfig(num_slices=num_slices, batch_size=16, phi=phi, hidden_dims=(5,))
     plan = make_slice_plan(100, num_slices, config.batch_size, config.seed)
-    return StateStore(config, LAYOUT, plan, threshold)
+    return StateStore(config, LAYOUT, plan)
 
 
 def make_checkpoint(i, seed=0):
@@ -96,9 +101,9 @@ def deltas(*seeds):
 
 
 def test_increment_roundtrip_and_consume_flag():
-    store = fresh_store(threshold=3)
+    store = fresh_store()
     delta = init_params(LAYOUT, 7)
-    store.record_increment(1, range(20), deltas(6, 7))  # batch size 16: two batches
+    store.record_increment(1, store.plan.slice_ids(1)[:20], deltas(6, 7))  # two batches of 16
     assert store.get_increment(1, 2).bits_equal(delta)
     assert not store.ledgers[1].consumed[1]
     assert store.mark_consumed(1, 2) is True
@@ -107,9 +112,10 @@ def test_increment_roundtrip_and_consume_flag():
 
 
 def test_record_at_or_above_threshold_rejected():
-    store = fresh_store(threshold=3)
+    store = fresh_store()
+    assert store.threshold == 3
     with pytest.raises(PolicyViolation):
-        store.record_increment(3, range(16), deltas(0))
+        store.record_increment(3, store.plan.slice_ids(3)[:16], deltas(0))
 
 
 def test_get_missing_increment():
@@ -120,18 +126,24 @@ def test_get_missing_increment():
 
 def test_recorded_batch_lookup():
     store = fresh_store()
-    store.record_increment(1, range(10, 30), deltas(0, 1))  # 10..25, then 26..29
-    assert store.recorded_batch_index(1, 25) == 1
-    assert store.recorded_batch_index(1, 28) == 2
-    for absent in (9, 30, 99, -1, 100, 10**12):
+    ids, other = store.plan.slice_ids(1), store.plan.slice_ids(2)  # 25 ids each
+    store.record_increment(1, ids[:20], deltas(0, 1))  # ids[:16], then ids[16:20]
+    assert store.recorded_batch_index(1, ids[15]) == 1
+    assert store.recorded_batch_index(1, int(ids[18])) == 2
+    for absent in (ids[20], other[0], -1, 100, 10**12):
         with pytest.raises(NotFound):
             store.recorded_batch_index(1, absent)
     with pytest.raises(NotFound):
-        store.recorded_batch_index(2, 10)
-    store.record_increment(1, range(29, 19, -1), deltas(0))  # re-recorded: 29..20
-    assert store.recorded_batch_index(1, 20) == 1
-    with pytest.raises(NotFound):
-        store.recorded_batch_index(1, 19)  # in the old ledger only
+        store.recorded_batch_index(2, other[0])
+    for bad in (float(ids[0]), True, "1", None):
+        with pytest.raises(InvalidArgument, match="sample ids are integers"):
+            store.recorded_batch_index(1, bad)
+    store.record_increment(1, np.delete(ids, [0, 3]), deltas(0, 1))  # re-recorded without two
+    assert store.recorded_batch_index(1, np.int32(ids[17])) == 1  # row 15
+    assert store.recorded_batch_index(1, ids[18]) == 2
+    for gone in ids[[0, 3]]:
+        with pytest.raises(NotFound):
+            store.recorded_batch_index(1, gone)  # in the old ledger only
 
 
 def test_record_rejects_ids_outside_the_store():
@@ -142,11 +154,22 @@ def test_record_rejects_ids_outside_the_store():
     assert not store.ledgers
 
 
+def test_record_rejects_ids_off_the_plan():
+    """A ledger holds slice i's ids in plan order: ids of another slice, out
+    of order or repeated are refused, and nothing is recorded."""
+    store = fresh_store()
+    ids, other = store.plan.slice_ids(1), store.plan.slice_ids(2)
+    for bad in (other[:16], np.concatenate([ids[:8], other[:8]]), ids[15::-1], ids[[0, 0, 1]]):
+        with pytest.raises(InvalidArgument, match="slice 1's, in plan order"):
+            store.record_increment(1, bad, deltas(0))
+    assert not store.ledgers
+
+
 def populated_store():
     """A state the engine can reach: five slices of 20 ids, all checkpointed;
     slice 1 recorded (t = 2) as two batches of its plan ids; two ids of batch
     1 revoked, the first by a direct update that consumed that batch."""
-    store = fresh_store(num_slices=5, threshold=2)
+    store = fresh_store(num_slices=5, phi=290.0)
     for i in range(6):
         store.put_checkpoint(make_checkpoint(i, seed=40))
     ids = store.plan.slice_ids(1)
@@ -175,10 +198,12 @@ def test_persist_load_bit_identical(tmp_path):
         assert got.ids.dtype == np.int64 and not got.ids.flags.writeable
         assert np.array_equal(got.deltas.view(np.uint32), ledger.deltas.view(np.uint32))
         assert np.array_equal(got.consumed, ledger.consumed)  # derived on load
+        assert np.array_equal(got.index, ledger.index)  # derived on load
+        assert got.index.dtype == np.int32 and not got.index.flags.writeable
     assert loaded.tombstones == store.tombstones == loaded.plan.tombstones
     for i in range(1, 6):
         assert np.array_equal(loaded.plan.slice_ids(i), store.plan.slice_ids(i))
-    assert loaded.threshold == store.threshold
+    assert loaded.threshold == store.threshold == 2
     assert loaded.config == store.config
     assert loaded.layout == LAYOUT
     assert loaded.dataset_fingerprint == "abc123"
@@ -199,15 +224,17 @@ def test_manifest_version_99_rejected(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    # version 5 also kept each ledger's consumed flags and a plan version;
+    # version 6 also kept the threshold; version 5 also kept each ledger's
+    # consumed flags and a plan version;
     # version 4 also kept each ledger's ids in the manifest; version 3 also
     # spelled the training config as separate keys; version 2 also kept one
     # increment file per batch; version 1 also kept each slice's recorded ids
     # as nested per-batch lists
+    manifest["threshold"] = 2
     manifest["plan_version"] = 0
     manifest["ledgers"][0]["consumed"] = [True, False]
     manifest["recorded_batches"] = {"1": [list(range(16)), list(range(16, 20))]}
-    for version in (99, 5, 4, 3, 2, 1):
+    for version in (99, 6, 5, 4, 3, 2, 1):
         manifest["format_version"] = version
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreVersionError):
@@ -248,10 +275,14 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
         (_set("tombstones", [True]), "manifest.json: malformed .*a tombstone must be .* got True"),
         (_config(_set("batch_size", 0)), "manifest.json: malformed .*batch_size must be >= 1"),
         (_config(_drop("seed")), "manifest.json: missing field 'seed'"),
-        (_config(_set("seed", 1.5)), "manifest.json: malformed .*seed must be a non-negative int"),
+        (_config(_set("seed", 1.5)), r"malformed .*seed must be an integer, got 1\.5"),
+        (_config(_set("seed", True)), "malformed .*seed must be an integer, got True"),
+        (_config(_set("num_slices", 5.0)), "malformed .*num_slices must be an integer, got 5.0"),
+        (_config(_set("batch_size", 16.0)), "malformed .*batch_size must be an integer, got 16.0"),
+        (_config(_set("phi", True)), "malformed .*phi must be a finite real number, got True"),
+        (_config(_set("learning_rate", "0.1")), "malformed .*learning_rate must be a finite real"),
+        (_config(_set("hidden_dims", [5.0])), "manifest.json: malformed .*hidden_dims must hold"),
         (_set("input_dim", []), "manifest.json: malformed"),
-        (_set("threshold", 1), "manifest.json: malformed .*slices below 1"),
-        (_set("threshold", 2.5), "manifest.json: malformed .*threshold must be .* got 2.5"),
         (_set("n", 100.0), r"manifest.json: malformed .*n must be .* got 100\.0"),
         (_ledger_entry(_set("id_count", "abc")), "manifest.json: malformed .*'abc'"),
         (_ledger_entry(_drop("id_count")), "manifest.json: missing field 'id_count'"),
@@ -265,8 +296,10 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
     ],
     ids=[
         "no_S", "tombstone_string", "tombstone_past_n", "tombstone_negative", "tombstone_float",
-        "tombstone_bool", "batch_size_zero", "no_train_seed", "seed_not_int", "layout_list",
-        "threshold_one", "threshold_float", "n_float", "id_count_string", "no_id_count", "rows_short_of_ids",
+        "tombstone_bool", "batch_size_zero", "no_train_seed", "seed_not_int", "seed_bool",
+        "num_slices_float", "batch_size_float", "phi_bool", "learning_rate_string",
+        "hidden_dims_float", "layout_list", "n_float", "id_count_string", "no_id_count",
+        "rows_short_of_ids",
         "id_count_past_payload", "ids_past_n", "step_count_float", "step_count_integral_float",
         "step_count_bool", "step_count_negative",
     ],
@@ -278,6 +311,52 @@ def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(StoreCorruption, match=match):
         StateStore.load(tmp_path)
+
+
+def test_threshold_is_derived_not_persisted(tmp_path):
+    """The manifest keeps no threshold: a load derives t from the config's
+    phi and slice count and n, so editing phi moves t, and a t that leaves a
+    stored ledger at or above it is refused."""
+    populated_store().persist(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "threshold" not in manifest
+    for phi, t in ((290.0, 2), (200.0, 4), (10.0, 6), (300.0, 1)):
+        manifest["config"]["phi"] = phi
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert threshold(CostConfig(100, 5, phi)).t == t
+        if t > 1:
+            assert StateStore.load(tmp_path).threshold == t
+        else:  # slice 1's ledger sits at the threshold
+            with pytest.raises(StoreCorruption, match="malformed .*slices below 1, got 1"):
+                StateStore.load(tmp_path)
+
+
+def _rewrite_ledger_ids(path, ids):
+    """Put ``ids`` in place of a ledger file's ids and re-seal its CRC;
+    return the new CRC."""
+    raw = bytearray(path.read_bytes())
+    start = 4 + 20  # magic, then the u32 version, slice and batch fields and the u64 length
+    raw[start : start + 8 * len(ids)] = np.asarray(ids, dtype="<i8").tobytes()
+    crc = zlib.crc32(raw[:-4]) & 0xFFFFFFFF
+    path.write_bytes(bytes(raw[:-4]) + struct.pack("<I", crc))
+    return crc
+
+
+def test_ledger_ids_off_the_plan_report_corruption(tmp_path):
+    """A ledger whose ids come from another slice or are out of plan order
+    fails its load, even with both CRCs re-sealed."""
+    store = populated_store()
+    ids, other = store.ledgers[1].ids, store.plan.slice_ids(2)
+    # other[-1] sits at the last as-planned index of slice 2, so it keeps
+    # the positions increasing and only its slice gives it away
+    for bad in (np.concatenate([ids[:-1], other[-1:]]), ids[::-1], np.roll(ids, 1)):
+        store.persist(tmp_path)
+        crc = _rewrite_ledger_ids(tmp_path / "ledger_0001.muck", bad)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["ledgers"][0]["crc32"] = crc
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreCorruption, match="malformed .*slice 1's, in plan order"):
+            StateStore.load(tmp_path)
 
 
 def test_ledger_ids_live_in_the_ledger_file(tmp_path):
@@ -307,26 +386,41 @@ def test_one_ledger_file_per_recorded_slice(tiny_dataset, tiny_config, tmp_path)
     assert not list(tmp_path.glob("increment_*"))
 
 
+def _assert_ledger_indexes(store):
+    """Each ledger's index maps every as-planned position of its slice to
+    that id's row in the ledger, or to -1 for an id it does not hold."""
+    plan = store.plan
+    for i, ledger in store.ledgers.items():
+        want = np.full(plan.order[i - 1].size, -1)
+        want[plan.pos_of[ledger.ids]] = np.arange(ledger.ids.size)
+        assert np.array_equal(ledger.index, want)
+        assert ledger.index.dtype == np.int32 and not ledger.index.flags.writeable
+
+
 def test_loaded_position_index_equals_the_in_memory_one(tiny_dataset, tiny_config, tmp_path):
-    """Load builds the id -> recording-time position index once, from every
-    ledger it read; it equals the index the engine built ledger by ledger,
-    also over slices a request re-recorded without the revoked id."""
+    """Load builds each ledger's row index from its ids; it equals the index
+    the engine built when it recorded the ledger, also over slices a request
+    re-recorded without the revoked id."""
     engine = UnlearnEngine.train(tiny_dataset, replace(tiny_config, phi=0.0))
     engine.store.persist(tmp_path)
     loaded = StateStore.load(tmp_path)
     assert len(loaded.ledgers) == tiny_config.num_slices
-    assert np.array_equal(loaded._recorded_at, engine.store._recorded_at)
-    assert not loaded._recorded_at.flags.writeable
+    for store in (loaded, engine.store):
+        _assert_ledger_indexes(store)
+    for i, ledger in engine.store.ledgers.items():
+        assert np.array_equal(loaded.ledgers[i].index, ledger.index)
 
     revoked = int(engine.plan.slice_ids(1)[3])
     engine.unlearn_prs(revoked)  # re-records slices 1..3 without it
     engine.store.persist(tmp_path)
     loaded = StateStore.load(tmp_path)
-    assert np.array_equal(loaded._recorded_at, engine.store._recorded_at)
-    assert loaded._recorded_at[revoked] == -1
     for store in (loaded, engine.store):
+        _assert_ledger_indexes(store)
+        assert store.ledgers[1].index[store.plan.pos_of[revoked]] == -1
         with pytest.raises(NotFound):
             store.recorded_batch_index(1, revoked)
+    for i, ledger in engine.store.ledgers.items():
+        assert np.array_equal(loaded.ledgers[i].index, ledger.index)
 
 
 def test_config_survives_persist_and_reload(tiny_dataset, tmp_path):
@@ -372,9 +466,6 @@ def test_file_header_version_rejected(tmp_path):
     raw = bytearray(victim.read_bytes())
     raw[4] = 99  # u32 LE format version field
     # re-seal the CRC so only the version check can fire
-    import struct
-    import zlib
-
     body = bytes(raw[:-4])
     victim.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(StoreVersionError):
@@ -409,14 +500,53 @@ def test_clone_is_isolated():
             with pytest.raises(ValueError):
                 values[0] += 1.0
     assert dup.ledgers[1].deltas is store.ledgers[1].deltas
+    assert dup.ledgers[1].index is store.ledgers[1].index
     store.set_tombstones([ids[11]])
     dup.set_tombstones([ids[12]])
     assert store.tombstones == set(ids[[5, 9, 11]].tolist())
     assert dup.tombstones == set(ids[[5, 9, 12]].tolist())
     dup.mark_consumed(1, 2)
     assert not store.ledgers[1].consumed[1]
-    other = store.plan.slice_ids(2)[:16]
-    store.record_increment(1, np.concatenate([ids[16:], other]), deltas(0, 1))
+    store.record_increment(1, ids[2:], deltas(0, 1))
     assert (store.recorded_batch_index(1, ids[17]), dup.recorded_batch_index(1, ids[17])) == (1, 2)
+    assert dup.recorded_batch_index(1, ids[0]) == 1
     with pytest.raises(NotFound):
-        dup.recorded_batch_index(1, other[0])
+        store.recorded_batch_index(1, ids[0])
+
+
+@pytest.mark.parametrize(
+    "field,value,match",
+    [
+        ("num_slices", 4.0, "num_slices must be an integer, got 4.0"),
+        ("batch_size", 32.0, "batch_size must be an integer, got 32.0"),
+        ("epochs_per_slice", True, "epochs_per_slice must be an integer, got True"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", np.int64(3), "seed must be an integer"),
+        ("learning_rate", True, "learning_rate must be a finite real number, got True"),
+        ("learning_rate", float("nan"), "learning_rate must be a finite real number"),
+        ("phi", "100", "phi must be a finite real number, got '100'"),
+        ("phi", float("inf"), "phi must be a finite real number, got inf"),
+        ("hidden_dims", (5.0,), r"hidden_dims must hold positive integers, got \(5.0,\)"),
+        ("hidden_dims", (True,), "hidden_dims must hold positive integers"),
+        ("hidden_dims", (8, 0), "hidden_dims must hold positive integers"),
+        ("hidden_dims", 8, "hidden_dims must hold positive integers, got 8"),
+    ],
+    ids=[
+        "num_slices_float", "batch_size_float", "epochs_bool", "seed_bool", "seed_numpy",
+        "learning_rate_bool", "learning_rate_nan", "phi_string", "phi_inf", "hidden_dims_float",
+        "hidden_dims_bool", "hidden_dims_zero", "hidden_dims_int",
+    ],
+)
+def test_train_config_validate_checks_types(tiny_dataset, field, value, match):
+    """A field of the wrong type is InvalidArgument from ``validate``, and so
+    from the engine, before numpy or the store sees it."""
+    config = replace(TrainConfig(), **{field: value})
+    with pytest.raises(InvalidArgument, match=match):
+        config.validate()
+    with pytest.raises(InvalidArgument, match=match):
+        UnlearnEngine(tiny_dataset, config)
+
+
+def test_train_config_validate_accepts_numbers_of_either_kind():
+    TrainConfig(learning_rate=1, phi=np.float64(2.5), hidden_dims=[3]).validate()
+    TrainConfig(hidden_dims=()).validate()
