@@ -285,7 +285,12 @@ class SlicePlan:
         ``tombstone`` leaves called on each id; an id that is not an integer
         raises InvalidArgument, and one outside the plan NotFound, before any
         is revoked. Returns the plan."""
-        dead = np.array([x if type(x) is int else as_sample_id(x) for x in sample_ids], np.int64)
+        ids = [x if type(x) is int else as_sample_id(x) for x in sample_ids]
+        try:
+            dead = np.array(ids, np.int64)
+        except OverflowError:  # an id beyond int64 is outside the plan too
+            huge = next(x for x in ids if not -(2**63) <= x < 2**63)
+            raise NotFound(f"sample {huge} is not in the plan") from None
         unplanned = dead[(dead < 0) | (dead >= self.slice_of.size)]
         if unplanned.size:
             raise NotFound(f"sample {unplanned[0]} is not in the plan")

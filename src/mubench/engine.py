@@ -170,6 +170,16 @@ def _epoch_orders(
     )
 
 
+def _ohs_depth(value, num_slices: int) -> int:
+    """``value`` as an OHS depth; InvalidArgument unless a Python or numpy int
+    (not a bool) in [0, num_slices]."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise InvalidArgument(f"ohs depth must be an integer, got {value!r}")
+    if not 0 <= value <= num_slices:
+        raise InvalidArgument("ohs depth must be in [0, num_slices]")
+    return int(value)
+
+
 class UnlearnEngine:
     """Owns the dataset view, the state store with its slice plan, and the
     current model."""
@@ -191,9 +201,8 @@ class UnlearnEngine:
         decision = compute_threshold(
             CostConfig(n=dataset.n, num_slices=config.num_slices, phi=config.phi)
         )
-        self.default_ohs_depth = decision.r if ohs_depth is None else int(ohs_depth)
-        if not 0 <= self.default_ohs_depth <= config.num_slices:
-            raise InvalidArgument("ohs_depth must be in [0, num_slices]")
+        depth = decision.r if ohs_depth is None else ohs_depth
+        self.default_ohs_depth = _ohs_depth(depth, config.num_slices)
 
     @property
     def threshold(self) -> int:
@@ -336,9 +345,7 @@ class UnlearnEngine:
         num_slices = self.config.num_slices
         r = 0
         if strategy == "ohs":
-            r = self.default_ohs_depth if depth is None else int(depth)
-            if not 0 <= r <= num_slices:
-                raise InvalidArgument("ohs depth must be in [0, num_slices]")
+            r = self.default_ohs_depth if depth is None else _ohs_depth(depth, num_slices)
         i, k = self.plan.position(sample_id)
         if strategy == "dpus" and i >= self.threshold:
             raise DispatchError(

@@ -211,7 +211,8 @@ class StateStore:
 
     def _put_ledger(self, i: int, ids, deltas) -> None:
         """Check and store slice i's ledger and build its row index. The ids
-        must be slice i's in plan order, as the engine records them. Arrays
+        must be slice i's in plan order, as the engine records them, with one
+        delta row per batch of ``batch_size`` ids. Arrays
         that already have the stored dtype are kept, not copied, and made
         read-only."""
         if i < 1:
@@ -219,6 +220,12 @@ class StateStore:
         ids, deltas = np.asarray(ids, dtype=np.int64), np.asarray(deltas, dtype=np.float32)
         if ids.size and not 0 <= ids.min() <= ids.max() < self.n:
             raise InvalidArgument(f"ledger ids must lie in [0, {self.n})")
+        rows = -(-ids.size // self.config.batch_size)
+        if deltas.shape != (rows, self.layout.param_count):
+            raise InvalidArgument(
+                f"{ids.size} ids take {rows} delta rows of {self.layout.param_count}, "
+                f"got shape {deltas.shape}"
+            )
         if i >= self.threshold:
             raise PolicyViolation(
                 f"increments are recorded only for slices below {self.threshold}, got {i}"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,27 @@ def balanced_batch(layout: ModelLayout, rows: int, seed: int):
     feats = rng.standard_normal((rows, layout.input_dim)).astype(np.float32)
     labels = np.arange(rows) % 2
     return Batch(feats, labels)
+
+
+def _as_bytes(*arrays):
+    return tuple(a.tobytes() for a in arrays)
+
+
+def engine_state(eng):
+    """Every structure of an engine as bytes: checkpoints with Adam state,
+    ledgers with consumed flags and index, the plan's masks, and last the
+    served params."""
+    store = eng.store
+    return (
+        {k: _as_bytes(c.params.values, c.opt_state.m, c.opt_state.v) + (c.opt_state.step_count,)
+         for k, c in store.checkpoints.items()},
+        {k: _as_bytes(x.ids, x.deltas, x.consumed, x.index) for k, x in store.ledgers.items()},
+        _as_bytes(*eng.plan.masks),
+        eng.model.params.values.tobytes(),
+    )
+
+
+def forget_training_starts(eng):
+    """Clear ``trained_from``: the next request retrains every slice it rewrites."""
+    for k, cp in eng.store.checkpoints.items():
+        eng.store.checkpoints[k] = replace(cp, trained_from=None)

@@ -365,7 +365,7 @@ def test_tombstone_all_matches_one_by_one(n, s, batch, seed, data):
 
 def test_tombstone_all_edge_sets(plan_1000):
     """The empty set, ids already revoked, a whole slice, one id per slice and
-    every id; an id outside the plan revokes nothing."""
+    every id; an id outside the plan, also one beyond int64, revokes nothing."""
     built = plan_1000.slices
     assert plan_1000.tombstone_all([]) is plan_1000 and not plan_1000.tombstones
     once = plan_1000.copy()
@@ -378,8 +378,9 @@ def test_tombstone_all_edge_sets(plan_1000):
     for revoked in (whole, every, range(1000)):
         _assert_same_plan(*_revoke_both_ways(plan_1000, revoked), plan_1000)
     assert plan_1000.copy().tombstone_all(range(1000)).slice_sizes() == (0, 0, 0, 0)
-    with pytest.raises(NotFound):
-        plan_1000.tombstone_all([5, 123456])
+    for unplanned in ([5, 123456], [5, 2**63], [2**64], [3, -(2**63) - 1], [np.uint64(2**63)]):
+        with pytest.raises(NotFound, match=f"sample {int(unplanned[-1])} is not in the plan"):
+            plan_1000.tombstone_all(unplanned)
     assert not plan_1000.tombstones
     emptied = plan_1000.copy().tombstone_all(whole)
     assert emptied.slice_sizes() == (250, 0, 250, 250)

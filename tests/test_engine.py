@@ -29,12 +29,13 @@ from mubench.errors import (
     AlreadyRevoked,
     DispatchError,
     InvalidArgument,
-    NotFound,
     TrainingDiverged,
 )
 from mubench.engine import _epoch_orders, train_batches
 from mubench.mia import fit_dense
 from mubench.nn import loss_grad
+
+from conftest import engine_state, forget_training_starts
 
 
 # ------------------------------------------------------------------- training
@@ -328,7 +329,7 @@ def test_non_integer_ids_revoke_nothing(trained_engine, sid):
     ``dispatch``, ``unlearn_prs`` and ``locate``, and nothing is revoked;
     Python and numpy ints are accepted."""
     eng = trained_engine
-    before = _engine_state(eng)
+    before = engine_state(eng)
     for call in (
         lambda: eng.dispatch(UnlearnRequest(sid, "dpus")),
         lambda: eng.unlearn_prs(sid),
@@ -336,7 +337,7 @@ def test_non_integer_ids_revoke_nothing(trained_engine, sid):
     ):
         with pytest.raises(InvalidArgument, match="sample ids are integers"):
             call()
-    assert _engine_state(eng) == before and not eng.plan.tombstones
+    assert engine_state(eng) == before and not eng.plan.tombstones
     early = eng.plan.slice_ids(1)[:2]
     assert eng.plan.locate(np.int32(early[0])) == eng.plan.locate(int(early[0]))
     assert eng.dispatch(UnlearnRequest(early[0], "dpus")).strategy_executed == "dpus"
@@ -355,12 +356,12 @@ def test_dpus_force_requires_record(trained_engine):
     """A DPUS request at or above the threshold, where no delta is recorded,
     is refused through dispatch too, before any state changes."""
     eng = trained_engine
-    before = _engine_state(eng)
+    before = engine_state(eng)
     for late in (eng.plan.slice_ids(2)[0], eng.plan.slice_ids(3)[0]):  # t = 2
         with pytest.raises(DispatchError, match="no increment is recorded") as caught:
             eng.dispatch(UnlearnRequest(late, "dpus"))
         assert "force" not in str(caught.value)
-    assert _engine_state(eng) == before
+    assert engine_state(eng) == before
 
 
 # ------------------------------------------------------------------------- hs
@@ -463,65 +464,32 @@ def test_ohs_full_depth_tracks_prs_accuracy():
     assert abs(acc_prs - acc_ohs) <= 0.01
 
 
-def _engine_state(eng):
-    """An engine's checkpoints and served params as bytes, its ledgers (ids,
-    deltas, consumed flags) and its tombstones."""
-    checkpoints = {
-        k: (
-            cp.params.values.tobytes(),
-            cp.opt_state.m.tobytes(),
-            cp.opt_state.v.tobytes(),
-            cp.opt_state.step_count,
-        )
-        for k, cp in eng.store.checkpoints.items()
-    }
-    ledgers = {
-        k: (ledger.ids.tobytes(), ledger.deltas.tobytes(), ledger.consumed.tolist())
-        for k, ledger in eng.store.ledgers.items()
-    }
-    served = eng.model.params.values.tobytes()
-    return checkpoints, ledgers, served, eng.store.tombstones, eng.plan.tombstones
+def test_ohs_depth_must_be_an_integer(trained_engine, tiny_dataset, tiny_config):
+    """A depth that is not a Python or numpy int in [0, S] is refused, by the
+    constructor and by a request, which then revokes nothing."""
+    sid = int(trained_engine.plan.slice_ids(1)[0])
+    for bad in (2.7, True, "2", np.float64(1.0), np.bool_(True), -1, 4):
+        with pytest.raises(InvalidArgument, match="ohs depth must be"):
+            UnlearnEngine(tiny_dataset, tiny_config, ohs_depth=bad)
+        with pytest.raises(InvalidArgument, match="ohs depth must be"):
+            trained_engine.unlearn_ohs(sid, depth=bad)
+    assert not trained_engine.plan.tombstones
+    assert UnlearnEngine(tiny_dataset, tiny_config, ohs_depth=np.int64(3)).default_ohs_depth == 3
+    assert trained_engine.unlearn_ohs(sid, depth=np.int32(0)).strategy_executed == "dpus"
 
 
 @pytest.mark.parametrize("depth", [3, 4])
-def test_ohs_depth_past_the_sample_runs_prs(depth):
+def test_ohs_depth_past_the_sample_runs_prs(item1_engine, depth):
     """With S-r < i, checkpoint S-r was written before slice i and never held
     the sample's delta: the request retrains from slice i, exactly as PRS."""
-    train, _ = split_dataset(gen_synthetic(2000, 20, 3), 0.2, seed=1)
-    # t = 3, r = 2 for S = 4: per-slice 400, costs 4000/3600/2800/1600
-    eng = UnlearnEngine.train(train, TrainConfig(num_slices=4, batch_size=64, seed=7, phi=3500.0))
-    a, b = eng.clone(), eng.clone()
-    victim = eng.plan.slice_ids(2)[5]
+    a, b = item1_engine.clone(), item1_engine.clone()
+    victim = item1_engine.plan.slice_ids(2)[5]
     out_a = a.unlearn_ohs(victim, depth=depth)
     out_b = b.unlearn_prs(victim)
     assert (out_a.strategy_executed, out_a.checkpoints_rewritten) == ("prs", [2, 3, 4])
     assert out_a.located_at == out_b.located_at
     assert out_a.params_after.bits_equal(out_b.params_after)
-    assert _engine_state(a) == _engine_state(b)
-
-
-def test_clone_stream_leaves_the_original_bit_identical(tiny_dataset, tiny_config):
-    """A mixed PRS/DPUS/HS/OHS stream on a clone writes nothing the original
-    holds, and each outcome's params_after is a read-only snapshot that later
-    requests leave alone."""
-    eng = UnlearnEngine.train(tiny_dataset, tiny_config)
-    before = _engine_state(eng)
-    twin = eng.clone()
-    assert twin.plan is not eng.plan
-    outcomes, snapshots = [], []
-    for k, sid in enumerate(sample_request_ids(eng.plan, 24, seed=6)):
-        strategy = ("prs", "dpus", "hs", "ohs")[k % 4]
-        if strategy == "dpus" and eng.plan.locate(sid)[0] >= eng.threshold:
-            strategy = "hs"  # no recorded delta at or above the threshold
-        outcomes.append(twin.dispatch(UnlearnRequest(sid, strategy)))
-        snapshots.append(outcomes[-1].params_after.values.tobytes())
-    assert {o.strategy_executed for o in outcomes} >= {"prs", "dpus", "ohs"}
-    assert _engine_state(eng) == before
-    assert not twin.model.params.bits_equal(eng.model.params)
-    for outcome, snapshot in zip(outcomes, snapshots):
-        assert outcome.params_after.values.tobytes() == snapshot
-        with pytest.raises(ValueError):
-            outcome.params_after.values[0] = 0.0
+    assert engine_state(a) == engine_state(b)
 
 
 # ------------------------------------------- revocations across requests
@@ -532,7 +500,8 @@ ITEM_1 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP i
 
 @pytest.fixture(scope="module")
 def item1_engine():
-    """t = 3, r = 2 for S = 4; tests serve requests on clones."""
+    """t = 3, r = 2 for S = 4 (per-slice 400, costs 4000/3600/2800/1600);
+    tests serve requests on clones."""
     train, _ = split_dataset(gen_synthetic(2000, 20, 3), 0.2, seed=1)
     return UnlearnEngine.train(train, TrainConfig(num_slices=4, batch_size=64, seed=7, phi=3500.0))
 
@@ -568,53 +537,8 @@ def test_reload_keeps_a_direct_update(item1_engine, tmp_path):
 
 
 # ----------------------------------------------------------- checkpoint reuse
-def _forget_training_starts(eng):
-    """Clear every checkpoint's ``trained_from``, so that the next request
-    retrains every slice it rewrites."""
-    for k, cp in eng.store.checkpoints.items():
-        eng.store.checkpoints[k] = replace(cp, trained_from=None)
-
-
-def _serve(eng, strategy, sample_id):
-    if strategy == "ohs3":  # amends at checkpoint 1: rewrites recorded slice 2
-        return eng.unlearn_ohs(sample_id, depth=3)
-    return eng.dispatch(UnlearnRequest(sample_id, strategy))
-
-
 def _rows(eng, slices):
     return eng.config.epochs_per_slice * sum(eng.plan.slice_ids(k).size for k in slices)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    stream=st.lists(
-        st.tuples(
-            st.sampled_from(["prs", "hs", "ohs", "ohs3"]),
-            st.sampled_from([1, 1, 2, 3, 4]),  # slice; slice 1 twice, for OHS repeats
-            st.integers(0, 63),  # position among its live ids: about one batch
-        ),
-        min_size=1,
-        max_size=12,
-    )
-)
-def test_reuse_is_bit_identical_to_retraining(item1_engine, stream):
-    """After every request of a mixed stream, the engine that reuses
-    checkpoints equals one made to retrain every slice it rewrites: outcomes,
-    served params, checkpoints with Adam state, ledgers with
-    their consumed flags, and tombstones."""
-    eng, ref = item1_engine.clone(), item1_engine.clone()
-    for strategy, i, pos in stream:
-        live = eng.plan.slice_ids(i)
-        sid = int(live[pos % live.size])
-        _forget_training_starts(ref)
-        out, expected = _serve(eng, strategy, sid), _serve(ref, strategy, sid)
-        assert (out.strategy_executed, out.located_at, out.checkpoints_rewritten) == (
-            expected.strategy_executed, expected.located_at, expected.checkpoints_rewritten
-        )
-        assert expected.rows_read == _rows(ref, expected.checkpoints_rewritten)
-        assert out.rows_read <= expected.rows_read
-        assert out.params_after.bits_equal(expected.params_after)
-        assert _engine_state(eng) == _engine_state(ref)
 
 
 def test_repeated_consumed_batch_ohs_trains_nothing(item1_engine, monkeypatch):
@@ -628,7 +552,7 @@ def test_repeated_consumed_batch_ohs_trains_nothing(item1_engine, monkeypatch):
     # consumed: starts at the pristine checkpoint 2, not at the amended start
     assert eng.unlearn_ohs(b).rows_read == _rows(eng, [3, 4])
     ref = eng.clone()
-    _forget_training_starts(ref)
+    forget_training_starts(ref)
     calls = []
     monkeypatch.setattr(
         mubench.engine, "loss_grad", lambda *args: calls.append(1) or loss_grad(*args)
@@ -640,7 +564,7 @@ def test_repeated_consumed_batch_ohs_trains_nothing(item1_engine, monkeypatch):
     )
     assert out.rows_read == 0
     assert ref.unlearn_ohs(c).rows_read == _rows(ref, [3, 4]) and calls
-    assert _engine_state(eng) == _engine_state(ref)
+    assert engine_state(eng) == engine_state(ref)
 
 
 def test_reused_recorded_slice_keeps_its_ledger(item1_engine):
@@ -653,13 +577,13 @@ def test_reused_recorded_slice_keeps_its_ledger(item1_engine):
     assert eng.unlearn_hs(a).strategy_executed == "dpus"  # consumes batch 1 of slice 1
     ledger = eng.store.ledgers[2]
     ref = eng.clone()
-    _forget_training_starts(ref)
+    forget_training_starts(ref)
     out = eng.unlearn_ohs(b, depth=3)  # pristine checkpoint 1, slices 2..4 unchanged
     assert (out.strategy_executed, out.checkpoints_rewritten) == ("ohs", [2, 3, 4])
     assert out.rows_read == 0
     assert eng.store.ledgers[2] is ledger
     assert ref.unlearn_ohs(b, depth=3).rows_read == _rows(ref, [2, 3, 4])
-    assert _engine_state(eng) == _engine_state(ref)
+    assert engine_state(eng) == engine_state(ref)
 
 
 def test_reloaded_store_trains_its_first_retrain(item1_engine, tmp_path):
@@ -674,7 +598,7 @@ def test_reloaded_store_trains_its_first_retrain(item1_engine, tmp_path):
     in_memory, reloaded = eng.unlearn_ohs(c), back.unlearn_ohs(c)
     assert (in_memory.rows_read, reloaded.rows_read) == (0, _rows(back, [3, 4]))
     assert reloaded.params_after.bits_equal(in_memory.params_after)
-    assert _engine_state(back) == _engine_state(eng)
+    assert engine_state(back) == engine_state(eng)
 
 
 def test_rows_read_counts_the_rows_trained(tiny_dataset, tiny_config):
@@ -689,30 +613,6 @@ def test_rows_read_counts_the_rows_trained(tiny_dataset, tiny_config):
     assert out.rows_read == _rows(eng, [2, 3]) == 2 * sum(eng.plan.slice_sizes()[1:])
     report = eng.process_stream([UnlearnRequest(int(eng.plan.slice_ids(1)[0]), "prs")])
     assert report.rows[0].rows_read == 2 * sum(eng.plan.slice_sizes())
-
-
-# ------------------------------------------------------------------- dispatch
-@pytest.mark.parametrize(
-    "strategy,phi,unlearn",
-    [
-        ("prs", 1000.0, lambda eng, i: eng.unlearn_prs(i)),
-        ("dpus", 0.0, lambda eng, i: eng.unlearn_dpus(i)),
-        ("hs", 1000.0, lambda eng, i: eng.unlearn_hs(i)),
-        ("ohs", 1000.0, lambda eng, i: eng.unlearn_ohs(i)),
-    ],
-    ids=["prs", "dpus", "hs", "ohs"],
-)
-def test_dispatch_matches_strategy_method(tiny_dataset, tiny_config, strategy, phi, unlearn):
-    a = UnlearnEngine.train(tiny_dataset, replace(tiny_config, phi=phi))
-    b = a.clone()
-    for i in sample_request_ids(a.plan, 30, seed=5):
-        out_a = a.dispatch(UnlearnRequest(i, strategy))
-        out_b = unlearn(b, i)
-        assert (out_a.strategy_executed, out_a.located_at, out_a.checkpoints_rewritten) == (
-            out_b.strategy_executed, out_b.located_at, out_b.checkpoints_rewritten
-        )
-        assert out_a.params_after.bits_equal(out_b.params_after)
-    assert a.model.params.bits_equal(b.model.params)
 
 
 # --------------------------------------------------------------------- stream
@@ -800,163 +700,6 @@ def test_sample_request_ids_distinct_and_deterministic(trained_engine):
 def test_request_validates_strategy():
     with pytest.raises(InvalidArgument):
         UnlearnRequest(0, "magic")
-
-
-def test_reload_rebuilds_plan_and_ledger_index(tiny_dataset, tiny_config, tmp_path):
-    """After a mixed stream, persist -> load -> from_store rebuilds the live
-    plan and the recorded ledger index the engine held in memory."""
-    from mubench import StateStore
-
-    eng = UnlearnEngine.train(tiny_dataset, tiny_config)
-    ids = sample_request_ids(eng.plan, 40, seed=8)
-    requests = [UnlearnRequest(eng.plan.slice_ids(1)[0], "prs")]  # re-records slice 1
-    for k, sid in enumerate(ids):
-        strategy = ("hs", "ohs", "dpus")[k % 3]
-        if strategy == "dpus" and eng.plan.locate(sid)[0] >= eng.threshold:
-            strategy = "hs"
-        if sid != requests[0].sample_id:
-            requests.append(UnlearnRequest(sid, strategy))
-    report = eng.process_stream(requests)
-    assert not report.partial
-    assert {row.strategy_executed for row in report.rows} >= {"prs", "dpus", "ohs"}
-
-    eng.store.persist(tmp_path)
-    back = UnlearnEngine.from_store(tiny_dataset, StateStore.load(tmp_path))
-    for i in range(1, eng.config.num_slices + 1):
-        assert np.array_equal(back.plan.slice_ids(i), eng.plan.slice_ids(i))
-    assert back.store.ledgers.keys() == eng.store.ledgers.keys()
-    for i, ledger in eng.store.ledgers.items():
-        assert np.array_equal(back.store.ledgers[i].ids, ledger.ids)
-        assert np.array_equal(back.store.ledgers[i].deltas, ledger.deltas)
-        assert np.array_equal(back.store.ledgers[i].consumed, ledger.consumed)
-    for sid in eng.plan.live_ids():
-        assert back.plan.locate(sid) == eng.plan.locate(sid)
-    for request in requests:
-        with pytest.raises(AlreadyRevoked):
-            back.plan.locate(request.sample_id)
-
-
-def _assert_revoked(eng, revoked):
-    """The store's revoked ids, the requested ones and the ids missing from
-    the plan's slices are one set; each raises AlreadyRevoked, and ids
-    outside the plan raise NotFound. A ledger batch is consumed exactly when
-    one of its ids is revoked, which is what a load derives."""
-    n, plan = eng.dataset.n, eng.plan
-    missing = set(range(n)) - set(np.concatenate(plan.slices).tolist())
-    assert eng.store.tombstones == set(revoked) == missing == plan.tombstones
-    size = eng.config.batch_size
-    for ledger in eng.store.ledgers.values():
-        batches = [ledger.ids[j : j + size].tolist() for j in range(0, ledger.ids.size, size)]
-        assert ledger.consumed.tolist() == [not missing.isdisjoint(b) for b in batches]
-    for sid in revoked:
-        with pytest.raises(AlreadyRevoked):
-            plan.locate(sid)
-    for sid in (-1, n):
-        with pytest.raises(NotFound):
-            plan.locate(sid)
-
-
-def _assert_lookups_match_scans(eng):
-    """``locate``, ``tombstone`` and ``recorded_batch_index`` against
-    brute-force scans of the plan's slices and the ledgers' ids, for every
-    planned id, every revoked one and a few outside the plan."""
-    plan, store, size = eng.plan, eng.store, eng.config.batch_size
-    revoked = plan.tombstones
-    assert not any(ids.flags.writeable for ids in plan.slices)
-    assert not any(ledger.ids.flags.writeable for ledger in store.ledgers.values())
-    for sid in range(-2, plan.slice_of.size + 2):
-        home = [(i, int(np.flatnonzero(ids == sid)[0])) for i, ids in enumerate(plan.slices, 1)
-                if (ids == sid).any()]
-        if sid in revoked:
-            assert not home
-            with pytest.raises(AlreadyRevoked):
-                plan.locate(sid)
-            assert plan.tombstone(sid) is plan
-        elif not home:
-            for call in (plan.locate, plan.tombstone):
-                with pytest.raises(NotFound):
-                    call(sid)
-        else:
-            [(i, k)] = home
-            assert plan.locate(sid) == (i, k // size + 1)
-            after = plan.copy().tombstone(sid)
-            assert after.tombstones == revoked | {sid} and plan.tombstones == revoked
-            assert after.slice_of is plan.slice_of
-            for m, (got, was) in enumerate(zip(after.slices, plan.slices), 1):
-                if m != i:
-                    assert got is was
-                    continue
-                assert got.dtype == np.int64 and not got.flags.writeable
-                assert np.array_equal(got, np.delete(was, k))
-        for i in range(1, eng.config.num_slices + 2):
-            ledger = store.ledgers.get(i)
-            hits = np.flatnonzero(ledger.ids == sid) if ledger is not None else ()
-            if len(hits):
-                assert store.recorded_batch_index(i, sid) == hits[0] // size + 1
-            else:
-                with pytest.raises(NotFound):
-                    store.recorded_batch_index(i, sid)
-
-
-def _serve_counted(eng, revoked, sid, strategy):
-    """Dispatch one request; a served one joins ``revoked``."""
-    try:
-        eng.dispatch(UnlearnRequest(sid, strategy))
-    except DispatchError:
-        pass
-    else:
-        revoked.append(sid)
-    _assert_revoked(eng, revoked)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(12, 160),
-    s=st.integers(1, 5),
-    batch=st.integers(1, 24),
-    phi_frac=st.floats(0.0, 1.2),
-    seed=st.integers(0, 2**16),
-    data=st.data(),
-)
-def test_lookups_match_scans_over_mixed_streams(n, s, batch, phi_frac, seed, data):
-    """After a random PRS/DPUS/HS/OHS stream, whose retraining re-records
-    ledgers, in the engine, in a clone taken mid-stream that then serves ids
-    of its own, and in the engine persisted and loaded back, every lookup
-    equals its brute-force scan. After every request the revoked ids agree
-    (``_assert_revoked``). The stream may end by revoking every id of one
-    slice, which leaves that slice empty."""
-    import tempfile
-
-    ds = gen_synthetic(n, 4, seed)
-    config = TrainConfig(
-        num_slices=s, batch_size=batch, seed=seed, phi=phi_frac * s * n, hidden_dims=(6,)
-    )
-    eng = UnlearnEngine.train(ds, config)
-    ids = sample_request_ids(eng.plan, data.draw(st.integers(0, n // 2)), seed)
-    if data.draw(st.booleans()):
-        whole = eng.plan.slice_ids(data.draw(st.integers(1, s))).tolist()
-        ids += [sid for sid in whole if sid not in ids]
-    clone_at = data.draw(st.integers(0, len(ids)))
-    twin, revoked, twin_revoked = eng.clone(), [], []
-    strategies = st.sampled_from(mubench.engine.STRATEGIES)
-    for k, sid in enumerate(ids):
-        if k == clone_at:
-            twin, twin_revoked = eng.clone(), list(revoked)
-        _serve_counted(eng, revoked, sid, data.draw(strategies))
-    # the twin serves ids its parent never revoked: neither sees the other's
-    count = data.draw(st.integers(0, min(3, sum(eng.plan.slice_sizes()))))
-    for sid in sample_request_ids(eng.plan, count, seed):
-        _serve_counted(twin, twin_revoked, sid, data.draw(strategies))
-    _assert_revoked(eng, revoked)
-    _assert_lookups_match_scans(eng)
-    _assert_lookups_match_scans(twin)
-    with tempfile.TemporaryDirectory() as root:
-        eng.store.persist(root)
-        loaded = StateStore.load(root)
-        assert loaded.tombstones == set(revoked)
-        back = UnlearnEngine.from_store(ds, loaded)
-    _assert_revoked(back, revoked)
-    _assert_lookups_match_scans(back)
 
 
 def test_from_store_fingerprint_guard(tiny_dataset, tiny_config, tmp_path):

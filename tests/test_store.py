@@ -165,6 +165,17 @@ def test_record_rejects_ids_off_the_plan():
     assert not store.ledgers
 
 
+def test_record_rejects_deltas_that_do_not_fit_the_ids():
+    """A ledger takes one delta row per batch of ids, each as wide as the
+    layout; any other shape is refused, and nothing is recorded."""
+    store = fresh_store()  # batch size 16
+    ids, width = store.plan.slice_ids(1)[:20], LAYOUT.param_count
+    for bad in (deltas(0), deltas(0, 1, 2), deltas(0, 1)[:, :3], deltas(0, 1).ravel()):
+        with pytest.raises(InvalidArgument, match=f"20 ids take 2 delta rows of {width}"):
+            store.record_increment(1, ids, bad)
+    assert not store.ledgers
+
+
 def populated_store():
     """A state the engine can reach: five slices of 20 ids, all checkpointed;
     slice 1 recorded (t = 2) as two batches of its plan ids; two ids of batch
@@ -293,6 +304,7 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
         (_checkpoint_entry(_set("step_count", 3.0)), _STEP_COUNT + r"3\.0"),
         (_checkpoint_entry(_set("step_count", True)), _STEP_COUNT + "True"),
         (_checkpoint_entry(_set("step_count", -1)), _STEP_COUNT + "-1"),
+        (_set("tombstones", [2**64]), f"manifest.json: malformed .*sample {2**64} is not in the"),
     ],
     ids=[
         "no_S", "tombstone_string", "tombstone_past_n", "tombstone_negative", "tombstone_float",
@@ -301,7 +313,7 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
         "hidden_dims_float", "layout_list", "n_float", "id_count_string", "no_id_count",
         "rows_short_of_ids",
         "id_count_past_payload", "ids_past_n", "step_count_float", "step_count_integral_float",
-        "step_count_bool", "step_count_negative",
+        "step_count_bool", "step_count_negative", "tombstone_huge",
     ],
 )
 def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
