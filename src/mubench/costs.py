@@ -7,10 +7,18 @@ slices already folded into the checkpoint, so it is priced at k * n/S.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgument
+
+
+def check_finite_real(name: str, value) -> None:
+    """InvalidArgument unless ``value`` is a finite int or float (not a bool)."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not real or not math.isfinite(value):
+        raise InvalidArgument(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -24,6 +32,7 @@ class CostConfig:
             raise InvalidArgument("num_slices must be >= 1")
         if self.n < self.num_slices:
             raise InvalidArgument("n must be >= num_slices")
+        check_finite_real("phi", self.phi)
         if self.phi < 0:
             raise InvalidArgument("phi must be non-negative")
 

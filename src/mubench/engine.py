@@ -1,10 +1,11 @@
 """Sliced training with increment recording, and the four revocation strategies.
 
-Training walks the slices in order, checkpointing parameters plus optimizer
-state after each one; for each slice below the dispatch threshold it also
-records the slice's ledger in one call: its ids and one row per batch holding
-that batch's summed parameter increment. Every revocation takes one of two
-paths:
+Training walks the slices in order from the store's checkpoint 0,
+checkpointing parameters plus optimizer state after each one (after the last,
+which no retrain resumes, parameters only); for each slice below the dispatch
+threshold it also records the slice's ledger in one call: its ids and one row
+per batch holding that batch's summed parameter increment. Every revocation
+takes one of two paths:
 
 * partial retraining (``prs``, and ``hs``/``ohs`` at or above the threshold)
   - roll back to the checkpoint before the sample's slice, drop the sample,
@@ -45,6 +46,7 @@ from .errors import (
     InvalidArgument,
     MuError,
     NumericError,
+    StoreCorruption,
     TrainingDiverged,
 )
 from .nn import (
@@ -57,7 +59,6 @@ from .nn import (
     adam_step,
     combine,
     evaluate,
-    init_params,
     loss_grad,
 )
 from .report import MetricsReport, RequestRow
@@ -229,7 +230,17 @@ class UnlearnEngine:
     @classmethod
     def from_store(cls, dataset: Dataset, store: StateStore, ohs_depth: int | None = None):
         """Rebuild a live engine around a loaded store, whose plan already
-        holds its tombstones; the engine serves checkpoint S."""
+        holds its tombstones; the engine serves checkpoint S. A store that
+        lacks a checkpoint 1..S or a ledger 1..t-1, which requests would
+        resume or amend from, is StoreCorruption."""
+        last = store.config.num_slices
+        for kind, held, upto in (
+            ("checkpoint", store.checkpoints, last),
+            ("ledger", store.ledgers, store.threshold - 1),
+        ):
+            missing = next((i for i in range(1, upto + 1) if i not in held), None)
+            if missing is not None:
+                raise StoreCorruption(f"store has no {kind} for slice {missing}")
         if store.n != dataset.n:
             raise InvalidArgument(
                 f"store was trained on n={store.n}, dataset has n={dataset.n}"
@@ -253,10 +264,8 @@ class UnlearnEngine:
     def fit(self) -> Model:
         if self.model is not None:
             raise InvalidArgument("engine is already trained")
-        params = init_params(self.layout, self.config.seed)
-        state = OptimizerState.fresh(self.layout, self.config.hyper())
-        self.store.put_checkpoint(Checkpoint(0, params, state))
-        params, _, _ = self._train_slices(1, params, state)
+        start = self.store.checkpoints[0]
+        params, _, _ = self._train_slices(1, start.params, start.opt_state)
         self.store.dataset_fingerprint = self.dataset.fingerprint()
         self.model = Model(params)
         return self.model
@@ -266,6 +275,7 @@ class UnlearnEngine:
     ) -> tuple[ParameterVector, list[int], int]:
         """Train slices start_slice..S from (params, state), checkpointing each
         one; return the final params, the slices rewritten and the rows read.
+        Checkpoint S keeps no Adam state: no retrain resumes it.
 
         Checkpoint k is reused instead of retraining slice k when it was
         trained from bit-identical start params, Adam state and live slice
@@ -274,7 +284,8 @@ class UnlearnEngine:
         recorded slice keeps its ledger, whose ids are the same and whose
         batches are unconsumed (a consumed batch comes with a tombstone in
         its slice, which forces a retrain)."""
-        trained, rows_read = list(range(start_slice, self.config.num_slices + 1)), 0
+        last, rows_read = self.config.num_slices, 0
+        trained = list(range(start_slice, last + 1))
         for k in trained:
             ids, record = self.plan.slice_ids(k), k < self.threshold
             start = (state.step_count, params.values, state.m, state.v, ids)
@@ -284,7 +295,7 @@ class UnlearnEngine:
             else:
                 params, state = self._train_slice(params, state, k, record)
                 rows_read += ids.size * self.config.epochs_per_slice
-            self.store.put_checkpoint(Checkpoint(k, params, state, start))
+            self.store.put_checkpoint(Checkpoint(k, params, state if k < last else None, start))
         return params, trained, rows_read
 
     def _train_slice(

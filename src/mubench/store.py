@@ -1,31 +1,33 @@
 """Persistence of per-slice checkpoints, the per-slice increment ledger and
 the slice plan, whose live masks are the record of the revoked ids.
 
-On-disk layout: ``manifest.json`` plus one binary file per checkpoint or
-recorded slice. The manifest holds the training config as one ``config``
-section (the engine's ``TrainConfig``), the input width, n, the tombstones and
-one entry per file: a checkpoint's holds its slice, file, Adam
-step count and CRC, a ledger's its slice, file, id count and CRC. Binary
-framing: magic ``MUCK``, u32 framing version, u32 slice index, u32 batch field
-(0xFFFFFFFF for checkpoints, the row count for a ledger), u64 payload length
-in 4-byte words, the little-endian payload, u32 CRC32 trailer over all
-preceding bytes. Checkpoint payloads are float32 (params, adam_m, adam_v); a
-ledger's payload is its ids as int64 (its slice's live ids at recording time,
-in plan order), then its float32 delta rows in batch order. Nothing derivable
-is stored: the dispatch threshold comes from the config and n, each ledger's
-row index from its ids, and each batch's consumed flag (set exactly when one
-of its ids is revoked, as the engine leaves it) from its slice's live mask.
-Loading keeps the ids and deltas as read-only views of the file's bytes,
-rebuilds the plan from the config and n and revokes the tombstones in it.
-Writes go to a temp file then ``os.replace``; once the new manifest is in
-place, the store files it does not name are removed.
+On-disk layout (format 8): ``manifest.json`` plus one binary file per
+checkpoint 1..S or recorded slice. The manifest holds the training config as
+one ``config`` section (the engine's ``TrainConfig``), the input width, n, the
+tombstones and one entry per file: a checkpoint's holds its slice, file, Adam
+step count (checkpoints 1..S-1 only) and CRC, a ledger's its slice, file, id
+count and CRC. Binary framing: magic ``MUCK``, u32 framing version, u32 slice
+index, u32 batch field (0xFFFFFFFF for checkpoints, the row count for a
+ledger), u64 payload length in 4-byte words, the little-endian payload, u32
+CRC32 trailer over all preceding bytes. Checkpoint payloads are float32
+(params, adam_m, adam_v; checkpoint S, which no retrain resumes, holds its
+params only); a ledger's payload is its ids as int64 (its slice's live ids at
+recording time, in plan order), then its float32 delta rows in batch order.
+Nothing derivable is stored: checkpoint 0 is ``init_params`` under the
+config's seed with fresh Adam state, the dispatch threshold comes from the
+config and n, each ledger's row index from its ids, and each batch's consumed
+flag (set exactly when one of its ids is revoked, as the engine leaves it)
+from its slice's live mask. Loading keeps the ids and deltas as read-only
+views of the file's bytes, rebuilds checkpoint 0 and the plan from the config
+and n and revokes the tombstones in the plan. A version-7 or older manifest
+is refused. Writes go to a temp file then ``os.replace``; once the new
+manifest is in place, the store files it does not name are removed.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
 import os
 import struct
 import zlib
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import CostConfig, threshold
+from .costs import CostConfig, check_finite_real, threshold
 from .data import SlicePlan, as_sample_id, make_slice_plan
 from .errors import (
     InvalidArgument,
@@ -44,10 +46,10 @@ from .errors import (
     StoreCorruption,
     StoreVersionError,
 )
-from .nn import AdamHyper, ModelLayout, OptimizerState, ParameterVector
+from .nn import AdamHyper, ModelLayout, OptimizerState, ParameterVector, init_params
 
 MAGIC = b"MUCK"
-FORMAT_VERSION = 7  # of the manifest; it also fixes what a ledger payload holds
+FORMAT_VERSION = 8  # of the manifest; it also fixes what a ledger payload holds
 FRAME_VERSION = 3  # of the binary files; the header has not changed since version 3
 CHECKPOINT_SENTINEL = 0xFFFFFFFF
 _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
@@ -74,10 +76,8 @@ class TrainConfig:
                 raise InvalidArgument(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise InvalidArgument(f"{name} must be >= {low}")
-        for name, value in (("learning_rate", self.learning_rate), ("phi", self.phi)):
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not real or not math.isfinite(value):
-                raise InvalidArgument(f"{name} must be a finite real number, got {value!r}")
+        check_finite_real("learning_rate", self.learning_rate)
+        check_finite_real("phi", self.phi)
         if self.learning_rate <= 0:
             raise InvalidArgument("learning_rate must be positive")
         if self.phi < 0:
@@ -92,9 +92,11 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
-    """Parameters and Adam state after a slice. Construction makes the
-    params, ``m`` and ``v`` arrays read-only; they are never written again,
-    which is what lets clones and served models share them.
+    """Parameters and Adam state after a slice. A retrain resumes checkpoints
+    0..S-1 only, so checkpoint S holds no Adam state (``opt_state`` None).
+    Construction makes the params, ``m`` and ``v`` arrays read-only; they are
+    never written again, which is what lets clones and served models share
+    them.
 
     ``trained_from`` is the start this checkpoint was trained from: Adam's step
     count, then references to the params, ``m``, ``v`` and slice ids, whose
@@ -103,12 +105,13 @@ class Checkpoint:
 
     slice_index: int
     params: ParameterVector
-    opt_state: OptimizerState
+    opt_state: OptimizerState | None
     trained_from: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        state = () if self.opt_state is None else (self.opt_state.m, self.opt_state.v)
         start = self.trained_from[1:] if self.trained_from else ()
-        for values in (self.params.values, self.opt_state.m, self.opt_state.v, *start):
+        for values in (self.params.values, *state, *start):
             values.flags.writeable = False
 
     def was_trained_from(self, start: tuple) -> bool:
@@ -131,6 +134,15 @@ class Ledger(NamedTuple):
     deltas: np.ndarray
     consumed: np.ndarray
     index: np.ndarray
+
+
+def _index(value) -> int:
+    """``value`` as a slice or batch index; InvalidArgument unless a Python or
+    numpy int (not a bool), the rule ``as_sample_id`` applies to ids. Hot
+    callers test ``type(value) is int`` before calling."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise InvalidArgument(f"slice and batch indexes are integers, got {value!r}")
+    return int(value)
 
 
 def write_vector_file(path: Path, slice_index: int, batch_index: int, values, ids=()) -> int:
@@ -177,7 +189,9 @@ class StateStore:
     checkpoint only under it. ``plan`` is the slice plan of the n ids under
     ``config``; its live masks are the one record of the revoked ids. The
     store owns it: requests revoke in it in place, and only ``clone`` copies
-    it. ``threshold`` is the dispatch threshold t of ``config`` and n."""
+    it. ``threshold`` is the dispatch threshold t of ``config`` and n.
+    Checkpoint 0, the start every training run takes, is built here from
+    ``config`` and never put, persisted or loaded."""
 
     def __init__(self, config: TrainConfig, layout: ModelLayout, plan: SlicePlan):
         self.config = config
@@ -186,20 +200,27 @@ class StateStore:
         self.n = int(plan.slice_of.size)
         self.threshold = threshold(CostConfig(self.n, config.num_slices, config.phi)).t
         self.dataset_fingerprint = ""
-        self.checkpoints: dict[int, Checkpoint] = {}
+        start = init_params(layout, config.seed), OptimizerState.fresh(layout, config.hyper())
+        self.checkpoints: dict[int, Checkpoint] = {0: Checkpoint(0, *start)}
         self.ledgers: dict[int, Ledger] = {}
 
     # ---- checkpoints -------------------------------------------------
     def put_checkpoint(self, checkpoint: Checkpoint) -> None:
-        i = checkpoint.slice_index
-        if not 0 <= i <= self.config.num_slices:
+        """Store checkpoint 1..S; checkpoint S without Adam state, the others
+        with it."""
+        i, last = _index(checkpoint.slice_index), self.config.num_slices
+        if not 1 <= i <= last:
             raise InvalidArgument(
-                f"checkpoint index must be in [0, {self.config.num_slices}], got {i}"
+                f"checkpoint index must be in [1, {last}] (checkpoint 0 is derived), got {i}"
+            )
+        if (checkpoint.opt_state is None) != (i == last):
+            raise InvalidArgument(
+                f"checkpoints 1..{last - 1} hold Adam state and checkpoint {last} none"
             )
         self.checkpoints[i] = checkpoint
 
     def get_checkpoint(self, i: int) -> Checkpoint:
-        cp = self.checkpoints.get(int(i))
+        cp = self.checkpoints.get(_index(i))
         if cp is None:
             raise NotFound(f"no checkpoint for slice {i}")
         return cp
@@ -207,7 +228,7 @@ class StateStore:
     # ---- increments --------------------------------------------------
     def record_increment(self, i: int, ids, deltas) -> None:
         """Replace slice i's ledger with ``ids`` and ``deltas``, none consumed."""
-        self._put_ledger(i, ids, deltas)
+        self._put_ledger(_index(i), ids, deltas)
 
     def _put_ledger(self, i: int, ids, deltas) -> None:
         """Check and store slice i's ledger and build its row index. The ids
@@ -239,7 +260,9 @@ class StateStore:
         self.ledgers[i] = Ledger(ids, deltas, np.zeros(len(deltas), dtype=bool), index)
 
     def _ledger(self, i: int, j: int) -> Ledger:
-        ledger = self.ledgers.get(int(i))
+        if type(i) is not int or type(j) is not int:
+            i, j = _index(i), _index(j)
+        ledger = self.ledgers.get(i)
         if ledger is None or not 1 <= j <= ledger.consumed.size:
             raise NotFound(f"no increment record for slice {i}, batch {j}")
         return ledger
@@ -261,7 +284,9 @@ class StateStore:
         """Recording-time 1-based batch index of a sample within slice i: its
         row in slice i's ledger, read through the ledger's index at the
         sample's as-planned position."""
-        ledger = self.ledgers.get(int(i))
+        if type(i) is not int:
+            i = _index(i)
+        ledger = self.ledgers.get(i)
         if ledger is None:
             raise NotFound(f"slice {i} has no recorded increments")
         if type(sample_id) is not int:
@@ -299,14 +324,15 @@ class StateStore:
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
         cp_entries = []
-        for i in sorted(self.checkpoints):
+        for i in sorted(self.checkpoints)[1:]:  # checkpoint 0 is derived
             cp = self.checkpoints[i]
-            fname = f"checkpoint_{i:04d}.muck"
-            payload = np.concatenate([cp.params.values, cp.opt_state.m, cp.opt_state.v])
-            crc = write_vector_file(root / fname, i, CHECKPOINT_SENTINEL, payload)
-            cp_entries.append(
-                {"slice": i, "file": fname, "step_count": cp.opt_state.step_count, "crc32": crc}
-            )
+            entry = {"slice": i, "file": f"checkpoint_{i:04d}.muck"}
+            payload = cp.params.values
+            if cp.opt_state is not None:
+                payload = np.concatenate([payload, cp.opt_state.m, cp.opt_state.v])
+                entry["step_count"] = cp.opt_state.step_count
+            crc = write_vector_file(root / entry["file"], i, CHECKPOINT_SENTINEL, payload)
+            cp_entries.append({**entry, "crc32": crc})
         ledger_entries = []
         for i, ledger in sorted(self.ledgers.items()):
             fname = f"ledger_{i:04d}.muck"
@@ -364,20 +390,28 @@ class StateStore:
         plan = make_slice_plan(n, config.num_slices, config.batch_size, config.seed)
         store = cls(config, layout, plan)
         store.dataset_fingerprint = str(manifest["dataset_fingerprint"])
-        count = layout.param_count
+        count, last = layout.param_count, config.num_slices
         for entry in manifest["checkpoints"]:
+            if entry["slice"] not in range(1, last + 1):
+                raise StoreCorruption(
+                    f"manifest.json: stored checkpoints are 1..{last}, got {entry['slice']!r}"
+                )
+            if entry["slice"] == last and "step_count" in entry:
+                raise StoreCorruption(f"{entry['file']}: checkpoint {last} has no step count")
             si, bi, payload, crc = read_vector_file(root / entry["file"])
             if crc != entry["crc32"]:
                 raise StoreCorruption(f"{entry['file']}: manifest checksum disagrees")
-            if si != entry["slice"] or bi != CHECKPOINT_SENTINEL or payload.size != 3 * count:
+            width = count if si == last else 3 * count
+            if si != entry["slice"] or bi != CHECKPOINT_SENTINEL or payload.size != width:
                 raise StoreCorruption(f"{entry['file']}: checkpoint framing mismatch")
-            params = ParameterVector(payload[:count], layout)
-            state = OptimizerState(
-                payload[count : 2 * count],
-                payload[2 * count :],
-                _count(entry["step_count"], "step_count"),
-                config.hyper(),
-            )
+            params, state = ParameterVector(payload[:count], layout), None
+            if si < last:
+                state = OptimizerState(
+                    payload[count : 2 * count],
+                    payload[2 * count :],
+                    _count(entry["step_count"], "step_count"),
+                    config.hyper(),
+                )
             store.checkpoints[si] = Checkpoint(si, params, state)
         for entry in manifest["ledgers"]:
             id_count = _count(entry["id_count"], "id_count")

@@ -42,14 +42,20 @@ def _as_bytes(*arrays):
     return tuple(a.tobytes() for a in arrays)
 
 
+def _checkpoint_state(cp):
+    """A checkpoint's params, then its Adam state if it holds one, as bytes."""
+    state = cp.opt_state
+    adam = () if state is None else _as_bytes(state.m, state.v) + (state.step_count,)
+    return _as_bytes(cp.params.values) + adam
+
+
 def engine_state(eng):
-    """Every structure of an engine as bytes: checkpoints with Adam state,
-    ledgers with consumed flags and index, the plan's masks, and last the
-    served params."""
+    """Every structure of an engine as bytes: checkpoints with Adam state
+    (checkpoint S has none), ledgers with consumed flags and index, the plan's
+    masks, and last the served params."""
     store = eng.store
     return (
-        {k: _as_bytes(c.params.values, c.opt_state.m, c.opt_state.v) + (c.opt_state.step_count,)
-         for k, c in store.checkpoints.items()},
+        {k: _checkpoint_state(c) for k, c in store.checkpoints.items()},
         {k: _as_bytes(x.ids, x.deltas, x.consumed, x.index) for k, x in store.ledgers.items()},
         _as_bytes(*eng.plan.masks),
         eng.model.params.values.tobytes(),

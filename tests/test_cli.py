@@ -51,6 +51,12 @@ def test_cost_rejects_s_above_n():
     assert main(["cost", "--n", "10", "--slices", "11", "--phi", "5"]) == 2
 
 
+@pytest.mark.parametrize("phi", ["nan", "inf"])
+def test_cost_rejects_a_non_finite_phi(capsys, phi):
+    assert main(["cost", "--n", "100", "--slices", "4", "--phi", phi]) == 2
+    assert "configuration error: phi must be a finite real number" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- train
 def test_train_writes_store_and_model(out_root, capsys):
     cfg = write_config(out_root)
@@ -58,7 +64,7 @@ def test_train_writes_store_and_model(out_root, capsys):
     printed = json.loads(capsys.readouterr().out)
     run = out_root / "run"
     checkpoints = sorted(p.name for p in (run / "store").glob("checkpoint_*.muck"))
-    assert len(checkpoints) == 5  # indices 0..4
+    assert checkpoints == [f"checkpoint_{i:04d}.muck" for i in range(1, 5)]  # 0 is derived
     assert (run / "store" / "manifest.json").exists()
     assert (run / "model.json").exists()
     assert (run / "config.json").exists()
@@ -145,6 +151,17 @@ def test_replay_damaged_manifest_fails(out_root, capsys):
     manifest_path.write_text(json.dumps(manifest))
     assert main(["replay", "--config", str(cfg)]) == 1
     assert "error: manifest.json: missing field 'id_count'" in capsys.readouterr().err
+
+
+def test_replay_store_missing_a_checkpoint_fails(out_root, capsys):
+    cfg = write_config(out_root)
+    assert main(["train", "--config", str(cfg)]) == 0
+    manifest_path = out_root / "run" / "store" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["checkpoints"] = [e for e in manifest["checkpoints"] if e["slice"] != 2]
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["replay", "--config", str(cfg)]) == 1
+    assert "error: store has no checkpoint for slice 2" in capsys.readouterr().err
 
 
 def test_replay_zero_requests(out_root):

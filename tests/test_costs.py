@@ -76,6 +76,10 @@ def test_config_validation():
         CostConfig(4, 0, 0.0)
     with pytest.raises(InvalidArgument):
         CostConfig(4, 2, -1.0)
+    for phi in (float("nan"), float("inf"), -float("inf"), True, "3", None):
+        with pytest.raises(InvalidArgument, match="phi must be a finite real number"):
+            CostConfig(4, 2, phi)
+    assert threshold(CostConfig(4, 2, 3)).t == threshold(CostConfig(4, 2, 3.0)).t
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,6 +5,7 @@ ids revoked in order and each ledger's ids. After every rule each engine must
 match its twin, and its plan, ledgers and tombstones a scan of the model."""
 
 import functools
+import os
 import tempfile
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from mubench import STRATEGIES, StateStore, TrainConfig, UnlearnEngine, UnlearnRequest
-from mubench import gen_synthetic
+from mubench import gen_synthetic, init_params
 from mubench.errors import AlreadyRevoked, DispatchError, InvalidArgument, MuError, NotFound
 
 from conftest import engine_state, forget_training_starts
@@ -172,14 +173,23 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(k=LINE)
     def reload(self, k):
-        """persist -> load -> from_store on both; all but the served params stay."""
+        """persist -> load -> from_store on both; all but the served params
+        stay. No file holds checkpoint 0, which a load derives, and checkpoint
+        S holds no Adam state before or after."""
         line = self.lines[k % len(self.lines)]
         for name in ("engine", "twin"):
             eng = getattr(line, name)
             with tempfile.TemporaryDirectory() as root:
                 eng.store.persist(root)
+                assert not os.path.exists(os.path.join(root, "checkpoint_0000.muck"))
                 back = UnlearnEngine.from_store(eng.dataset, StateStore.load(root))
             assert engine_state(back)[:-1] == engine_state(eng)[:-1]  # ROADMAP item 1
+            start, zeros = back.store.get_checkpoint(0), bytes(4 * back.layout.param_count)
+            assert start.params.bits_equal(init_params(back.layout, back.config.seed))
+            state = start.opt_state  # fresh: step 0, float32 zero moments
+            assert (state.step_count, state.m.tobytes(), state.v.tobytes()) == (0, zeros, zeros)
+            for e in (eng, back):
+                assert e.store.get_checkpoint(self.s).opt_state is None
             setattr(line, name, back)
 
     @invariant()

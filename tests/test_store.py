@@ -37,8 +37,12 @@ def fresh_store(num_slices=4, phi=200.0):
     return StateStore(config, LAYOUT, plan)
 
 
-def make_checkpoint(i, seed=0):
+def make_checkpoint(i, seed=0, num_slices=4):
+    """Checkpoint i with its own params and Adam state; checkpoint S, as the
+    store requires, without Adam state."""
     params = init_params(LAYOUT, seed + i)
+    if i == num_slices:
+        return Checkpoint(i, params, None)
     state = OptimizerState.fresh(LAYOUT)
     state.m[:] = np.float32(0.25) * (i + 1)
     state.step_count = 3 * i
@@ -53,12 +57,35 @@ def test_checkpoint_roundtrip_in_memory():
 
 
 def test_checkpoint_indices_zero_through_s():
+    """Checkpoint 0 is derived, so only 1..S can be put; 1..S-1 hold Adam
+    state and S none."""
     store = fresh_store(num_slices=4)
-    for i in range(5):
+    for i in range(1, 5):
         store.put_checkpoint(make_checkpoint(i))
     assert sorted(store.checkpoints) == [0, 1, 2, 3, 4]
-    with pytest.raises(InvalidArgument):
-        store.put_checkpoint(make_checkpoint(5))
+    for i in (0, 5):
+        with pytest.raises(InvalidArgument, match=r"in \[1, 4\] \(checkpoint 0 is derived\)"):
+            store.put_checkpoint(make_checkpoint(i))
+    state = make_checkpoint(1).opt_state
+    with_state, without = replace(make_checkpoint(4), opt_state=state), make_checkpoint(2)
+    for bad in (with_state, replace(without, opt_state=None)):
+        with pytest.raises(InvalidArgument, match="1..3 hold Adam state and checkpoint 4 none"):
+            store.put_checkpoint(bad)
+    assert store.get_checkpoint(4).opt_state is None and store.get_checkpoint(2).opt_state
+
+
+def test_checkpoint_zero_is_derived_from_the_config():
+    """A new store holds checkpoint 0, the start of every training run: the
+    config seed's initial params with fresh Adam state, all read-only."""
+    store = fresh_store()
+    cp, zeros = store.get_checkpoint(0), np.zeros(LAYOUT.param_count, dtype=np.float32)
+    assert cp.params.bits_equal(init_params(LAYOUT, store.config.seed))
+    state = cp.opt_state
+    assert state.step_count == 0 and state.hyper == store.config.hyper()
+    assert state.m.tobytes() == state.v.tobytes() == zeros.tobytes()
+    assert not any(a.flags.writeable for a in (cp.params.values, state.m, state.v))
+    other = StateStore(replace(store.config, seed=9), LAYOUT, store.plan)
+    assert other.get_checkpoint(0).params.bits_equal(init_params(LAYOUT, 9))
 
 
 def test_trained_from_key_compares_bits():
@@ -176,13 +203,42 @@ def test_record_rejects_deltas_that_do_not_fit_the_ids():
     assert not store.ledgers
 
 
+@pytest.mark.parametrize("bad", [2.9, 2.0, True, np.float64(1.0), "1", None])
+def test_store_indexes_must_be_integers(bad):
+    """Every slice or batch index a store method takes is a Python or numpy
+    int, never a bool: anything else is InvalidArgument and changes nothing."""
+    store = populated_store()
+    ids, cp, rows = store.ledgers[1].ids, make_checkpoint(2), deltas(91, 92)
+    calls = [
+        lambda: store.get_checkpoint(bad),
+        lambda: store.put_checkpoint(replace(cp, slice_index=bad)),
+        lambda: store.record_increment(bad, ids, rows),
+        lambda: store.get_increment(bad, 1),
+        lambda: store.get_increment(1, bad),
+        lambda: store.mark_consumed(bad, 2),
+        lambda: store.mark_consumed(1, bad),
+        lambda: store.recorded_batch_index(bad, ids[0]),
+    ]
+    checkpoints, consumed = dict(store.checkpoints), store.ledgers[1].consumed.tolist()
+    for call in calls:
+        with pytest.raises(InvalidArgument, match="slice and batch indexes are integers"):
+            call()
+    assert store.checkpoints == checkpoints and store.ledgers[1].ids is ids
+    assert store.ledgers[1].consumed.tolist() == consumed == [True, False]
+    one, two = np.int64(1), np.int32(2)
+    assert store.get_checkpoint(two) is store.get_checkpoint(2)
+    assert store.get_increment(one, two).bits_equal(store.get_increment(1, 2))
+    assert store.recorded_batch_index(one, ids[17]) == 2
+    assert store.mark_consumed(one, two) is True
+
+
 def populated_store():
     """A state the engine can reach: five slices of 20 ids, all checkpointed;
     slice 1 recorded (t = 2) as two batches of its plan ids; two ids of batch
     1 revoked, the first by a direct update that consumed that batch."""
     store = fresh_store(num_slices=5, phi=290.0)
-    for i in range(6):
-        store.put_checkpoint(make_checkpoint(i, seed=40))
+    for i in range(1, 6):
+        store.put_checkpoint(make_checkpoint(i, seed=40, num_slices=5))
     ids = store.plan.slice_ids(1)
     store.record_increment(1, ids, deltas(91, 92))  # batch size 16: two batches
     store.mark_consumed(1, 1)
@@ -199,6 +255,9 @@ def test_persist_load_bit_identical(tmp_path):
     for i in store.checkpoints:
         a, b = loaded.get_checkpoint(i), store.get_checkpoint(i)
         assert a.params.bits_equal(b.params)
+        if i == 5:  # checkpoint S holds no Adam state
+            assert a.opt_state is b.opt_state is None
+            continue
         assert np.array_equal(a.opt_state.m, b.opt_state.m)
         assert np.array_equal(a.opt_state.v, b.opt_state.v)
         assert a.opt_state.step_count == b.opt_state.step_count
@@ -235,8 +294,10 @@ def test_manifest_version_99_rejected(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    # version 6 also kept the threshold; version 5 also kept each ledger's
-    # consumed flags and a plan version;
+    # version 7 also kept checkpoint 0 and checkpoint S's Adam state (see
+    # test_version_7_store_is_refused_then_swept); version 6 also kept the
+    # threshold; version 5 also kept each ledger's consumed flags and a plan
+    # version;
     # version 4 also kept each ledger's ids in the manifest; version 3 also
     # spelled the training config as separate keys; version 2 also kept one
     # increment file per batch; version 1 also kept each slice's recorded ids
@@ -245,7 +306,7 @@ def test_manifest_version_99_rejected(tmp_path):
     manifest["plan_version"] = 0
     manifest["ledgers"][0]["consumed"] = [True, False]
     manifest["recorded_batches"] = {"1": [list(range(16)), list(range(16, 20))]}
-    for version in (99, 6, 5, 4, 3, 2, 1):
+    for version in (99, 7, 6, 5, 4, 3, 2, 1):
         manifest["format_version"] = version
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreVersionError):
@@ -266,6 +327,16 @@ def _ledger_entry(edit):
 
 def _checkpoint_entry(edit):
     return lambda m: edit(m["checkpoints"][1])
+
+
+def _last_checkpoint(edit):
+    return lambda m: edit(m["checkpoints"][-1])
+
+
+def _list_checkpoint(i):
+    """An entry for checkpoint i, ahead of the others; its file is not read."""
+    entry = {"slice": i, "file": f"checkpoint_{i:04d}.muck", "step_count": 0, "crc32": 0}
+    return lambda m: m["checkpoints"].insert(0, entry)
 
 
 def _config(edit):
@@ -305,6 +376,9 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
         (_checkpoint_entry(_set("step_count", True)), _STEP_COUNT + "True"),
         (_checkpoint_entry(_set("step_count", -1)), _STEP_COUNT + "-1"),
         (_set("tombstones", [2**64]), f"manifest.json: malformed .*sample {2**64} is not in the"),
+        (_list_checkpoint(0), r"manifest.json: stored checkpoints are 1..5, got 0"),
+        (_list_checkpoint(6), r"manifest.json: stored checkpoints are 1..5, got 6"),
+        (_last_checkpoint(_set("step_count", 0)), "checkpoint_0005.muck: checkpoint 5 has no"),
     ],
     ids=[
         "no_S", "tombstone_string", "tombstone_past_n", "tombstone_negative", "tombstone_float",
@@ -313,7 +387,8 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
         "hidden_dims_float", "layout_list", "n_float", "id_count_string", "no_id_count",
         "rows_short_of_ids",
         "id_count_past_payload", "ids_past_n", "step_count_float", "step_count_integral_float",
-        "step_count_bool", "step_count_negative", "tombstone_huge",
+        "step_count_bool", "step_count_negative", "tombstone_huge", "checkpoint_zero",
+        "checkpoint_past_S", "step_count_at_S",
     ],
 )
 def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
@@ -322,6 +397,59 @@ def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
     edit(manifest)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(StoreCorruption, match=match):
+        StateStore.load(tmp_path)
+
+
+def _as_version_7(root, store):
+    """Rewrite a persisted store the way format 7 wrote it: checkpoint 0 and
+    checkpoint S's Adam state are stored too."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    last, zeros = store.config.num_slices, np.zeros(2 * LAYOUT.param_count, dtype=np.float32)
+    entries = {}
+    for i in (0, last):
+        name = f"checkpoint_{i:04d}.muck"
+        payload = np.concatenate([store.get_checkpoint(i).params.values, zeros])
+        crc = write_vector_file(root / name, i, CHECKPOINT_SENTINEL, payload)
+        entries[i] = {"slice": i, "file": name, "step_count": 0, "crc32": crc}
+    manifest["checkpoints"] = [entries[0], *manifest["checkpoints"][:-1], entries[last]]
+    manifest["format_version"] = 7
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return manifest
+
+
+def test_version_7_store_is_refused_then_swept(tmp_path):
+    """A format-7 store, which also kept checkpoint 0 and checkpoint S's
+    Adam state, is refused; a persist over it removes checkpoint 0's file
+    and writes checkpoint S's params alone."""
+    store = populated_store()
+    store.persist(tmp_path)
+    size = (tmp_path / "checkpoint_0005.muck").stat().st_size
+    manifest = _as_version_7(tmp_path, store)
+    assert (tmp_path / "checkpoint_0000.muck").exists()
+    with pytest.raises(StoreVersionError, match="format version 7 is not supported"):
+        StateStore.load(tmp_path)
+    manifest["format_version"] = 8
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StoreCorruption, match="stored checkpoints are 1..5, got 0"):
+        StateStore.load(tmp_path)
+    store.persist(tmp_path)
+    assert not (tmp_path / "checkpoint_0000.muck").exists()
+    assert (tmp_path / "checkpoint_0005.muck").stat().st_size == size
+    assert size == 4 + 20 + 4 * LAYOUT.param_count + 4  # header, params, CRC
+    assert StateStore.load(tmp_path).get_checkpoint(5).opt_state is None
+
+
+def test_checkpoint_s_with_adam_state_reports_corruption(tmp_path):
+    """A checkpoint S file that carries Adam state, with both CRCs re-sealed
+    and no step count in its entry, fails its framing check."""
+    store = populated_store()
+    store.persist(tmp_path)
+    manifest = _as_version_7(tmp_path, store)
+    manifest["format_version"] = 8
+    manifest["checkpoints"] = manifest["checkpoints"][1:]  # no checkpoint 0
+    manifest["checkpoints"][-1].pop("step_count")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StoreCorruption, match="checkpoint_0005.muck: checkpoint framing mismatch"):
         StateStore.load(tmp_path)
 
 
@@ -378,6 +506,7 @@ def test_ledger_ids_live_in_the_ledger_file(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest["ledgers"][0]) == {"slice", "file", "id_count", "crc32"}
     assert set(manifest["checkpoints"][0]) == {"slice", "file", "step_count", "crc32"}
+    assert set(manifest["checkpoints"][-1]) == {"slice", "file", "crc32"}  # checkpoint S
     assert "plan_version" not in manifest
     assert manifest["ledgers"][0]["id_count"] == 20
     victim = tmp_path / "ledger_0001.muck"
@@ -435,6 +564,21 @@ def test_loaded_position_index_equals_the_in_memory_one(tiny_dataset, tiny_confi
         assert np.array_equal(loaded.ledgers[i].index, ledger.index)
 
 
+@pytest.mark.parametrize("kind", ["checkpoints", "ledgers"])
+def test_from_store_refuses_a_store_missing_a_slice(tiny_dataset, tiny_config, tmp_path, kind):
+    """A store without checkpoint 2 or ledger 2 (phi = 0: every slice is
+    recorded) still loads, but no engine is built around it."""
+    config = replace(tiny_config, num_slices=4, phi=0.0)
+    UnlearnEngine.train(tiny_dataset, config).store.persist(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest[kind] = [entry for entry in manifest[kind] if entry["slice"] != 2]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    store = StateStore.load(tmp_path)
+    assert 2 not in getattr(store, kind) and store.threshold == 5
+    with pytest.raises(StoreCorruption, match=f"store has no {kind[:-1]} for slice 2"):
+        UnlearnEngine.from_store(tiny_dataset, store)
+
+
 def test_config_survives_persist_and_reload(tiny_dataset, tmp_path):
     """The store keeps the engine's training config as one record, so a
     reloaded engine trains under exactly the config that wrote its store."""
@@ -464,7 +608,7 @@ def test_persist_removes_files_the_manifest_no_longer_names(tiny_dataset, tiny_c
     store.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     named = {e["file"] for e in manifest["checkpoints"] + manifest["ledgers"]}
-    assert named == {f"checkpoint_{i:04d}.muck" for i in range(4)} | {"ledger_0001.muck"}
+    assert named == {f"checkpoint_{i:04d}.muck" for i in range(1, 4)} | {"ledger_0001.muck"}
     assert {p.name for p in tmp_path.iterdir()} == named | {"manifest.json", "notes.txt"}
     loaded = StateStore.load(tmp_path)
     assert sorted(loaded.ledgers) == [1]
@@ -508,7 +652,8 @@ def test_clone_is_isolated():
     dup = store.clone()
     for i, cp in store.checkpoints.items():
         assert dup.get_checkpoint(i) is cp
-        for values in (cp.params.values, cp.opt_state.m, cp.opt_state.v):
+        state = () if cp.opt_state is None else (cp.opt_state.m, cp.opt_state.v)
+        for values in (cp.params.values, *state):
             with pytest.raises(ValueError):
                 values[0] += 1.0
     assert dup.ledgers[1].deltas is store.ledgers[1].deltas
