@@ -4,7 +4,7 @@ A ``Dataset`` holds read-only arrays, so it hashes them once. A ``SlicePlan``
 fixes each slice's order when it is made and records revocations as one live
 mask per slice, which it owns and clears in place: locating an id is two array
 reads and one mask bit, revoking one clears that bit, and a slice's live ids
-are built only when something reads them.
+are read from its order and mask each time something asks for them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import functools
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -214,12 +214,11 @@ class SlicePlan:
     bit means revoked.
 
     ``tombstone`` and ``tombstone_all`` clear bits in this plan's own masks
-    and return the plan itself. A slice's live ids are built the first time
-    they are read (``slices``, ``slice_ids``, ``batch_ids``, ``live_ids``) as
-    a read-only array, kept until a revocation touches the slice, and never
-    changed after, so a reader may keep it; a slice nothing has revoked from
-    is its ``order`` array. ``copy`` gives a plan that revokes independently
-    of this one.
+    and return the plan itself; the masks are the only record of a
+    revocation. Every read of a slice's live ids (``slices``, ``slice_ids``,
+    ``batch_ids``, ``live_ids``) gathers them from its order and mask into a
+    new read-only array, which no later revocation changes. ``copy`` gives a
+    plan that revokes independently of this one.
     """
 
     num_slices: int
@@ -228,13 +227,11 @@ class SlicePlan:
     slice_of: np.ndarray
     pos_of: np.ndarray
     masks: tuple[np.ndarray, ...]
-    # Per slice, its built live ids, or None until they are read.
-    _built: list = field(repr=False)
 
     @property
     def slices(self) -> tuple[np.ndarray, ...]:
         """Each slice's live ids in training order, as read-only int64 arrays."""
-        return tuple(self._live(k) for k in range(self.num_slices))
+        return tuple(self.slice_ids(i) for i in range(1, self.num_slices + 1))
 
     @property
     def tombstones(self) -> frozenset[int]:
@@ -277,7 +274,6 @@ class SlicePlan:
                 return self
         i, k = at
         self.masks[i - 1][k] = False
-        self._built[i - 1] = None
         return self
 
     def tombstone_all(self, sample_ids) -> "SlicePlan":
@@ -296,18 +292,13 @@ class SlicePlan:
             raise NotFound(f"sample {unplanned[0]} is not in the plan")
         slices, pos = self.slice_of[dead] - 1, self.pos_of[dead]
         for k in np.unique(slices).tolist():
-            live, at = self.masks[k], pos[slices == k]
-            if live[at].any():  # ids already revoked change nothing
-                live[at] = False
-                self._built[k] = None
+            self.masks[k][pos[slices == k]] = False
         return self
 
     def copy(self) -> "SlicePlan":
         """A plan that revokes independently of this one: it copies the
-        masks (n bytes) and the list of built ids, and shares ``order``,
-        ``slice_of``, ``pos_of`` and the built read-only id arrays."""
-        return replace(self, masks=tuple(live.copy() for live in self.masks),
-                       _built=list(self._built))
+        masks (n bytes) and shares ``order``, ``slice_of`` and ``pos_of``."""
+        return replace(self, masks=tuple(live.copy() for live in self.masks))
 
     def live_ids(self) -> np.ndarray:
         return np.sort(np.concatenate(self.slices))
@@ -315,29 +306,21 @@ class SlicePlan:
     def slice_ids(self, i: int) -> np.ndarray:
         if not 1 <= i <= self.num_slices:
             raise NotFound(f"no slice {i} in a {self.num_slices}-slice plan")
-        return self._live(i - 1)
+        ids = self.order[i - 1][self.masks[i - 1]]
+        ids.flags.writeable = False
+        return ids
 
     def num_batches(self, i: int) -> int:
         return (self.slice_ids(i).size + self.batch_size - 1) // self.batch_size
 
     def batch_ids(self, i: int, j: int) -> np.ndarray:
-        if not 1 <= j <= self.num_batches(i):
+        ids = self.slice_ids(i)[(j - 1) * self.batch_size : j * self.batch_size]
+        if j < 1 or not ids.size:
             raise NotFound(f"slice {i} has no batch {j}")
-        return self._live(i - 1)[(j - 1) * self.batch_size : j * self.batch_size]
+        return ids
 
     def slice_sizes(self) -> tuple[int, ...]:
         return tuple(int(np.count_nonzero(live)) for live in self.masks)
-
-    def _live(self, k: int) -> np.ndarray:
-        """Slice k+1's live ids (0-based k), built once per revocation."""
-        if self._built[k] is None:
-            self._built[k] = self._build(k)
-        return self._built[k]
-
-    def _build(self, k: int) -> np.ndarray:
-        ids = self.order[k][self.masks[k]]
-        ids.flags.writeable = False
-        return ids
 
 
 def make_slice_plan(n: int, num_slices: int, batch_size: int, seed: int) -> SlicePlan:
@@ -363,5 +346,4 @@ def make_slice_plan(n: int, num_slices: int, batch_size: int, seed: int) -> Slic
         slice_of=slice_of,
         pos_of=pos_of,
         masks=tuple(np.ones(ids.size, dtype=bool) for ids in order),
-        _built=list(order),
     )

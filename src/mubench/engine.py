@@ -96,7 +96,10 @@ class UnlearnOutcome:
 
 
 def sample_request_ids(plan: SlicePlan, count: int, seed: int) -> list[int]:
-    """Draw distinct live ids uniformly without replacement."""
+    """Draw distinct live ids uniformly without replacement; ``count`` and
+    ``seed`` are InvalidArgument unless Python or numpy ints (not bools)."""
+    if not all(type(x) is int or isinstance(x, np.integer) for x in (count, seed)):
+        raise InvalidArgument(f"count and seed must be integers, got {count!r}, {seed!r}")
     live = plan.live_ids()
     if not 0 <= count <= live.size:
         raise InvalidArgument(f"cannot draw {count} requests from {live.size} live ids")
@@ -293,17 +296,18 @@ class UnlearnEngine:
             if cp is not None and cp.was_trained_from(start):
                 params, state = cp.params, cp.opt_state
             else:
-                params, state = self._train_slice(params, state, k, record)
+                params, state = self._train_slice(params, state, k, ids, record)
                 rows_read += ids.size * self.config.epochs_per_slice
             self.store.put_checkpoint(Checkpoint(k, params, state if k < last else None, start))
         return params, trained, rows_read
 
     def _train_slice(
-        self, params: ParameterVector, state: OptimizerState, slice_index: int, record: bool
+        self, params: ParameterVector, state: OptimizerState, k: int, ids: np.ndarray, record: bool
     ) -> tuple[ParameterVector, OptimizerState]:
-        """Run epochs_per_slice passes over one slice; optionally ledger deltas.
+        """Run epochs_per_slice passes over slice k, whose live ids are
+        ``ids``; optionally ledger deltas.
 
-        Batch membership is fixed by the plan, so each batch is gathered once
+        Batch j is the j-th run of ``batch_size`` of ``ids``, gathered once
         per call; each (slice, epoch) pass only shuffles the visit order, and a
         batch's summed delta stays attributable across epochs. The orders
         come from ``_epoch_orders``, a function of (seed, slice, epochs, batch
@@ -311,18 +315,16 @@ class UnlearnEngine:
         bit-reproducible regardless of which revocation triggered it; a
         retrain of an unchanged batch count reuses the orders already drawn.
         """
-        cfg = self.config
-        nb = self.plan.num_batches(slice_index)
-        gathered = []
-        for j in range(1, nb + 1):
-            ids = self.plan.batch_ids(slice_index, j)
-            gathered.append(Batch(self.dataset.features[ids], self.dataset.labels[ids]))
-        orders = _epoch_orders(cfg.seed, slice_index, cfg.epochs_per_slice, nb)
+        cfg, features, labels = self.config, self.dataset.features, self.dataset.labels
+        runs = (ids[at : at + cfg.batch_size] for at in range(0, ids.size, cfg.batch_size))
+        gathered = [Batch(features[run], labels[run]) for run in runs]
+        nb = len(gathered)
+        orders = _epoch_orders(cfg.seed, k, cfg.epochs_per_slice, nb)
         batches = ((epoch, j, gathered[j]) for epoch, order in enumerate(orders, 1) for j in order)
         deltas = np.zeros((nb, self.layout.param_count)) if record else None
-        params, state = train_batches(params, state, batches, f"slice {slice_index}", deltas)
+        params, state = train_batches(params, state, batches, f"slice {k}", deltas)
         if record:
-            self.store.record_increment(slice_index, self.plan.slice_ids(slice_index), deltas)
+            self.store.record_increment(k, ids, deltas)
         return params, state
 
     def _require_model(self) -> Model:

@@ -37,8 +37,6 @@ class ShadowModel:
     params: ParameterVector
     in_ids: np.ndarray
     out_ids: np.ndarray
-    split_seed: int
-    index: int
 
 
 @dataclass
@@ -126,7 +124,7 @@ def train_shadows(
             learning_rate=config.learning_rate,
             seed=_shadow_seed(split_seed, s),
         )
-        shadows.append(ShadowModel(params, in_ids, out_ids, split_seed, s))
+        shadows.append(ShadowModel(params, in_ids, out_ids))
     return shadows
 
 

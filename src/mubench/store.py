@@ -3,25 +3,27 @@ the slice plan, whose live masks are the record of the revoked ids.
 
 On-disk layout (format 8): ``manifest.json`` plus one binary file per
 checkpoint 1..S or recorded slice. The manifest holds the training config as
-one ``config`` section (the engine's ``TrainConfig``), the input width, n, the
-tombstones and one entry per file: a checkpoint's holds its slice, file, Adam
-step count (checkpoints 1..S-1 only) and CRC, a ledger's its slice, file, id
-count and CRC. Binary framing: magic ``MUCK``, u32 framing version, u32 slice
-index, u32 batch field (0xFFFFFFFF for checkpoints, the row count for a
-ledger), u64 payload length in 4-byte words, the little-endian payload, u32
-CRC32 trailer over all preceding bytes. Checkpoint payloads are float32
-(params, adam_m, adam_v; checkpoint S, which no retrain resumes, holds its
-params only); a ledger's payload is its ids as int64 (its slice's live ids at
-recording time, in plan order), then its float32 delta rows in batch order.
-Nothing derivable is stored: checkpoint 0 is ``init_params`` under the
-config's seed with fresh Adam state, the dispatch threshold comes from the
-config and n, each ledger's row index from its ids, and each batch's consumed
-flag (set exactly when one of its ids is revoked, as the engine leaves it)
-from its slice's live mask. Loading keeps the ids and deltas as read-only
-views of the file's bytes, rebuilds checkpoint 0 and the plan from the config
-and n and revokes the tombstones in the plan. A version-7 or older manifest
-is refused. Writes go to a temp file then ``os.replace``; once the new
-manifest is in place, the store files it does not name are removed.
+one ``config`` section (the engine's ``TrainConfig``), the input width, n,
+the tombstones and one entry per file: a checkpoint's holds its slice, file
+(``checkpoint_0001.muck`` for slice 1), Adam step count (checkpoints 1..S-1
+only) and CRC, a ledger's its slice, file (``ledger_0001.muck``), id count
+and CRC; a load reads no other file name. Binary framing: magic ``MUCK``, u32
+framing version, u32 slice index, u32 batch field (0xFFFFFFFF for
+checkpoints, the row count for a ledger), u64 payload length in 4-byte words,
+the little-endian payload, u32 CRC32 trailer over all preceding bytes.
+Checkpoint payloads are float32 (params, adam_m, adam_v; checkpoint S, which
+no retrain resumes, holds its params only); a ledger's payload is its ids as
+int64 (its slice's live ids at recording time, in plan order), then its
+float32 delta rows in batch order. Nothing derivable is stored: checkpoint 0
+is ``init_params`` under the config's seed with fresh Adam state, the
+dispatch threshold comes from the config and n, each ledger's row index from
+its ids, and each batch's consumed flag (set exactly when one of its ids is
+revoked, as the engine leaves it) from its slice's live mask. Loading keeps
+the ids and deltas as read-only views of the file's bytes, rebuilds
+checkpoint 0 and the plan from the config and n and revokes the tombstones in
+the plan. A version-7 or older manifest is refused. Writes go to a temp file
+then ``os.replace``; once the new manifest is in place, the store files it
+does not name are removed.
 """
 
 from __future__ import annotations
@@ -165,8 +167,11 @@ def write_vector_file(path: Path, slice_index: int, batch_index: int, values, id
 
 def read_vector_file(path: Path) -> tuple[int, int, np.ndarray, int]:
     """Check and unframe one file; the payload is a read-only float32 view of
-    its bytes."""
-    data = Path(path).read_bytes()
+    its bytes. A file that cannot be read (missing, a directory) is StoreCorruption."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise StoreCorruption(f"{path.name}: cannot be read ({exc.strerror or exc})") from exc
     if len(data) < 4 + _HEADER.size + 4 or data[:4] != MAGIC:
         raise StoreCorruption(f"{path.name}: missing or damaged MUCK header")
     (stored_crc,) = struct.unpack("<I", data[-4:])
@@ -362,7 +367,8 @@ class StateStore:
     @classmethod
     def load(cls, directory) -> "StateStore":
         """Load a persisted store; a damaged manifest, a tombstone outside the
-        plan among them, raises StoreCorruption."""
+        plan or a file name other than ``persist`` gives among them, and a
+        named file that cannot be read raise StoreCorruption."""
         root = Path(directory)
         manifest_path = root / "manifest.json"
         if not manifest_path.exists():
@@ -398,7 +404,7 @@ class StateStore:
                 )
             if entry["slice"] == last and "step_count" in entry:
                 raise StoreCorruption(f"{entry['file']}: checkpoint {last} has no step count")
-            si, bi, payload, crc = read_vector_file(root / entry["file"])
+            si, bi, payload, crc = read_vector_file(_named_file(root, entry, "checkpoint"))
             if crc != entry["crc32"]:
                 raise StoreCorruption(f"{entry['file']}: manifest checksum disagrees")
             width = count if si == last else 3 * count
@@ -415,7 +421,7 @@ class StateStore:
             store.checkpoints[si] = Checkpoint(si, params, state)
         for entry in manifest["ledgers"]:
             id_count = _count(entry["id_count"], "id_count")
-            si, rows, payload, crc = read_vector_file(root / entry["file"])
+            si, rows, payload, crc = read_vector_file(_named_file(root, entry, "ledger"))
             if crc != entry["crc32"]:
                 raise StoreCorruption(f"{entry['file']}: manifest checksum disagrees")
             if rows != -(-id_count // config.batch_size):
@@ -430,6 +436,14 @@ class StateStore:
             rows = ledger.index[~plan.masks[i - 1]]
             ledger.consumed[rows[rows >= 0] // config.batch_size] = True
         return store
+
+
+def _named_file(root: Path, entry: dict, kind: str) -> Path:
+    """The file in ``root`` of a ``kind`` entry, under the name ``persist`` gives it."""
+    name = f"{kind}_{_count(entry['slice'], 'slice'):04d}.muck"
+    if entry["file"] != name:
+        raise StoreCorruption(f"manifest.json: {kind} file {entry['file']!r} is not {name}")
+    return root / name
 
 
 def _count(value, name: str) -> int:

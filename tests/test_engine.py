@@ -58,16 +58,30 @@ def test_train_deterministic(tiny_dataset, tiny_config):
 
 
 def test_train_gathers_each_batch_once_per_slice(tiny_dataset, tiny_config, monkeypatch):
-    """Every epoch of a slice reuses the batches gathered at its start."""
+    """Training, and a retrain from slice 2, read each trained slice's live
+    ids from the plan once and cut its batches from them; every epoch of a
+    slice reuses the batches gathered at its start."""
+    import mubench.engine
     from mubench import SlicePlan
 
-    calls = []
-    batch_ids = SlicePlan.batch_ids
-    monkeypatch.setattr(
-        SlicePlan, "batch_ids", lambda plan, i, j: calls.append((i, j)) or batch_ids(plan, i, j)
-    )
-    plan = UnlearnEngine.train(tiny_dataset, replace(tiny_config, epochs_per_slice=3)).plan
-    assert calls == [(i, j) for i in range(1, 4) for j in range(1, plan.num_batches(i) + 1)]
+    calls = {"slice_ids": [], "batch_ids": []}
+    for name in calls:
+        original = getattr(SlicePlan, name)
+
+        def counted(plan, *args, _name=name, _original=original):
+            calls[_name].append(args)
+            return _original(plan, *args)
+
+        monkeypatch.setattr(SlicePlan, name, counted)
+    gathered, batch = [], mubench.engine.Batch
+    monkeypatch.setattr(mubench.engine, "Batch", lambda *a: gathered.append(a) or batch(*a))
+    eng = UnlearnEngine.train(tiny_dataset, replace(tiny_config, epochs_per_slice=3))
+    sizes = eng.plan.slice_sizes()  # 200 ids per slice, batches of 64: 4 per slice
+    assert calls == {"slice_ids": [(1,), (2,), (3,)], "batch_ids": []} and len(gathered) == 12
+    calls["slice_ids"], gathered[:] = [], []
+    eng.unlearn_prs(int(eng.plan.order[1][0]))
+    assert calls == {"slice_ids": [(2,), (3,)], "batch_ids": []} and len(gathered) == 8
+    assert eng.plan.slice_sizes() == (sizes[0], sizes[1] - 1, sizes[2])
 
 
 def test_train_refuses_second_fit(trained_engine):
@@ -293,7 +307,7 @@ def test_dpus_consume_once(trained_engine):
 
 def test_dpus_stream_builds_no_slice_ids(monkeypatch):
     """A 400-request DPUS stream on an n=50,000, S=8 engine looks each
-    sample's position up once, builds no slice's live ids and revokes in its
+    sample's position up once, reads no slice's live ids and revokes in its
     one plan, which it never copies: its plan work does not grow with n/S."""
     from mubench import SlicePlan
 
@@ -302,7 +316,7 @@ def test_dpus_stream_builds_no_slice_ids(monkeypatch):
     eng = UnlearnEngine.train(ds, config)
     plan = eng.plan
     ids = sample_request_ids(plan, 400, seed=2)
-    calls = {"position": 0, "_build": 0, "copy": 0}
+    calls = {"position": 0, "slice_ids": 0, "copy": 0}
     for name in calls:
         original = getattr(SlicePlan, name)
 
@@ -314,7 +328,7 @@ def test_dpus_stream_builds_no_slice_ids(monkeypatch):
     report = eng.process_stream([UnlearnRequest(sid, "dpus") for sid in ids])
     assert not report.partial
     assert {row.strategy_executed for row in report.rows} <= {"dpus", "noop-consumed"}
-    assert calls == {"position": 400, "_build": 0, "copy": 0}
+    assert calls == {"position": 400, "slice_ids": 0, "copy": 0}
     assert eng.plan is plan and eng.store.plan is plan
     assert sum(plan.slice_sizes()) == 50_000 - 400
 
@@ -416,7 +430,7 @@ def test_ohs_subtracts_then_retrains_trailing_slice(tiny_dataset, tiny_config):
     start = combine(twin.store.get_checkpoint(s - 1).params, delta, "-")
     state = twin.store.get_checkpoint(s - 1).opt_state
     twin.plan = twin.plan.tombstone(victim)
-    expected, _ = twin._train_slice(start, state, s, record=False)
+    expected, _ = twin._train_slice(start, state, s, twin.plan.slice_ids(s), record=False)
     assert out.params_after.bits_equal(expected)
 
 
@@ -695,6 +709,10 @@ def test_sample_request_ids_distinct_and_deterministic(trained_engine):
         sample_request_ids(trained_engine.plan, -1, seed=0)
     with pytest.raises(InvalidArgument):
         sample_request_ids(trained_engine.plan, 3, seed=-1)
+    assert sample_request_ids(trained_engine.plan, np.int64(50), seed=np.uint8(13)) == ids_a
+    for count, seed in ((2.5, 0), (True, 0), (np.True_, 0), ("3", 0), (3, 1.5), (3, True)):
+        with pytest.raises(InvalidArgument, match="count and seed must be integers"):
+            sample_request_ids(trained_engine.plan, count, seed)
 
 
 def test_request_validates_strategy():

@@ -379,6 +379,29 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
         (_list_checkpoint(0), r"manifest.json: stored checkpoints are 1..5, got 0"),
         (_list_checkpoint(6), r"manifest.json: stored checkpoints are 1..5, got 6"),
         (_last_checkpoint(_set("step_count", 0)), "checkpoint_0005.muck: checkpoint 5 has no"),
+        (
+            _checkpoint_entry(_set("file", "../a/checkpoint_0002.muck")),
+            r"checkpoint file '\.\./a/checkpoint_0002\.muck' is not checkpoint_0002\.muck",
+        ),
+        (
+            _checkpoint_entry(_set("file", "/elsewhere/checkpoint_0002.muck")),
+            "checkpoint file '/elsewhere/checkpoint_0002.muck' is not checkpoint_0002.muck",
+        ),
+        (
+            _checkpoint_entry(_set("file", "checkpoint_0003.muck")),
+            "checkpoint file 'checkpoint_0003.muck' is not checkpoint_0002.muck",
+        ),
+        (
+            _ledger_entry(_set("file", "../a/ledger_0001.muck")),
+            "ledger file '../a/ledger_0001.muck' is not ledger_0001.muck",
+        ),
+        (
+            _ledger_entry(_set("file", "checkpoint_0001.muck")),
+            "ledger file 'checkpoint_0001.muck' is not ledger_0001.muck",
+        ),
+        (_ledger_entry(_set("slice", "1")), "malformed .*slice must be .* got '1'"),
+        (_ledger_entry(_set("slice", True)), "malformed .*slice must be .* got True"),
+        (_list_checkpoint(True), "malformed .*slice must be .* got True"),
     ],
     ids=[
         "no_S", "tombstone_string", "tombstone_past_n", "tombstone_negative", "tombstone_float",
@@ -388,7 +411,10 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
         "rows_short_of_ids",
         "id_count_past_payload", "ids_past_n", "step_count_float", "step_count_integral_float",
         "step_count_bool", "step_count_negative", "tombstone_huge", "checkpoint_zero",
-        "checkpoint_past_S", "step_count_at_S",
+        "checkpoint_past_S", "step_count_at_S", "checkpoint_file_parent",
+        "checkpoint_file_absolute", "checkpoint_file_other_slice", "ledger_file_parent",
+        "ledger_file_checkpoint", "ledger_slice_string", "ledger_slice_bool",
+        "checkpoint_slice_bool",
     ],
 )
 def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
@@ -397,6 +423,25 @@ def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
     edit(manifest)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(StoreCorruption, match=match):
+        StateStore.load(tmp_path)
+
+
+def test_missing_named_file_reports_corruption(tmp_path):
+    """A checkpoint file the manifest names but the directory lacks is
+    StoreCorruption naming it."""
+    populated_store().persist(tmp_path)
+    (tmp_path / "checkpoint_0002.muck").unlink()
+    with pytest.raises(StoreCorruption, match="checkpoint_0002.muck: cannot be read"):
+        StateStore.load(tmp_path)
+
+
+def test_named_file_that_is_a_directory_reports_corruption(tmp_path):
+    """A ledger path the manifest names that holds a directory is
+    StoreCorruption naming it."""
+    populated_store().persist(tmp_path)
+    (tmp_path / "ledger_0001.muck").unlink()
+    (tmp_path / "ledger_0001.muck").mkdir()
+    with pytest.raises(StoreCorruption, match="ledger_0001.muck: cannot be read"):
         StateStore.load(tmp_path)
 
 
