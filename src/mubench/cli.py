@@ -258,11 +258,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError("--slice-counts must name at least one S")
 
     train_ds, eval_ds = config.build_datasets()
+    least = max(1, config.ohs_depth or 0)  # every S trained takes the OHS depth
     for s_count in slice_counts:
-        if not 1 <= s_count <= train_ds.n:
+        if not least <= s_count <= train_ds.n:
             raise ConfigError(
-                f"--slice-counts value {s_count} must be in [1, {train_ds.n}], "
-                "the training rows"
+                f"--slice-counts value {s_count} must be in [{least}, {train_ds.n}]: "
+                "at least 1 and the OHS depth, at most the training rows"
             )
     rows = []
     for s_count in slice_counts:
@@ -270,8 +271,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for strategy in strategies:
             phi = 0.0 if engine_strategy(strategy) == "dpus" else config.phi
             if phi not in trained:
-                train_config = replace(config.train_config(), num_slices=s_count, phi=phi)
-                trained[phi] = UnlearnEngine.train(train_ds, train_config)
+                cfg = replace(config.train_config(), num_slices=s_count, phi=phi)
+                trained[phi] = UnlearnEngine.train(train_ds, cfg, ohs_depth=config.ohs_depth)
             engine = trained[phi].clone()
             ids = sample_request_ids(engine.plan, config.request_count, config.request_seed)
             requests = [UnlearnRequest(i, engine_strategy(strategy)) for i in ids]

@@ -201,6 +201,14 @@ def as_sample_id(value) -> int:
     return int(value)
 
 
+def as_index(value) -> int:
+    """``value`` as a slice, batch or position index, by ``as_sample_id``'s
+    rule. Hot callers test ``type(value) is int`` before calling."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise InvalidArgument(f"slice and batch indexes are integers, got {value!r}")
+    return int(value)
+
+
 @dataclass(eq=False)
 class SlicePlan:
     """Partition of sample ids into ordered slices of batches, owned by one
@@ -255,7 +263,9 @@ class SlicePlan:
     def batch_at(self, i: int, k: int) -> int:
         """1-based batch of the live id at as-planned index k of slice i: the
         live ids before it, counted in the mask, in runs of ``batch_size``."""
-        return int(np.count_nonzero(self.masks[i - 1][:k])) // self.batch_size + 1
+        if type(k) is not int:
+            k = as_index(k)
+        return int(np.count_nonzero(self.masks[self._slice(i) - 1][:k])) // self.batch_size + 1
 
     def locate(self, sample_id: int) -> tuple[int, int]:
         """1-based (slice, batch) position of a live sample id."""
@@ -303,9 +313,16 @@ class SlicePlan:
     def live_ids(self) -> np.ndarray:
         return np.sort(np.concatenate(self.slices))
 
-    def slice_ids(self, i: int) -> np.ndarray:
+    def _slice(self, i: int) -> int:
+        """``i`` as a slice by ``as_index``'s rule; NotFound outside 1..S."""
+        if type(i) is not int:
+            i = as_index(i)
         if not 1 <= i <= self.num_slices:
             raise NotFound(f"no slice {i} in a {self.num_slices}-slice plan")
+        return i
+
+    def slice_ids(self, i: int) -> np.ndarray:
+        i = self._slice(i)
         ids = self.order[i - 1][self.masks[i - 1]]
         ids.flags.writeable = False
         return ids
@@ -314,6 +331,8 @@ class SlicePlan:
         return (self.slice_ids(i).size + self.batch_size - 1) // self.batch_size
 
     def batch_ids(self, i: int, j: int) -> np.ndarray:
+        if type(j) is not int:
+            j = as_index(j)
         ids = self.slice_ids(i)[(j - 1) * self.batch_size : j * self.batch_size]
         if j < 1 or not ids.size:
             raise NotFound(f"slice {i} has no batch {j}")

@@ -74,14 +74,28 @@ class Model:
 
 @dataclass(frozen=True)
 class UnlearnRequest:
+    """One revocation: a sample id, one of ``STRATEGIES`` and, for ``ohs``
+    only, a depth r in place of the engine's ``default_ohs_depth``.
+
+    ``prs`` always retrains from the sample's slice (SISA, one shard);
+    ``dpus`` always subtracts its recorded batch delta from the served
+    params; ``hs`` takes ``dpus`` below the threshold, ``prs`` at or above;
+    ``ohs`` is ``hs`` that subtracts at checkpoint S-r and retrains the last
+    r slices. ``dispatch`` checks the depth's type and range."""
+
     sample_id: int
     requested_strategy: str = "hs"
+    depth: int | None = None
 
     def __post_init__(self) -> None:
         if self.requested_strategy not in STRATEGIES:
             raise InvalidArgument(
                 f"requested_strategy must be one of {STRATEGIES}, "
                 f"got {self.requested_strategy!r}"
+            )
+        if self.depth is not None and self.requested_strategy != "ohs":
+            raise InvalidArgument(
+                f"only ohs takes a depth, got {self.depth!r} with {self.requested_strategy!r}"
             )
 
 
@@ -218,11 +232,6 @@ class UnlearnEngine:
         """The store's slice plan, which requests revoke from in place."""
         return self.store.plan
 
-    @plan.setter
-    def plan(self, plan: SlicePlan) -> None:
-        # For callers that write ``engine.plan = engine.plan.tombstone(sid)``.
-        self.store.plan = plan
-
     # ---- construction helpers -----------------------------------------
     @classmethod
     def train(cls, dataset: Dataset, config: TrainConfig, ohs_depth: int | None = None):
@@ -333,8 +342,8 @@ class UnlearnEngine:
         return self.model
 
     # ---- revocation -------------------------------------------------------
-    def _unlearn(self, sample_id: int, strategy: str, depth: int | None = None) -> UnlearnOutcome:
-        """Serve one revocation; every strategy entry point lands here.
+    def dispatch(self, request: UnlearnRequest) -> UnlearnOutcome:
+        """Serve one revocation; the engine's only request entry point.
 
         PRS, and HS or OHS at or above the threshold, tombstone the sample and
         retrain from its slice i, starting at checkpoint i-1. Otherwise the
@@ -356,6 +365,7 @@ class UnlearnEngine:
         model = self._require_model()
         t0 = time.perf_counter()
         num_slices = self.config.num_slices
+        sample_id, strategy, depth = request.sample_id, request.requested_strategy, request.depth
         r = 0
         if strategy == "ohs":
             r = self.default_ohs_depth if depth is None else _ohs_depth(depth, num_slices)
@@ -389,29 +399,7 @@ class UnlearnEngine:
         wall_time = time.perf_counter() - t0
         return UnlearnOutcome(executed, (i, j), wall_time, params, rewritten, rows_read)
 
-    def unlearn_prs(self, sample_id: int) -> UnlearnOutcome:
-        """Partial retraining: tombstone, roll back, retrain the suffix."""
-        return self._unlearn(sample_id, "prs")
-
-    def unlearn_dpus(self, sample_id: int) -> UnlearnOutcome:
-        """Direct parameter update: final params minus the sample's batch delta;
-        only below the threshold, where increments are recorded."""
-        return self._unlearn(sample_id, "dpus")
-
-    def unlearn_hs(self, sample_id: int) -> UnlearnOutcome:
-        """Hybrid: direct update strictly below the threshold, else retraining."""
-        return self._unlearn(sample_id, "hs")
-
-    def unlearn_ohs(self, sample_id: int, depth: int | None = None) -> UnlearnOutcome:
-        """Optimized hybrid: subtract at checkpoint S-r, retrain the last r
-        slices; depth r = 0 is the direct update, samples at or above the
-        threshold take plain retraining."""
-        return self._unlearn(sample_id, "ohs", depth=depth)
-
     # ---- replay ---------------------------------------------------------
-    def dispatch(self, request: UnlearnRequest) -> UnlearnOutcome:
-        return self._unlearn(request.sample_id, request.requested_strategy)
-
     def process_stream(
         self,
         requests: Sequence[UnlearnRequest],

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostConfig, check_finite_real, threshold
-from .data import SlicePlan, as_sample_id, make_slice_plan
+from .data import SlicePlan, as_index, as_sample_id, make_slice_plan
 from .errors import (
     InvalidArgument,
     NotFound,
@@ -138,15 +138,6 @@ class Ledger(NamedTuple):
     index: np.ndarray
 
 
-def _index(value) -> int:
-    """``value`` as a slice or batch index; InvalidArgument unless a Python or
-    numpy int (not a bool), the rule ``as_sample_id`` applies to ids. Hot
-    callers test ``type(value) is int`` before calling."""
-    if type(value) is not int and not isinstance(value, np.integer):
-        raise InvalidArgument(f"slice and batch indexes are integers, got {value!r}")
-    return int(value)
-
-
 def write_vector_file(path: Path, slice_index: int, batch_index: int, values, ids=()) -> int:
     """Frame one file whose payload is ``ids`` as int64, then ``values`` as
     float32, both little-endian; return its CRC32."""
@@ -213,7 +204,7 @@ class StateStore:
     def put_checkpoint(self, checkpoint: Checkpoint) -> None:
         """Store checkpoint 1..S; checkpoint S without Adam state, the others
         with it."""
-        i, last = _index(checkpoint.slice_index), self.config.num_slices
+        i, last = as_index(checkpoint.slice_index), self.config.num_slices
         if not 1 <= i <= last:
             raise InvalidArgument(
                 f"checkpoint index must be in [1, {last}] (checkpoint 0 is derived), got {i}"
@@ -225,7 +216,7 @@ class StateStore:
         self.checkpoints[i] = checkpoint
 
     def get_checkpoint(self, i: int) -> Checkpoint:
-        cp = self.checkpoints.get(_index(i))
+        cp = self.checkpoints.get(as_index(i))
         if cp is None:
             raise NotFound(f"no checkpoint for slice {i}")
         return cp
@@ -233,7 +224,7 @@ class StateStore:
     # ---- increments --------------------------------------------------
     def record_increment(self, i: int, ids, deltas) -> None:
         """Replace slice i's ledger with ``ids`` and ``deltas``, none consumed."""
-        self._put_ledger(_index(i), ids, deltas)
+        self._put_ledger(as_index(i), ids, deltas)
 
     def _put_ledger(self, i: int, ids, deltas) -> None:
         """Check and store slice i's ledger and build its row index. The ids
@@ -266,7 +257,7 @@ class StateStore:
 
     def _ledger(self, i: int, j: int) -> Ledger:
         if type(i) is not int or type(j) is not int:
-            i, j = _index(i), _index(j)
+            i, j = as_index(i), as_index(j)
         ledger = self.ledgers.get(i)
         if ledger is None or not 1 <= j <= ledger.consumed.size:
             raise NotFound(f"no increment record for slice {i}, batch {j}")
@@ -290,7 +281,7 @@ class StateStore:
         row in slice i's ledger, read through the ledger's index at the
         sample's as-planned position."""
         if type(i) is not int:
-            i = _index(i)
+            i = as_index(i)
         ledger = self.ledgers.get(i)
         if ledger is None:
             raise NotFound(f"slice {i} has no recorded increments")

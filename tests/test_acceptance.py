@@ -92,10 +92,10 @@ def test_criterion_3_prs_scratch_equivalence():
     cfg = TrainConfig(num_slices=4, epochs_per_slice=1, seed=0, phi=3500.0)
     eng = UnlearnEngine.train(ds, cfg)
     victim = eng.plan.slice_ids(1)[0]
-    outcome = eng.unlearn_prs(victim)
+    outcome = eng.dispatch(UnlearnRequest(victim, "prs"))
 
     scratch = UnlearnEngine(ds, cfg)
-    scratch.plan = scratch.plan.tombstone(victim)
+    scratch.plan.tombstone(victim)
     scratch_model = scratch.fit()
     assert outcome.params_after.bits_equal(scratch_model.params)
     for i in range(0, 5):
@@ -116,7 +116,7 @@ def test_criterion_4_dpus_reversibility_and_consume_once():
     final_params = eng.model.params.copy()
 
     victim = eng.plan.slice_ids(1)[11]
-    outcome = eng.unlearn_dpus(victim)
+    outcome = eng.dispatch(UnlearnRequest(victim, "dpus"))
     delta = eng.store.get_increment(*outcome.located_at)
     assert combine(outcome.params_after, delta, "+").bits_equal(final_params)
 
@@ -125,7 +125,7 @@ def test_criterion_4_dpus_reversibility_and_consume_once():
     same_batch = eng.store.ledgers[i].ids[(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != victim)
     frozen = eng.model.params.copy()
-    second_outcome = eng.unlearn_dpus(second)
+    second_outcome = eng.dispatch(UnlearnRequest(second, "dpus"))
     assert second_outcome.strategy_executed == "noop-consumed"
     assert eng.model.params.bits_equal(frozen)
     elapsed = time.perf_counter() - t0
@@ -135,7 +135,7 @@ def test_criterion_4_dpus_reversibility_and_consume_once():
 # ---------------------------------------------------------------- criterion 5
 def test_criterion_5_hs_dispatch():
     """100-request HS stream with t=3: strict slice dispatch, PRS side bitwise
-    identical to calling unlearn_prs directly."""
+    identical to a PRS request."""
     t0 = time.perf_counter()
     ds = gen_synthetic(1200, 16, seed=8)
     # per-slice 300: C(3) = 300 * 7 = 2100 -> t=3
@@ -148,13 +148,13 @@ def test_criterion_5_hs_dispatch():
     for sample_id in ids:
         slice_index = eng.plan.locate(sample_id)[0]
         twin = eng.clone() if slice_index >= 3 else None
-        outcome = eng.unlearn_hs(sample_id)
+        outcome = eng.dispatch(UnlearnRequest(sample_id, "hs"))
         if slice_index < 3:
             assert outcome.strategy_executed in ("dpus", "noop-consumed")
             dpus_side += 1
         else:
             assert outcome.strategy_executed == "prs"
-            direct = twin.unlearn_prs(sample_id)
+            direct = twin.dispatch(UnlearnRequest(sample_id, "prs"))
             assert outcome.params_after.bits_equal(direct.params_after)
             prs_side += 1
     assert dpus_side and prs_side

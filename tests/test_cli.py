@@ -208,6 +208,26 @@ def test_compare_table(out_root):
     assert len(table) == 9
 
 
+def test_compare_serves_at_the_configured_ohs_depth(out_root, capsys):
+    """``ohs_depth`` reaches every engine that compare trains, as it does in
+    train and replay; a depth past some S is a configuration error, raised
+    before any training."""
+    cfg = write_config(out_root, request_count=5, output_dir="cmp", ohs_depth=1, phi=300.0)
+    args = ["compare", "--config", str(cfg), "--strategies", "ohs,hs"]
+    assert main(args + ["--slice-counts", "2,4"]) == 0
+    rows = json.loads((out_root / "cmp" / "comparison.json").read_text())["rows"]
+    assert [(r["S"], r["r"]) for r in rows] == [(2, 1), (2, 1), (4, 1), (4, 1)]
+    with open(out_root / "cmp" / "comparison.csv", newline="") as fh:
+        assert [row["r"] for row in csv.DictReader(fh)] == ["1"] * 4
+    capsys.readouterr()
+    (out_root / "cmp" / "comparison.csv").unlink()
+    cfg = write_config(out_root, request_count=5, output_dir="cmp", ohs_depth=3)
+    assert main(["compare", "--config", str(cfg), "--slice-counts", "4,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --slice-counts value 2 must be in [3, 400]")
+    assert not (out_root / "cmp" / "comparison.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [

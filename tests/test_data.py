@@ -407,6 +407,34 @@ def test_tombstone_all_refuses_non_integer_ids(plan_1000):
         assert plan_1000.copy().tombstone_all(ids).tombstones == want
 
 
+@pytest.mark.parametrize("bad", [1.0, 1.5, True, np.True_, np.float64(1.0), "1", None])
+def test_plan_indexes_must_be_integers(plan_1000, bad):
+    """The slice, batch and position a plan method takes follow the ids' rule:
+    a Python or numpy int, never a bool or a float, or InvalidArgument; a
+    slice outside 1..S is NotFound."""
+    calls = [
+        lambda: plan_1000.slice_ids(bad),
+        lambda: plan_1000.num_batches(bad),
+        lambda: plan_1000.batch_ids(bad, 1),
+        lambda: plan_1000.batch_ids(1, bad),
+        lambda: plan_1000.batch_at(bad, 0),
+        lambda: plan_1000.batch_at(1, bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument, match="slice and batch indexes are integers"):
+            call()
+    calls = [plan_1000.slice_ids, plan_1000.num_batches, lambda i: plan_1000.batch_at(i, 0)]
+    for i in (0, 5, np.int64(-1)):
+        for call in calls:
+            with pytest.raises(NotFound, match=f"no slice {i} in a 4-slice plan"):
+                call(i)
+    one, two = np.int64(1), np.int32(2)
+    assert np.array_equal(plan_1000.slice_ids(two), plan_1000.slice_ids(2))
+    assert plan_1000.num_batches(one) == 2
+    assert np.array_equal(plan_1000.batch_ids(one, two), plan_1000.batch_ids(1, 2))
+    assert plan_1000.batch_at(one, np.int32(128)) == plan_1000.batch_at(1, 128) == 2
+
+
 def test_tombstone_at_history_scale():
     """20,000 ids revoked one by one, half of them located first as the
     engine does, from an n=50,000, S=8 plan give the plan ``tombstone_all``

@@ -79,7 +79,7 @@ def test_train_gathers_each_batch_once_per_slice(tiny_dataset, tiny_config, monk
     sizes = eng.plan.slice_sizes()  # 200 ids per slice, batches of 64: 4 per slice
     assert calls == {"slice_ids": [(1,), (2,), (3,)], "batch_ids": []} and len(gathered) == 12
     calls["slice_ids"], gathered[:] = [], []
-    eng.unlearn_prs(int(eng.plan.order[1][0]))
+    eng.dispatch(UnlearnRequest(int(eng.plan.order[1][0]), "prs"))
     assert calls == {"slice_ids": [(2,), (3,)], "batch_ids": []} and len(gathered) == 8
     assert eng.plan.slice_sizes() == (sizes[0], sizes[1] - 1, sizes[2])
 
@@ -237,7 +237,7 @@ def test_telescoping_reconstruction(trained_engine):
 def test_prs_last_slice_retrains_only_last(trained_engine):
     eng = trained_engine
     victim = eng.plan.slice_ids(3)[0]
-    out = eng.unlearn_prs(victim)
+    out = eng.dispatch(UnlearnRequest(victim, "prs"))
     assert out.strategy_executed == "prs"
     assert out.checkpoints_rewritten == [3]
     assert out.located_at[0] == 3
@@ -246,10 +246,10 @@ def test_prs_last_slice_retrains_only_last(trained_engine):
 def test_prs_equals_scratch_retrain_slice1(tiny_dataset, tiny_config):
     eng = UnlearnEngine.train(tiny_dataset, tiny_config)
     victim = eng.plan.slice_ids(1)[0]
-    out = eng.unlearn_prs(victim)
+    out = eng.dispatch(UnlearnRequest(victim, "prs"))
 
     oracle = UnlearnEngine(tiny_dataset, tiny_config)
-    oracle.plan = oracle.plan.tombstone(victim)
+    oracle.plan.tombstone(victim)
     scratch = oracle.fit()
     assert out.params_after.bits_equal(scratch.params)
     for i in range(1, 4):
@@ -260,16 +260,16 @@ def test_prs_equals_scratch_retrain_slice1(tiny_dataset, tiny_config):
 
 def test_prs_double_revocation_errors(trained_engine):
     victim = trained_engine.plan.slice_ids(2)[0]
-    trained_engine.unlearn_prs(victim)
+    trained_engine.dispatch(UnlearnRequest(victim, "prs"))
     with pytest.raises(AlreadyRevoked):
-        trained_engine.unlearn_prs(victim)
+        trained_engine.dispatch(UnlearnRequest(victim, "prs"))
 
 
 def test_prs_rerecords_increments_for_recorded_slices(trained_engine):
     eng = trained_engine
     before = eng.store.ledgers[1]
     victim = eng.plan.slice_ids(1)[3]
-    eng.unlearn_prs(victim)
+    eng.dispatch(UnlearnRequest(victim, "prs"))
     after = eng.store.ledgers
     assert set(after) == {1}
     assert victim not in after[1].ids
@@ -281,7 +281,7 @@ def test_dpus_subtract_and_restore(trained_engine):
     eng = trained_engine
     final_params = eng.model.params.copy()
     victim = eng.plan.slice_ids(1)[5]
-    out = eng.unlearn_dpus(victim)
+    out = eng.dispatch(UnlearnRequest(victim, "dpus"))
     assert out.strategy_executed == "dpus"
     delta = eng.store.get_increment(*out.located_at)
     expected = final_params.values - delta.values
@@ -292,13 +292,13 @@ def test_dpus_subtract_and_restore(trained_engine):
 def test_dpus_consume_once(trained_engine):
     eng = trained_engine
     first = eng.plan.slice_ids(1)[0]
-    out1 = eng.unlearn_dpus(first)
+    out1 = eng.dispatch(UnlearnRequest(first, "dpus"))
     i, j = out1.located_at
     size = eng.config.batch_size
     same_batch = eng.store.ledgers[i].ids[(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != first)
     frozen = eng.model.params.copy()
-    out2 = eng.unlearn_dpus(second)
+    out2 = eng.dispatch(UnlearnRequest(second, "dpus"))
     assert out2.strategy_executed == "noop-consumed"
     assert eng.model.params.bits_equal(frozen)
     assert second in eng.plan.tombstones
@@ -340,13 +340,13 @@ def test_dpus_stream_builds_no_slice_ids(monkeypatch):
 )
 def test_non_integer_ids_revoke_nothing(trained_engine, sid):
     """A float, a bool or any other non-integer id is InvalidArgument at
-    ``dispatch``, ``unlearn_prs`` and ``locate``, and nothing is revoked;
+    ``dispatch``, for DPUS and PRS, and at ``locate``, and nothing is revoked;
     Python and numpy ints are accepted."""
     eng = trained_engine
     before = engine_state(eng)
     for call in (
         lambda: eng.dispatch(UnlearnRequest(sid, "dpus")),
-        lambda: eng.unlearn_prs(sid),
+        lambda: eng.dispatch(UnlearnRequest(sid, "prs")),
         lambda: eng.plan.locate(sid),
     ):
         with pytest.raises(InvalidArgument, match="sample ids are integers"):
@@ -355,7 +355,7 @@ def test_non_integer_ids_revoke_nothing(trained_engine, sid):
     early = eng.plan.slice_ids(1)[:2]
     assert eng.plan.locate(np.int32(early[0])) == eng.plan.locate(int(early[0]))
     assert eng.dispatch(UnlearnRequest(early[0], "dpus")).strategy_executed == "dpus"
-    assert eng.unlearn_prs(int(early[1])).strategy_executed == "prs"
+    assert eng.dispatch(UnlearnRequest(int(early[1]), "prs")).strategy_executed == "prs"
     assert eng.plan.tombstones == set(early.tolist())
 
 
@@ -363,7 +363,7 @@ def test_dpus_dispatch_guard(trained_engine):
     eng = trained_engine
     late = eng.plan.slice_ids(3)[0]
     with pytest.raises(DispatchError):
-        eng.unlearn_dpus(late)
+        eng.dispatch(UnlearnRequest(late, "dpus"))
 
 
 def test_dpus_force_requires_record(trained_engine):
@@ -384,17 +384,17 @@ def test_hs_dispatch_by_slice(tiny_dataset, tiny_config):
     early = eng.plan.slice_ids(1)[0]
     at_threshold = eng.plan.slice_ids(2)[0]  # t = 2; rule is strict i < t
     late = eng.plan.slice_ids(3)[0]
-    assert eng.unlearn_hs(early).strategy_executed == "dpus"
-    assert eng.unlearn_hs(at_threshold).strategy_executed == "prs"
-    assert eng.unlearn_hs(late).strategy_executed == "prs"
+    assert eng.dispatch(UnlearnRequest(early, "hs")).strategy_executed == "dpus"
+    assert eng.dispatch(UnlearnRequest(at_threshold, "hs")).strategy_executed == "prs"
+    assert eng.dispatch(UnlearnRequest(late, "hs")).strategy_executed == "prs"
 
 
 def test_hs_matches_direct_prs_bitwise(tiny_dataset, tiny_config):
     base = UnlearnEngine.train(tiny_dataset, tiny_config)
     other = base.clone()
     victim = base.plan.slice_ids(3)[7]
-    a = base.unlearn_hs(victim)
-    b = other.unlearn_prs(victim)
+    a = base.dispatch(UnlearnRequest(victim, "hs"))
+    b = other.dispatch(UnlearnRequest(victim, "prs"))
     assert a.params_after.bits_equal(b.params_after)
 
 
@@ -403,8 +403,8 @@ def test_ohs_above_threshold_equals_prs(tiny_dataset, tiny_config):
     a = UnlearnEngine.train(tiny_dataset, tiny_config)
     b = a.clone()
     victim = a.plan.slice_ids(3)[2]
-    out_a = a.unlearn_ohs(victim)
-    out_b = b.unlearn_prs(victim)
+    out_a = a.dispatch(UnlearnRequest(victim, "ohs"))
+    out_b = b.dispatch(UnlearnRequest(victim, "prs"))
     assert out_a.strategy_executed == "prs"
     assert out_a.params_after.bits_equal(out_b.params_after)
 
@@ -419,7 +419,7 @@ def test_ohs_subtracts_then_retrains_trailing_slice(tiny_dataset, tiny_config):
     s = eng.config.num_slices
     pristine_base = eng.store.get_checkpoint(s - 1).params.copy()
     victim = eng.plan.slice_ids(1)[4]
-    out = eng.unlearn_ohs(victim, depth=1)
+    out = eng.dispatch(UnlearnRequest(victim, "ohs", depth=1))
     assert out.strategy_executed == "ohs"
     assert out.checkpoints_rewritten == [s]
     assert eng.store.get_checkpoint(s - 1).params.bits_equal(pristine_base)
@@ -429,7 +429,7 @@ def test_ohs_subtracts_then_retrains_trailing_slice(tiny_dataset, tiny_config):
     delta = twin.store.get_increment(i, j)
     start = combine(twin.store.get_checkpoint(s - 1).params, delta, "-")
     state = twin.store.get_checkpoint(s - 1).opt_state
-    twin.plan = twin.plan.tombstone(victim)
+    twin.plan.tombstone(victim)
     expected, _ = twin._train_slice(start, state, s, twin.plan.slice_ids(s), record=False)
     assert out.params_after.bits_equal(expected)
 
@@ -438,8 +438,8 @@ def test_ohs_depth_zero_degenerates_to_dpus(tiny_dataset, tiny_config):
     a = UnlearnEngine.train(tiny_dataset, tiny_config)
     b = a.clone()
     victim = a.plan.slice_ids(1)[9]
-    out_a = a.unlearn_ohs(victim, depth=0)
-    out_b = b.unlearn_dpus(victim)
+    out_a = a.dispatch(UnlearnRequest(victim, "ohs", depth=0))
+    out_b = b.dispatch(UnlearnRequest(victim, "dpus"))
     assert out_a.strategy_executed == "dpus"
     assert out_a.params_after.bits_equal(out_b.params_after)
 
@@ -447,12 +447,12 @@ def test_ohs_depth_zero_degenerates_to_dpus(tiny_dataset, tiny_config):
 def test_ohs_consumed_record_still_retrains(tiny_dataset, tiny_config):
     eng = UnlearnEngine.train(tiny_dataset, tiny_config)
     first = eng.plan.slice_ids(1)[0]
-    out1 = eng.unlearn_ohs(first)
+    out1 = eng.dispatch(UnlearnRequest(first, "ohs"))
     i, j = out1.located_at
     size = eng.config.batch_size
     same_batch = eng.store.ledgers[i].ids[(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != first)
-    out2 = eng.unlearn_ohs(second)
+    out2 = eng.dispatch(UnlearnRequest(second, "ohs"))
     assert out2.strategy_executed == "ohs"
     assert out2.checkpoints_rewritten == [2, 3]
     assert second in eng.plan.tombstones
@@ -486,10 +486,24 @@ def test_ohs_depth_must_be_an_integer(trained_engine, tiny_dataset, tiny_config)
         with pytest.raises(InvalidArgument, match="ohs depth must be"):
             UnlearnEngine(tiny_dataset, tiny_config, ohs_depth=bad)
         with pytest.raises(InvalidArgument, match="ohs depth must be"):
-            trained_engine.unlearn_ohs(sid, depth=bad)
+            trained_engine.dispatch(UnlearnRequest(sid, "ohs", depth=bad))
     assert not trained_engine.plan.tombstones
     assert UnlearnEngine(tiny_dataset, tiny_config, ohs_depth=np.int64(3)).default_ohs_depth == 3
-    assert trained_engine.unlearn_ohs(sid, depth=np.int32(0)).strategy_executed == "dpus"
+    out = trained_engine.dispatch(UnlearnRequest(sid, "ohs", depth=np.int32(0)))
+    assert out.strategy_executed == "dpus"
+
+
+def test_only_ohs_requests_take_a_depth():
+    """A depth with any other strategy is refused when the request is made;
+    an OHS depth is checked when it is served."""
+    for strategy in ("prs", "dpus", "hs"):
+        for depth in (0, 1, np.int64(1), 2.7):
+            with pytest.raises(InvalidArgument, match="only ohs takes a depth"):
+                UnlearnRequest(5, strategy, depth)
+        assert UnlearnRequest(5, strategy, None).depth is None
+    with pytest.raises(InvalidArgument, match="requested_strategy must be one of"):
+        UnlearnRequest(5, "sisa")
+    assert UnlearnRequest(5, "ohs", 2.7).depth == 2.7  # dispatch refuses it
 
 
 @pytest.mark.parametrize("depth", [3, 4])
@@ -498,8 +512,8 @@ def test_ohs_depth_past_the_sample_runs_prs(item1_engine, depth):
     the sample's delta: the request retrains from slice i, exactly as PRS."""
     a, b = item1_engine.clone(), item1_engine.clone()
     victim = item1_engine.plan.slice_ids(2)[5]
-    out_a = a.unlearn_ohs(victim, depth=depth)
-    out_b = b.unlearn_prs(victim)
+    out_a = a.dispatch(UnlearnRequest(victim, "ohs", depth=depth))
+    out_b = b.dispatch(UnlearnRequest(victim, "prs"))
     assert (out_a.strategy_executed, out_a.checkpoints_rewritten) == ("prs", [2, 3, 4])
     assert out_a.located_at == out_b.located_at
     assert out_a.params_after.bits_equal(out_b.params_after)
@@ -524,9 +538,9 @@ def item1_engine():
 def test_hs_retrain_keeps_an_earlier_direct_update(item1_engine):
     a, b = item1_engine.plan.slice_ids(1)[5], item1_engine.plan.slice_ids(3)[5]
     both, only_b = item1_engine.clone(), item1_engine.clone()
-    assert both.unlearn_hs(a).strategy_executed == "dpus"
-    assert both.unlearn_hs(b).strategy_executed == "prs"
-    only_b.unlearn_hs(b)
+    assert both.dispatch(UnlearnRequest(a, "hs")).strategy_executed == "dpus"
+    assert both.dispatch(UnlearnRequest(b, "hs")).strategy_executed == "prs"
+    only_b.dispatch(UnlearnRequest(b, "hs"))
     assert not both.model.params.bits_equal(only_b.model.params)
 
 
@@ -534,17 +548,17 @@ def test_hs_retrain_keeps_an_earlier_direct_update(item1_engine):
 def test_ohs_keeps_an_earlier_subtraction(item1_engine):
     a, a2 = item1_engine.plan.slice_ids(1)[5], item1_engine.plan.slice_ids(1)[69]
     both, only_a2 = item1_engine.clone(), item1_engine.clone()
-    first, second = both.unlearn_ohs(a), both.unlearn_ohs(a2)
+    first, second = (both.dispatch(UnlearnRequest(x, "ohs")) for x in (a, a2))
     assert first.located_at[0] == second.located_at[0] == 1
     assert first.located_at[1] != second.located_at[1]
-    only_a2.unlearn_ohs(a2)
+    only_a2.dispatch(UnlearnRequest(a2, "ohs"))
     assert not both.model.params.bits_equal(only_a2.model.params)
 
 
 @ITEM_1
 def test_reload_keeps_a_direct_update(item1_engine, tmp_path):
     eng = item1_engine.clone()
-    served = eng.unlearn_dpus(eng.plan.slice_ids(1)[5]).params_after
+    served = eng.dispatch(UnlearnRequest(eng.plan.slice_ids(1)[5], "dpus")).params_after
     eng.store.persist(tmp_path)
     back = UnlearnEngine.from_store(eng.dataset, StateStore.load(tmp_path))
     assert back.model.params.bits_equal(served)
@@ -562,22 +576,23 @@ def test_repeated_consumed_batch_ohs_trains_nothing(item1_engine, monkeypatch):
     once, yet reports what a retrain reports."""
     eng = item1_engine.clone()
     a, b, c = (int(x) for x in eng.plan.slice_ids(1)[5:8])  # all in recorded batch 1
-    assert eng.unlearn_ohs(a).rows_read == _rows(eng, [3, 4])  # subtracts, then retrains
+    # subtracts, then retrains
+    assert eng.dispatch(UnlearnRequest(a, "ohs")).rows_read == _rows(eng, [3, 4])
     # consumed: starts at the pristine checkpoint 2, not at the amended start
-    assert eng.unlearn_ohs(b).rows_read == _rows(eng, [3, 4])
+    assert eng.dispatch(UnlearnRequest(b, "ohs")).rows_read == _rows(eng, [3, 4])
     ref = eng.clone()
     forget_training_starts(ref)
     calls = []
     monkeypatch.setattr(
         mubench.engine, "loss_grad", lambda *args: calls.append(1) or loss_grad(*args)
     )
-    out = eng.unlearn_ohs(c)
+    out = eng.dispatch(UnlearnRequest(c, "ohs"))
     assert calls == []
     assert (out.strategy_executed, out.located_at, out.checkpoints_rewritten) == (
         "ohs", (1, 1), [3, 4]
     )
     assert out.rows_read == 0
-    assert ref.unlearn_ohs(c).rows_read == _rows(ref, [3, 4]) and calls
+    assert ref.dispatch(UnlearnRequest(c, "ohs")).rows_read == _rows(ref, [3, 4]) and calls
     assert engine_state(eng) == engine_state(ref)
 
 
@@ -588,15 +603,17 @@ def test_reused_recorded_slice_keeps_its_ledger(item1_engine):
     ids and forces a retrain. The state equals a retrain's."""
     eng = item1_engine.clone()
     a, b = (int(x) for x in eng.plan.slice_ids(1)[5:7])
-    assert eng.unlearn_hs(a).strategy_executed == "dpus"  # consumes batch 1 of slice 1
+    # consumes batch 1 of slice 1
+    assert eng.dispatch(UnlearnRequest(a, "hs")).strategy_executed == "dpus"
     ledger = eng.store.ledgers[2]
     ref = eng.clone()
     forget_training_starts(ref)
-    out = eng.unlearn_ohs(b, depth=3)  # pristine checkpoint 1, slices 2..4 unchanged
+    # pristine checkpoint 1, slices 2..4 unchanged
+    out = eng.dispatch(UnlearnRequest(b, "ohs", depth=3))
     assert (out.strategy_executed, out.checkpoints_rewritten) == ("ohs", [2, 3, 4])
     assert out.rows_read == 0
     assert eng.store.ledgers[2] is ledger
-    assert ref.unlearn_ohs(b, depth=3).rows_read == _rows(ref, [2, 3, 4])
+    assert ref.dispatch(UnlearnRequest(b, "ohs", depth=3)).rows_read == _rows(ref, [2, 3, 4])
     assert engine_state(eng) == engine_state(ref)
 
 
@@ -605,11 +622,11 @@ def test_reloaded_store_trains_its_first_retrain(item1_engine, tmp_path):
     request the in-memory engine serves by reuse trains, to the same bits."""
     eng = item1_engine.clone()
     a, b, c = (int(x) for x in eng.plan.slice_ids(1)[5:8])
-    eng.unlearn_ohs(a), eng.unlearn_ohs(b)
+    eng.dispatch(UnlearnRequest(a, "ohs")), eng.dispatch(UnlearnRequest(b, "ohs"))
     eng.store.persist(tmp_path)
     back = UnlearnEngine.from_store(eng.dataset, StateStore.load(tmp_path))
     assert all(cp.trained_from is None for cp in back.store.checkpoints.values())
-    in_memory, reloaded = eng.unlearn_ohs(c), back.unlearn_ohs(c)
+    in_memory, reloaded = (e.dispatch(UnlearnRequest(c, "ohs")) for e in (eng, back))
     assert (in_memory.rows_read, reloaded.rows_read) == (0, _rows(back, [3, 4]))
     assert reloaded.params_after.bits_equal(in_memory.params_after)
     assert engine_state(back) == engine_state(eng)
@@ -620,10 +637,10 @@ def test_rows_read_counts_the_rows_trained(tiny_dataset, tiny_config):
     nothing trains."""
     eng = UnlearnEngine.train(tiny_dataset, replace(tiny_config, epochs_per_slice=2))
     first, second = (int(x) for x in eng.plan.slice_ids(1)[:2])  # one recorded batch
-    assert eng.unlearn_dpus(first).rows_read == 0
-    out = eng.unlearn_dpus(second)
+    assert eng.dispatch(UnlearnRequest(first, "dpus")).rows_read == 0
+    out = eng.dispatch(UnlearnRequest(second, "dpus"))
     assert (out.strategy_executed, out.rows_read) == ("noop-consumed", 0)
-    out = eng.unlearn_prs(int(eng.plan.slice_ids(2)[0]))
+    out = eng.dispatch(UnlearnRequest(int(eng.plan.slice_ids(2)[0]), "prs"))
     assert out.rows_read == _rows(eng, [2, 3]) == 2 * sum(eng.plan.slice_sizes()[1:])
     report = eng.process_stream([UnlearnRequest(int(eng.plan.slice_ids(1)[0]), "prs")])
     assert report.rows[0].rows_read == 2 * sum(eng.plan.slice_sizes())

@@ -100,17 +100,14 @@ class EngineMachine(RuleBasedStateMachine):
         return "prs", (i, self._live(line, i).index(sid) // b + 1), list(range(i, s + 1))
 
     def _request(self, line, sid, strategy, depth=None):
-        """Serve through ``dispatch`` (``unlearn_ohs`` with a depth) and the
-        twin's ``unlearn_*``; check both against the model and each other."""
+        """Serve one request, with its depth, through ``dispatch`` on the
+        engine and on its twin, which reuses no checkpoint; check both against
+        the model and each other."""
         expected = self._expect(line, sid, strategy, depth)
         forget_training_starts(line.twin)
         before = engine_state(line.engine), engine_state(line.twin)
-        if depth is None:
-            out = _attempt(line.engine.dispatch, UnlearnRequest(sid, strategy))
-            ref = _attempt(getattr(line.twin, f"unlearn_{strategy}"), sid)
-        else:
-            out = _attempt(line.engine.unlearn_ohs, sid, depth=depth)
-            ref = _attempt(line.twin.unlearn_ohs, sid, depth=depth)
+        request = UnlearnRequest(sid, strategy, depth)
+        out, ref = (_attempt(e.dispatch, request) for e in (line.engine, line.twin))
         if isinstance(out, type):
             event(f"error: {out.__name__}")
             assert out is ref is expected

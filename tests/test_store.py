@@ -14,6 +14,7 @@ from mubench import (
     StateStore,
     TrainConfig,
     UnlearnEngine,
+    UnlearnRequest,
     init_params,
     make_slice_plan,
     threshold,
@@ -597,7 +598,7 @@ def test_loaded_position_index_equals_the_in_memory_one(tiny_dataset, tiny_confi
         assert np.array_equal(loaded.ledgers[i].index, ledger.index)
 
     revoked = int(engine.plan.slice_ids(1)[3])
-    engine.unlearn_prs(revoked)  # re-records slices 1..3 without it
+    engine.dispatch(UnlearnRequest(revoked, "prs"))  # re-records slices 1..3 without it
     engine.store.persist(tmp_path)
     loaded = StateStore.load(tmp_path)
     for store in (loaded, engine.store):
