@@ -262,10 +262,14 @@ class SlicePlan:
 
     def batch_at(self, i: int, k: int) -> int:
         """1-based batch of the live id at as-planned index k of slice i: the
-        live ids before it, counted in the mask, in runs of ``batch_size``."""
+        live ids before it, counted in the mask, in runs of ``batch_size``;
+        NotFound for a k outside the slice's as-planned order."""
         if type(k) is not int:
             k = as_index(k)
-        return int(np.count_nonzero(self.masks[self._slice(i) - 1][:k])) // self.batch_size + 1
+        live = self.masks[self._slice(i) - 1]
+        if not 0 <= k < live.size:
+            raise NotFound(f"slice {i} has no as-planned index {k}")
+        return int(np.count_nonzero(live[:k])) // self.batch_size + 1
 
     def locate(self, sample_id: int) -> tuple[int, int]:
         """1-based (slice, batch) position of a live sample id."""

@@ -1,29 +1,32 @@
 """Persistence of per-slice checkpoints, the per-slice increment ledger and
 the slice plan, whose live masks are the record of the revoked ids.
 
-On-disk layout (format 8): ``manifest.json`` plus one binary file per
+On-disk layout (format 9): ``manifest.json`` plus one binary file per
 checkpoint 1..S or recorded slice. The manifest holds the training config as
 one ``config`` section (the engine's ``TrainConfig``), the input width, n,
 the tombstones and one entry per file: a checkpoint's holds its slice, file
 (``checkpoint_0001.muck`` for slice 1), Adam step count (checkpoints 1..S-1
-only) and CRC, a ledger's its slice, file (``ledger_0001.muck``), id count
-and CRC; a load reads no other file name. Binary framing: magic ``MUCK``, u32
-framing version, u32 slice index, u32 batch field (0xFFFFFFFF for
-checkpoints, the row count for a ledger), u64 payload length in 4-byte words,
-the little-endian payload, u32 CRC32 trailer over all preceding bytes.
+only) and CRC, a ledger's its slice, file (``ledger_0001.muck``) and CRC; a
+load reads no other file name. Binary framing: magic ``MUCK``, u32 framing
+version, u32 slice index, u32 batch field (0xFFFFFFFF for checkpoints, the
+row count for a ledger), u64 payload length in 4-byte words, the
+little-endian payload, u32 CRC32 trailer over all preceding bytes.
 Checkpoint payloads are float32 (params, adam_m, adam_v; checkpoint S, which
-no retrain resumes, holds its params only); a ledger's payload is its ids as
-int64 (its slice's live ids at recording time, in plan order), then its
+no retrain resumes, holds its params only); a ledger's payload is its
+slice's live mask at recording time, one bit per as-planned position, least
+significant bit first and zero-padded to whole 4-byte words, then its
 float32 delta rows in batch order. Nothing derivable is stored: checkpoint 0
 is ``init_params`` under the config's seed with fresh Adam state, the
-dispatch threshold comes from the config and n, each ledger's row index from
-its ids, and each batch's consumed flag (set exactly when one of its ids is
-revoked, as the engine leaves it) from its slice's live mask. Loading keeps
-the ids and deltas as read-only views of the file's bytes, rebuilds
-checkpoint 0 and the plan from the config and n and revokes the tombstones in
-the plan. A version-7 or older manifest is refused. Writes go to a temp file
-then ``os.replace``; once the new manifest is in place, the store files it
-does not name are removed.
+dispatch threshold comes from the config and n, each ledger's ids from its
+slice's as-planned order and its mask (so the row count is the mask's
+popcount in runs of ``batch_size``), its row index from its ids, and each
+batch's consumed flag (set exactly when one of its ids is revoked, as the
+engine leaves it) from its slice's live mask. Loading keeps the deltas as
+read-only views of the file's bytes, rebuilds checkpoint 0 and the plan from
+the config and n, revokes the tombstones in the plan and refuses a ledger
+that leaves out an id still live in its slice. A version-8 or older manifest
+is refused. Writes go to a temp file then ``os.replace``; once the new
+manifest is in place, the store files it does not name are removed.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .errors import (
 from .nn import AdamHyper, ModelLayout, OptimizerState, ParameterVector, init_params
 
 MAGIC = b"MUCK"
-FORMAT_VERSION = 8  # of the manifest; it also fixes what a ledger payload holds
+FORMAT_VERSION = 9  # of the manifest; it also fixes what a ledger payload holds
 FRAME_VERSION = 3  # of the binary files; the header has not changed since version 3
 CHECKPOINT_SENTINEL = 0xFFFFFFFF
 _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
@@ -126,22 +129,25 @@ class Checkpoint:
 
 
 class Ledger(NamedTuple):
-    """A recorded slice: its live ids at recording time in plan order (batch j
-    is their j-th run of ``batch_size``), one float32 delta row per batch and
-    ``index``, each as-planned position's row in ``ids`` as int32 (-1: not
-    recorded), all read-only and shared by clones; and one consumed flag per
-    batch, set while the batch holds a revoked id."""
+    """A recorded slice: one float32 delta row per batch and ``index``, each
+    as-planned position's row among the slice's live ids at recording time
+    as int32 (-1: not recorded), both read-only and shared by clones; and
+    one consumed flag per batch, set while the batch holds a revoked id.
+    The recorded ids are the positions with ``index >= 0``, in plan order;
+    batch j is their j-th run of ``batch_size``."""
 
-    ids: np.ndarray
     deltas: np.ndarray
     consumed: np.ndarray
     index: np.ndarray
 
 
-def write_vector_file(path: Path, slice_index: int, batch_index: int, values, ids=()) -> int:
-    """Frame one file whose payload is ``ids`` as int64, then ``values`` as
-    float32, both little-endian; return its CRC32."""
-    parts = (np.ascontiguousarray(ids, dtype="<i8"), np.ascontiguousarray(values, dtype="<f4"))
+def write_vector_file(path: Path, slice_index: int, batch_index: int, values, mask=()) -> int:
+    """Frame one file whose payload is ``mask`` packed one bit per entry,
+    least significant bit first and zero-padded to whole 4-byte words, then
+    ``values`` as little-endian float32; return its CRC32."""
+    bits = np.packbits(np.asarray(mask, dtype=bool), bitorder="little")
+    bits = np.append(bits, np.zeros(-bits.size % 4, np.uint8))
+    parts = (bits, np.ascontiguousarray(values, dtype="<f4"))
     words = sum(part.nbytes for part in parts) // 4
     header = MAGIC + _HEADER.pack(FRAME_VERSION, slice_index, batch_index, words)
     crc = zlib.crc32(header)
@@ -229,9 +235,8 @@ class StateStore:
     def _put_ledger(self, i: int, ids, deltas) -> None:
         """Check and store slice i's ledger and build its row index. The ids
         must be slice i's in plan order, as the engine records them, with one
-        delta row per batch of ``batch_size`` ids. Arrays
-        that already have the stored dtype are kept, not copied, and made
-        read-only."""
+        delta row per batch of ``batch_size`` ids. Deltas that already have
+        the stored dtype are kept, not copied, and made read-only."""
         if i < 1:
             raise InvalidArgument("slice indices are 1-based")
         ids, deltas = np.asarray(ids, dtype=np.int64), np.asarray(deltas, dtype=np.float32)
@@ -252,8 +257,8 @@ class StateStore:
             raise InvalidArgument(f"ledger ids must be slice {i}'s, in plan order")
         index = np.full(self.plan.order[i - 1].size, -1, dtype=np.int32)
         index[at] = np.arange(ids.size, dtype=np.int32)
-        ids.flags.writeable = deltas.flags.writeable = index.flags.writeable = False
-        self.ledgers[i] = Ledger(ids, deltas, np.zeros(len(deltas), dtype=bool), index)
+        deltas.flags.writeable = index.flags.writeable = False
+        self.ledgers[i] = Ledger(deltas, np.zeros(len(deltas), dtype=bool), index)
 
     def _ledger(self, i: int, j: int) -> Ledger:
         if type(i) is not int or type(j) is not int:
@@ -304,8 +309,8 @@ class StateStore:
 
     def clone(self) -> "StateStore":
         """An independent store sharing the read-only checkpoints and each
-        ledger's ids, deltas and index; the plan's masks and the consumed
-        flags are copied."""
+        ledger's deltas and index; the plan's masks and the consumed flags
+        are copied."""
         dup = copy.copy(self)
         dup.plan = self.plan.copy()
         dup.checkpoints = dict(self.checkpoints)
@@ -332,10 +337,9 @@ class StateStore:
         ledger_entries = []
         for i, ledger in sorted(self.ledgers.items()):
             fname = f"ledger_{i:04d}.muck"
-            crc = write_vector_file(root / fname, i, len(ledger.deltas), ledger.deltas, ledger.ids)
-            ledger_entries.append(
-                {"slice": i, "file": fname, "id_count": ledger.ids.size, "crc32": crc}
-            )
+            mask = ledger.index >= 0
+            crc = write_vector_file(root / fname, i, len(ledger.deltas), ledger.deltas, mask)
+            ledger_entries.append({"slice": i, "file": fname, "crc32": crc})
         manifest = {
             "format_version": FORMAT_VERSION,
             "config": asdict(self.config),
@@ -411,20 +415,34 @@ class StateStore:
                 )
             store.checkpoints[si] = Checkpoint(si, params, state)
         for entry in manifest["ledgers"]:
-            id_count = _count(entry["id_count"], "id_count")
-            si, rows, payload, crc = read_vector_file(_named_file(root, entry, "ledger"))
+            path, i = _named_file(root, entry, "ledger"), entry["slice"]
+            if not 1 <= i < store.threshold:  # slice 0 would read order[-1], slice S's
+                raise StoreCorruption(
+                    f"{entry['file']}: increments are recorded only for slices below "
+                    f"{store.threshold}, got {i}"
+                )
+            si, rows, payload, crc = read_vector_file(path)
             if crc != entry["crc32"]:
                 raise StoreCorruption(f"{entry['file']}: manifest checksum disagrees")
-            if rows != -(-id_count // config.batch_size):
-                raise StoreCorruption(f"{entry['file']}: {rows} delta rows for {id_count} ids")
-            if si != entry["slice"] or payload.size != 2 * id_count + rows * count:
+            order = plan.order[i - 1]
+            words = -(-order.size // 32)
+            if si != i or payload.size != words + rows * count:
                 raise StoreCorruption(f"{entry['file']}: ledger framing mismatch")
-            ids = payload[: 2 * id_count].view("<i8")
-            store._put_ledger(si, ids, payload[2 * id_count :].reshape(rows, count))
+            bits = np.unpackbits(payload[:words].view(np.uint8), bitorder="little")
+            if bits[order.size :].any():
+                raise StoreCorruption(f"{entry['file']}: mask sets a bit past slice {i}'s ids")
+            ids = order[bits[: order.size].view(bool)]
+            if rows != -(-ids.size // config.batch_size):
+                raise StoreCorruption(f"{entry['file']}: {rows} delta rows for {ids.size} ids")
+            store._put_ledger(i, ids, payload[words:].reshape(rows, count))
         store.set_tombstones(_count(x, "a tombstone") for x in manifest["tombstones"])
-        # A batch is consumed exactly when one of its ids is revoked.
+        # A ledger holds every id still live in its slice, and a batch is
+        # consumed exactly when one of its ids is revoked.
         for i, ledger in store.ledgers.items():
-            rows = ledger.index[~plan.masks[i - 1]]
+            live = plan.masks[i - 1]
+            if (ledger.index[live] < 0).any():
+                raise StoreCorruption(f"ledger_{i:04d}.muck: leaves out a live id of slice {i}")
+            rows = ledger.index[~live]
             ledger.consumed[rows[rows >= 0] // config.batch_size] = True
         return store
 

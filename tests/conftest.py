@@ -49,14 +49,20 @@ def _checkpoint_state(cp):
     return _as_bytes(cp.params.values) + adam
 
 
+def recorded_ids(store, i):
+    """Slice i's ledger ids: the as-planned ids its row index records, in
+    plan order."""
+    return store.plan.order[i - 1][store.ledgers[i].index >= 0]
+
+
 def engine_state(eng):
     """Every structure of an engine as bytes: checkpoints with Adam state
-    (checkpoint S has none), ledgers with consumed flags and index, the plan's
-    masks, and last the served params."""
+    (checkpoint S has none), ledgers' deltas, consumed flags and index, the
+    plan's masks, and last the served params."""
     store = eng.store
     return (
         {k: _checkpoint_state(c) for k, c in store.checkpoints.items()},
-        {k: _as_bytes(x.ids, x.deltas, x.consumed, x.index) for k, x in store.ledgers.items()},
+        {k: _as_bytes(x.deltas, x.consumed, x.index) for k, x in store.ledgers.items()},
         _as_bytes(*eng.plan.masks),
         eng.model.params.values.tobytes(),
     )

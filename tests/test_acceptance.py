@@ -31,7 +31,7 @@ from mubench import (
     train_shadows,
 )
 
-from conftest import balanced_batch
+from conftest import balanced_batch, recorded_ids
 from test_nn import central_difference_grad
 
 
@@ -122,7 +122,7 @@ def test_criterion_4_dpus_reversibility_and_consume_once():
 
     i, j = outcome.located_at
     size = cfg.batch_size
-    same_batch = eng.store.ledgers[i].ids[(j - 1) * size : j * size]
+    same_batch = recorded_ids(eng.store, i)[(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != victim)
     frozen = eng.model.params.copy()
     second_outcome = eng.dispatch(UnlearnRequest(second, "dpus"))

@@ -147,10 +147,11 @@ def test_replay_damaged_manifest_fails(out_root, capsys):
     assert main(["train", "--config", str(cfg)]) == 0
     manifest_path = out_root / "run" / "store" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    del manifest["ledgers"][0]["id_count"]
+    manifest["ledgers"][0].update(slice=0, file="ledger_0000.muck")
     manifest_path.write_text(json.dumps(manifest))
     assert main(["replay", "--config", str(cfg)]) == 1
-    assert "error: manifest.json: missing field 'id_count'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: ledger_0000.muck: increments are recorded only for slices below" in err
 
 
 def test_replay_store_missing_a_checkpoint_fails(out_root, capsys):

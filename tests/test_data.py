@@ -435,6 +435,18 @@ def test_plan_indexes_must_be_integers(plan_1000, bad):
     assert plan_1000.batch_at(one, np.int32(128)) == plan_1000.batch_at(1, 128) == 2
 
 
+def test_batch_at_refuses_an_index_outside_the_slice(plan_1000):
+    """An as-planned index outside slice i's order is NotFound, where a count
+    over the clipped mask would name a batch; the first and last index of the
+    slice are served."""
+    size = plan_1000.order[0].size
+    assert size == 250
+    for k in (-1, size, 10**6, np.int64(-size)):
+        with pytest.raises(NotFound, match=f"slice 1 has no as-planned index {k}$"):
+            plan_1000.batch_at(1, k)
+    assert (plan_1000.batch_at(1, 0), plan_1000.batch_at(np.int64(1), size - 1)) == (1, 2)
+
+
 def test_tombstone_at_history_scale():
     """20,000 ids revoked one by one, half of them located first as the
     engine does, from an n=50,000, S=8 plan give the plan ``tombstone_all``

@@ -35,7 +35,7 @@ from mubench.engine import _epoch_orders, train_batches
 from mubench.mia import fit_dense
 from mubench.nn import loss_grad
 
-from conftest import engine_state, forget_training_starts
+from conftest import engine_state, forget_training_starts, recorded_ids
 
 
 # ------------------------------------------------------------------- training
@@ -272,7 +272,7 @@ def test_prs_rerecords_increments_for_recorded_slices(trained_engine):
     eng.dispatch(UnlearnRequest(victim, "prs"))
     after = eng.store.ledgers
     assert set(after) == {1}
-    assert victim not in after[1].ids
+    assert victim not in recorded_ids(eng.store, 1)
     assert not np.array_equal(after[1].deltas, before.deltas)
 
 
@@ -295,7 +295,7 @@ def test_dpus_consume_once(trained_engine):
     out1 = eng.dispatch(UnlearnRequest(first, "dpus"))
     i, j = out1.located_at
     size = eng.config.batch_size
-    same_batch = eng.store.ledgers[i].ids[(j - 1) * size : j * size]
+    same_batch = recorded_ids(eng.store, i)[(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != first)
     frozen = eng.model.params.copy()
     out2 = eng.dispatch(UnlearnRequest(second, "dpus"))
@@ -450,7 +450,7 @@ def test_ohs_consumed_record_still_retrains(tiny_dataset, tiny_config):
     out1 = eng.dispatch(UnlearnRequest(first, "ohs"))
     i, j = out1.located_at
     size = eng.config.batch_size
-    same_batch = eng.store.ledgers[i].ids[(j - 1) * size : j * size]
+    same_batch = recorded_ids(eng.store, i)[(j - 1) * size : j * size]
     second = next(x for x in same_batch if x != first)
     out2 = eng.dispatch(UnlearnRequest(second, "ohs"))
     assert out2.strategy_executed == "ohs"

@@ -18,7 +18,7 @@ from mubench import STRATEGIES, StateStore, TrainConfig, UnlearnEngine, UnlearnR
 from mubench import gen_synthetic, init_params
 from mubench.errors import AlreadyRevoked, DispatchError, InvalidArgument, MuError, NotFound
 
-from conftest import engine_state, forget_training_starts
+from conftest import engine_state, forget_training_starts, recorded_ids
 
 MAX_LINES = 3
 LINE = st.integers(0, MAX_LINES - 1)  # a line, modulo the lines there are
@@ -207,9 +207,9 @@ class EngineMachine(RuleBasedStateMachine):
                 assert _attempt(plan.locate, sid) == want
             assert store.ledgers.keys() == line.recorded.keys()
             for i, held in line.recorded.items():
-                ids, consumed = store.ledgers[i].ids, store.ledgers[i].consumed
+                index, consumed = store.ledgers[i].index, store.ledgers[i].consumed
                 batches = [held[j : j + b] for j in range(0, len(held), b)]
-                assert ids.tolist() == held and not ids.flags.writeable
+                assert recorded_ids(store, i).tolist() == held and not index.flags.writeable
                 assert consumed.tolist() == [not dead.isdisjoint(x) for x in batches]
             for i in range(1, self.s + 2):
                 held = line.recorded.get(i, [])

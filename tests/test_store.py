@@ -26,7 +26,9 @@ from mubench.errors import (
     StoreCorruption,
     StoreVersionError,
 )
-from mubench.store import CHECKPOINT_SENTINEL, write_vector_file
+from mubench.store import CHECKPOINT_SENTINEL, FORMAT_VERSION, write_vector_file
+
+from conftest import recorded_ids
 
 LAYOUT = ModelLayout(4, (5,), 2)
 
@@ -209,7 +211,8 @@ def test_store_indexes_must_be_integers(bad):
     """Every slice or batch index a store method takes is a Python or numpy
     int, never a bool: anything else is InvalidArgument and changes nothing."""
     store = populated_store()
-    ids, cp, rows = store.ledgers[1].ids, make_checkpoint(2), deltas(91, 92)
+    ledger, ids = store.ledgers[1], recorded_ids(store, 1)
+    cp, rows = make_checkpoint(2), deltas(91, 92)
     calls = [
         lambda: store.get_checkpoint(bad),
         lambda: store.put_checkpoint(replace(cp, slice_index=bad)),
@@ -224,7 +227,7 @@ def test_store_indexes_must_be_integers(bad):
     for call in calls:
         with pytest.raises(InvalidArgument, match="slice and batch indexes are integers"):
             call()
-    assert store.checkpoints == checkpoints and store.ledgers[1].ids is ids
+    assert store.checkpoints == checkpoints and store.ledgers[1] is ledger
     assert store.ledgers[1].consumed.tolist() == consumed == [True, False]
     one, two = np.int64(1), np.int32(2)
     assert store.get_checkpoint(two) is store.get_checkpoint(2)
@@ -265,8 +268,7 @@ def test_persist_load_bit_identical(tmp_path):
     assert loaded.ledgers.keys() == store.ledgers.keys()
     for i, ledger in store.ledgers.items():
         got = loaded.ledgers[i]
-        assert np.array_equal(got.ids, ledger.ids)
-        assert got.ids.dtype == np.int64 and not got.ids.flags.writeable
+        assert np.array_equal(recorded_ids(loaded, i), recorded_ids(store, i))
         assert np.array_equal(got.deltas.view(np.uint32), ledger.deltas.view(np.uint32))
         assert np.array_equal(got.consumed, ledger.consumed)  # derived on load
         assert np.array_equal(got.index, ledger.index)  # derived on load
@@ -295,6 +297,8 @@ def test_manifest_version_99_rejected(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # version 8 also kept each ledger's ids as int64 in its file and their
+    # count in the manifest;
     # version 7 also kept checkpoint 0 and checkpoint S's Adam state (see
     # test_version_7_store_is_refused_then_swept); version 6 also kept the
     # threshold; version 5 also kept each ledger's consumed flags and a plan
@@ -306,8 +310,9 @@ def test_manifest_version_99_rejected(tmp_path):
     manifest["threshold"] = 2
     manifest["plan_version"] = 0
     manifest["ledgers"][0]["consumed"] = [True, False]
+    manifest["ledgers"][0]["id_count"] = 20
     manifest["recorded_batches"] = {"1": [list(range(16)), list(range(16, 20))]}
-    for version in (99, 7, 6, 5, 4, 3, 2, 1):
+    for version in (99, 8, 7, 6, 5, 4, 3, 2, 1):
         manifest["format_version"] = version
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreVersionError):
@@ -334,6 +339,18 @@ def _last_checkpoint(edit):
     return lambda m: edit(m["checkpoints"][-1])
 
 
+def _ledger_slice(i):
+    """The ledger entry moved to slice i, under the file name ``persist``
+    gives that slice; the file is not read."""
+    return _ledger_entry(lambda e: e.update(slice=i, file=f"ledger_{i:04d}.muck"))
+
+
+def _tiny_n(n):
+    """n cut to ``n`` with phi 0, which records every slice: slice 1's mask
+    then sets bits past its ids."""
+    return lambda m: (m.update(n=n), m["config"].update(phi=0.0))
+
+
 def _list_checkpoint(i):
     """An entry for checkpoint i, ahead of the others; its file is not read."""
     entry = {"slice": i, "file": f"checkpoint_{i:04d}.muck", "step_count": 0, "crc32": 0}
@@ -345,6 +362,7 @@ def _config(edit):
 
 
 _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative integer, got "
+_RECORDED = "increments are recorded only for slices below 2, got "
 
 
 @pytest.mark.parametrize(
@@ -367,11 +385,11 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
         (_config(_set("hidden_dims", [5.0])), "manifest.json: malformed .*hidden_dims must hold"),
         (_set("input_dim", []), "manifest.json: malformed"),
         (_set("n", 100.0), r"manifest.json: malformed .*n must be .* got 100\.0"),
-        (_ledger_entry(_set("id_count", "abc")), "manifest.json: malformed .*'abc'"),
-        (_ledger_entry(_drop("id_count")), "manifest.json: missing field 'id_count'"),
-        (_ledger_entry(_set("id_count", 40)), "ledger_0001.muck: 2 delta rows for 40 ids"),
-        (_ledger_entry(_set("id_count", 30)), "ledger_0001.muck: ledger framing mismatch"),
-        (_set("n", 10), r"manifest.json: malformed .*ledger ids must lie in \[0, 10\)"),
+        (_ledger_slice(0), "ledger_0000.muck: " + _RECORDED + "0"),
+        (_ledger_slice(2), "ledger_0002.muck: " + _RECORDED + "2"),
+        (_config(_set("batch_size", 8)), "ledger_0001.muck: 2 delta rows for 20 ids"),
+        (_set("n", 200), "ledger_0001.muck: ledger framing mismatch"),
+        (_tiny_n(10), "ledger_0001.muck: mask sets a bit past slice 1's ids"),
         (_checkpoint_entry(_set("step_count", 1.5)), _STEP_COUNT + "1.5"),
         (_checkpoint_entry(_set("step_count", 3.0)), _STEP_COUNT + r"3\.0"),
         (_checkpoint_entry(_set("step_count", True)), _STEP_COUNT + "True"),
@@ -408,9 +426,9 @@ _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative inte
         "no_S", "tombstone_string", "tombstone_past_n", "tombstone_negative", "tombstone_float",
         "tombstone_bool", "batch_size_zero", "no_train_seed", "seed_not_int", "seed_bool",
         "num_slices_float", "batch_size_float", "phi_bool", "learning_rate_string",
-        "hidden_dims_float", "layout_list", "n_float", "id_count_string", "no_id_count",
-        "rows_short_of_ids",
-        "id_count_past_payload", "ids_past_n", "step_count_float", "step_count_integral_float",
+        "hidden_dims_float", "layout_list", "n_float", "ledger_slice_zero",
+        "ledger_slice_at_threshold", "rows_short_of_ids", "mask_short_of_payload", "ids_past_n",
+        "step_count_float", "step_count_integral_float",
         "step_count_bool", "step_count_negative", "tombstone_huge", "checkpoint_zero",
         "checkpoint_past_S", "step_count_at_S", "checkpoint_file_parent",
         "checkpoint_file_absolute", "checkpoint_file_other_slice", "ledger_file_parent",
@@ -474,7 +492,7 @@ def test_version_7_store_is_refused_then_swept(tmp_path):
     assert (tmp_path / "checkpoint_0000.muck").exists()
     with pytest.raises(StoreVersionError, match="format version 7 is not supported"):
         StateStore.load(tmp_path)
-    manifest["format_version"] = 8
+    manifest["format_version"] = FORMAT_VERSION
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(StoreCorruption, match="stored checkpoints are 1..5, got 0"):
         StateStore.load(tmp_path)
@@ -491,7 +509,7 @@ def test_checkpoint_s_with_adam_state_reports_corruption(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
     manifest = _as_version_7(tmp_path, store)
-    manifest["format_version"] = 8
+    manifest["format_version"] = FORMAT_VERSION
     manifest["checkpoints"] = manifest["checkpoints"][1:]  # no checkpoint 0
     manifest["checkpoints"][-1].pop("step_count")
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -513,49 +531,67 @@ def test_threshold_is_derived_not_persisted(tmp_path):
         if t > 1:
             assert StateStore.load(tmp_path).threshold == t
         else:  # slice 1's ledger sits at the threshold
-            with pytest.raises(StoreCorruption, match="malformed .*slices below 1, got 1"):
+            with pytest.raises(StoreCorruption, match="ledger_0001.muck: .*below 1, got 1"):
                 StateStore.load(tmp_path)
 
 
-def _rewrite_ledger_ids(path, ids):
-    """Put ``ids`` in place of a ledger file's ids and re-seal its CRC;
-    return the new CRC."""
+_ALL_20 = (1 << 20) - 1  # populated_store's slice 1 mask: its 20 ids, all recorded
+
+
+def _rewrite_ledger_mask(root, word):
+    """Put ``word`` in place of ledger 1's mask word and re-seal both CRCs,
+    the file's and the manifest's."""
+    path = root / "ledger_0001.muck"
     raw = bytearray(path.read_bytes())
     start = 4 + 20  # magic, then the u32 version, slice and batch fields and the u64 length
-    raw[start : start + 8 * len(ids)] = np.asarray(ids, dtype="<i8").tobytes()
+    raw[start : start + 4] = struct.pack("<I", word)
     crc = zlib.crc32(raw[:-4]) & 0xFFFFFFFF
     path.write_bytes(bytes(raw[:-4]) + struct.pack("<I", crc))
-    return crc
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["ledgers"][0]["crc32"] = crc
+    (root / "manifest.json").write_text(json.dumps(manifest))
 
 
 def test_ledger_ids_off_the_plan_report_corruption(tmp_path):
-    """A ledger whose ids come from another slice or are out of plan order
-    fails its load, even with both CRCs re-sealed."""
-    store = populated_store()
-    ids, other = store.ledgers[1].ids, store.plan.slice_ids(2)
-    # other[-1] sits at the last as-planned index of slice 2, so it keeps
-    # the positions increasing and only its slice gives it away
-    for bad in (np.concatenate([ids[:-1], other[-1:]]), ids[::-1], np.roll(ids, 1)):
+    """A ledger mask that sets a bit past its slice's as-planned ids, whose
+    popcount takes another row count than its file holds, or that leaves out
+    an id still live in its slice (a direct update could not find it) fails
+    its load, even with both CRCs re-sealed."""
+    store = populated_store()  # ids 5 and 9 of slice 1 revoked
+    for word, match in (
+        (_ALL_20 | 1 << 20, "mask sets a bit past slice 1's ids"),
+        (0xFFFFFFFF, "mask sets a bit past slice 1's ids"),
+        (_ALL_20 >> 4, "2 delta rows for 16 ids"),
+        (0, "2 delta rows for 0 ids"),
+        (_ALL_20 & ~(1 << 3), "leaves out a live id of slice 1"),
+    ):
         store.persist(tmp_path)
-        crc = _rewrite_ledger_ids(tmp_path / "ledger_0001.muck", bad)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["ledgers"][0]["crc32"] = crc
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(StoreCorruption, match="malformed .*slice 1's, in plan order"):
+        _rewrite_ledger_mask(tmp_path, word)
+        with pytest.raises(StoreCorruption, match="ledger_0001.muck: " + match):
             StateStore.load(tmp_path)
 
 
+def _ledger_file_size(store, i):
+    """Header, one mask bit per as-planned id of slice i in whole 4-byte
+    words, the float32 delta rows and the CRC."""
+    rows, words = len(store.ledgers[i].deltas), -(-store.plan.order[i - 1].size // 32)
+    return 24 + 4 * words + 4 * rows * store.layout.param_count + 4
+
+
 def test_ledger_ids_live_in_the_ledger_file(tmp_path):
-    """The manifest keeps only each ledger's id count, and no consumed flags
-    or plan version; a truncated ledger file fails its checks."""
-    populated_store().persist(tmp_path)
+    """A ledger's ids live in its file as its slice's live mask at
+    recording time: the manifest keeps no id count, consumed flags or plan
+    version; a truncated ledger file fails its checks."""
+    store = populated_store()
+    store.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert set(manifest["ledgers"][0]) == {"slice", "file", "id_count", "crc32"}
+    assert set(manifest["ledgers"][0]) == {"slice", "file", "crc32"}
     assert set(manifest["checkpoints"][0]) == {"slice", "file", "step_count", "crc32"}
     assert set(manifest["checkpoints"][-1]) == {"slice", "file", "crc32"}  # checkpoint S
     assert "plan_version" not in manifest
-    assert manifest["ledgers"][0]["id_count"] == 20
     victim = tmp_path / "ledger_0001.muck"
+    assert victim.stat().st_size == _ledger_file_size(store, 1) == 28 + 8 * LAYOUT.param_count + 4
+    assert victim.read_bytes()[24:28] == struct.pack("<I", _ALL_20)
     victim.write_bytes(victim.read_bytes()[:-12])
     with pytest.raises(StoreCorruption, match="ledger_0001.muck"):
         StateStore.load(tmp_path)
@@ -571,15 +607,20 @@ def test_one_ledger_file_per_recorded_slice(tiny_dataset, tiny_config, tmp_path)
         f"ledger_{i:04d}.muck" for i in slices
     ]
     assert not list(tmp_path.glob("increment_*"))
+    width = engine.layout.param_count
+    for i in slices:  # 200 ids: seven mask words, then four delta rows
+        size = (tmp_path / f"ledger_{i:04d}.muck").stat().st_size
+        assert size == _ledger_file_size(engine.store, i) == 24 + 4 * 7 + 4 * 4 * width + 4
 
 
 def _assert_ledger_indexes(store):
-    """Each ledger's index maps every as-planned position of its slice to
-    that id's row in the ledger, or to -1 for an id it does not hold."""
+    """Each ledger recorded its slice's live ids: its index maps each live
+    as-planned position to that id's row among them, and the others to -1."""
     plan = store.plan
     for i, ledger in store.ledgers.items():
+        ids = plan.slice_ids(i)
         want = np.full(plan.order[i - 1].size, -1)
-        want[plan.pos_of[ledger.ids]] = np.arange(ledger.ids.size)
+        want[plan.pos_of[ids]] = np.arange(ids.size)
         assert np.array_equal(ledger.index, want)
         assert ledger.index.dtype == np.int32 and not ledger.index.flags.writeable
 
@@ -690,11 +731,11 @@ def test_checkpoint_sentinel_in_file(tmp_path):
 
 
 def test_clone_is_isolated():
-    """A clone shares the read-only checkpoints, ids and deltas and owns its
-    plan and consumed flags; a ledger recorded after the clone leaves the
-    clone's lookups as they were."""
+    """A clone shares the read-only checkpoints and each ledger's deltas
+    and index, and owns its plan and consumed flags; a ledger recorded after
+    the clone leaves the clone's lookups as they were."""
     store = populated_store()
-    ids = store.ledgers[1].ids
+    ids = recorded_ids(store, 1)
     dup = store.clone()
     for i, cp in store.checkpoints.items():
         assert dup.get_checkpoint(i) is cp
