@@ -304,22 +304,34 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _revoked_ids(path: Path, n_train: int) -> list[int]:
+    """The revoked ids in ``path``: a non-empty JSON list of distinct ints (not
+    bools) in [0, n_train); else ConfigError naming the file and first bad entry."""
+    try:
+        revoked = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(revoked, list) or not revoked:
+        raise ConfigError(f"{path} must hold a non-empty JSON list of ids, got {revoked!r}")
+    seen = set()
+    for x in revoked:
+        if type(x) is not int or not 0 <= x < n_train or x in seen:
+            raise ConfigError(f"{path}: {x!r} is not a distinct training row id in [0, {n_train})")
+        seen.add(x)
+    return revoked
+
+
 def cmd_audit(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = config.resolved_output_dir()
     revoked_path = out / "revoked_ids.json"
     if not revoked_path.exists():
         raise ConfigError(f"{revoked_path} not found; run `mu replay` first")
-    revoked = json.loads(revoked_path.read_text(encoding="utf-8"))
-    if not revoked:
-        raise ConfigError("no revoked ids to audit")
-    params_path = out / "params_after.muck"
-    if not params_path.exists():
-        raise MuError(f"missing post-replay parameters file: {params_path}")
 
     engine, _, _ = _load_engine(config)
+    revoked = _revoked_ids(revoked_path, engine.dataset.n)
     before_params = engine.store.get_checkpoint(engine.config.num_slices).params
-    _, _, after_values, _ = read_vector_file(params_path)
+    _, _, after_values, _ = read_vector_file(out / "params_after.muck")  # missing: StoreCorruption
     after_params = ParameterVector(after_values, engine.layout)
 
     # Shadows split the full source half/half; the target's training rows are

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .data import as_int
 from .errors import InvalidArgument
 
 
@@ -28,6 +29,8 @@ class CostConfig:
     phi: float
 
     def __post_init__(self) -> None:
+        for name in ("n", "num_slices"):  # numpy ints kept as Python ints
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.num_slices < 1:
             raise InvalidArgument("num_slices must be >= 1")
         if self.n < self.num_slices:
@@ -58,6 +61,7 @@ def _slices_read(i: int, s: int) -> int:
 def retrain_cost(i: int, config: CostConfig) -> float:
     """Samples read when retraining restarts at slice i: (n/S) * sum(i..S)."""
     s = config.num_slices
+    i = as_int(i, "slice index")
     if not 1 <= i <= s:
         raise InvalidArgument(f"slice index must be in [1, {s}], got {i}")
     return (config.n / s) * _slices_read(i, s)

@@ -194,18 +194,12 @@ def split_dataset(dataset: Dataset, eval_fraction: float, seed: int) -> tuple[Da
     )
 
 
-def as_sample_id(value) -> int:
-    """``value`` as an id; InvalidArgument unless a Python or numpy int (not a bool)."""
+def as_int(value, name: str) -> int:
+    """``value`` (a sample id, an index or a count, called ``name``) as an int;
+    InvalidArgument unless a Python or numpy int (not a bool). Hot callers
+    test ``type(value) is int`` before calling."""
     if type(value) is not int and not isinstance(value, np.integer):
-        raise InvalidArgument(f"sample ids are integers, got {value!r}")
-    return int(value)
-
-
-def as_index(value) -> int:
-    """``value`` as a slice, batch or position index, by ``as_sample_id``'s
-    rule. Hot callers test ``type(value) is int`` before calling."""
-    if type(value) is not int and not isinstance(value, np.integer):
-        raise InvalidArgument(f"slice and batch indexes are integers, got {value!r}")
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -250,9 +244,9 @@ class SlicePlan:
 
     def position(self, sample_id: int) -> tuple[int, int]:
         """1-based slice and 0-based as-planned index of a live id; an id
-        that ``as_sample_id`` refuses is InvalidArgument."""
+        that ``as_int`` refuses is InvalidArgument."""
         if type(sample_id) is not int:
-            sample_id = as_sample_id(sample_id)
+            sample_id = as_int(sample_id, "sample id")
         if not 0 <= sample_id < self.slice_of.size:
             raise NotFound(f"sample {sample_id} is not in the plan")
         i, k = self.slice_of.item(sample_id), self.pos_of.item(sample_id)
@@ -265,7 +259,7 @@ class SlicePlan:
         live ids before it, counted in the mask, in runs of ``batch_size``;
         NotFound for a k outside the slice's as-planned order."""
         if type(k) is not int:
-            k = as_index(k)
+            k = as_int(k, "as-planned index")
         live = self.masks[self._slice(i) - 1]
         if not 0 <= k < live.size:
             raise NotFound(f"slice {i} has no as-planned index {k}")
@@ -295,7 +289,7 @@ class SlicePlan:
         ``tombstone`` leaves called on each id; an id that is not an integer
         raises InvalidArgument, and one outside the plan NotFound, before any
         is revoked. Returns the plan."""
-        ids = [x if type(x) is int else as_sample_id(x) for x in sample_ids]
+        ids = [x if type(x) is int else as_int(x, "sample id") for x in sample_ids]
         try:
             dead = np.array(ids, np.int64)
         except OverflowError:  # an id beyond int64 is outside the plan too
@@ -318,9 +312,9 @@ class SlicePlan:
         return np.sort(np.concatenate(self.slices))
 
     def _slice(self, i: int) -> int:
-        """``i`` as a slice by ``as_index``'s rule; NotFound outside 1..S."""
+        """``i`` as a slice by ``as_int``'s rule; NotFound outside 1..S."""
         if type(i) is not int:
-            i = as_index(i)
+            i = as_int(i, "slice index")
         if not 1 <= i <= self.num_slices:
             raise NotFound(f"no slice {i} in a {self.num_slices}-slice plan")
         return i
@@ -336,7 +330,7 @@ class SlicePlan:
 
     def batch_ids(self, i: int, j: int) -> np.ndarray:
         if type(j) is not int:
-            j = as_index(j)
+            j = as_int(j, "batch index")
         ids = self.slice_ids(i)[(j - 1) * self.batch_size : j * self.batch_size]
         if j < 1 or not ids.size:
             raise NotFound(f"slice {i} has no batch {j}")

@@ -3,9 +3,9 @@
 Training walks the slices in order from the store's checkpoint 0,
 checkpointing parameters plus optimizer state after each one (after the last,
 which no retrain resumes, parameters only); for each slice below the dispatch
-threshold it also records the slice's ledger in one call: its ids and one row
-per batch holding that batch's summed parameter increment. Every revocation
-takes one of two paths:
+threshold it also records the slice's ledger in one call: one row per batch
+holding that batch's summed parameter increment (the store takes the ids from
+the plan). Every revocation takes one of two paths:
 
 * partial retraining (``prs``, and ``hs``/``ohs`` at or above the threshold)
   - roll back to the checkpoint before the sample's slice, drop the sample,
@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .costs import CostConfig, threshold as compute_threshold
-from .data import Dataset, SlicePlan, make_slice_plan
+from .data import Dataset, SlicePlan, as_int, make_slice_plan
 from .errors import (
     DispatchError,
     InvalidArgument,
@@ -112,8 +112,7 @@ class UnlearnOutcome:
 def sample_request_ids(plan: SlicePlan, count: int, seed: int) -> list[int]:
     """Draw distinct live ids uniformly without replacement; ``count`` and
     ``seed`` are InvalidArgument unless Python or numpy ints (not bools)."""
-    if not all(type(x) is int or isinstance(x, np.integer) for x in (count, seed)):
-        raise InvalidArgument(f"count and seed must be integers, got {count!r}, {seed!r}")
+    count, seed = as_int(count, "count"), as_int(seed, "seed")
     live = plan.live_ids()
     if not 0 <= count <= live.size:
         raise InvalidArgument(f"cannot draw {count} requests from {live.size} live ids")
@@ -191,9 +190,7 @@ def _epoch_orders(
 def _ohs_depth(value, num_slices: int) -> int:
     """``value`` as an OHS depth; InvalidArgument unless a Python or numpy int
     (not a bool) in [0, num_slices]."""
-    if type(value) is not int and not isinstance(value, np.integer):
-        raise InvalidArgument(f"ohs depth must be an integer, got {value!r}")
-    if not 0 <= value <= num_slices:
+    if not 0 <= as_int(value, "ohs depth") <= num_slices:
         raise InvalidArgument("ohs depth must be in [0, num_slices]")
     return int(value)
 
@@ -333,7 +330,7 @@ class UnlearnEngine:
         deltas = np.zeros((nb, self.layout.param_count)) if record else None
         params, state = train_batches(params, state, batches, f"slice {k}", deltas)
         if record:
-            self.store.record_increment(k, ids, deltas)
+            self.store.record_increment(k, deltas)
         return params, state
 
     def _require_model(self) -> Model:
@@ -358,9 +355,9 @@ class UnlearnEngine:
         The ledger is addressed by recording-time batch membership, since
         tombstoning re-chunks the live plan. A batch's delta is subtracted at
         most once; at r = 0 a later request hitting a consumed batch only
-        tombstones. The plan is asked for the sample's position once; only
-        the retraining path counts its live batch, which it reports, while an
-        amend reports the recording-time batch.
+        tombstones. The plan is asked for the sample's position (i, k) once, and
+        the ledger lookup and the tombstone take it; only the retraining path
+        counts its live batch, while an amend reports the recording-time one.
         """
         model = self._require_model()
         t0 = time.perf_counter()
@@ -382,7 +379,7 @@ class UnlearnEngine:
         base = self.store.get_checkpoint(start - 1) if start <= num_slices else None
         params = model.params if base is None else base.params
         if amend:
-            j = self.store.recorded_batch_index(i, sample_id)
+            j = self.store.recorded_batch_index(i, k)
             fresh = self.store.mark_consumed(i, j)
             executed = "ohs" if r else ("dpus" if fresh else "noop-consumed")
             if fresh:  # the widened increment, which this request owns, takes the result

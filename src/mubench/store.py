@@ -19,14 +19,15 @@ float32 delta rows in batch order. Nothing derivable is stored: checkpoint 0
 is ``init_params`` under the config's seed with fresh Adam state, the
 dispatch threshold comes from the config and n, each ledger's ids from its
 slice's as-planned order and its mask (so the row count is the mask's
-popcount in runs of ``batch_size``), its row index from its ids, and each
-batch's consumed flag (set exactly when one of its ids is revoked, as the
-engine leaves it) from its slice's live mask. Loading keeps the deltas as
-read-only views of the file's bytes, rebuilds checkpoint 0 and the plan from
-the config and n, revokes the tombstones in the plan and refuses a ledger
-that leaves out an id still live in its slice. A version-8 or older manifest
-is refused. Writes go to a temp file then ``os.replace``; once the new
-manifest is in place, the store files it does not name are removed.
+popcount in runs of ``batch_size``), its row index from the mask's running
+count, and each batch's consumed flag (set exactly when one of its ids is
+revoked, as the engine leaves it) from its slice's live mask. Loading keeps
+the deltas as read-only views of the file's bytes, rebuilds checkpoint 0 and
+the plan from the config and n, revokes the tombstones in the plan and
+refuses a ledger that leaves out an id still live in its slice, or a
+checkpoint or ledger listed twice. A version-8 or older manifest is refused.
+Writes go to a temp file then ``os.replace``; once the new manifest is in
+place, the store files it does not name are removed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostConfig, check_finite_real, threshold
-from .data import SlicePlan, as_index, as_sample_id, make_slice_plan
+from .data import SlicePlan, as_int, make_slice_plan
 from .errors import (
     InvalidArgument,
     NotFound,
@@ -210,7 +211,7 @@ class StateStore:
     def put_checkpoint(self, checkpoint: Checkpoint) -> None:
         """Store checkpoint 1..S; checkpoint S without Adam state, the others
         with it."""
-        i, last = as_index(checkpoint.slice_index), self.config.num_slices
+        i, last = as_int(checkpoint.slice_index, "slice index"), self.config.num_slices
         if not 1 <= i <= last:
             raise InvalidArgument(
                 f"checkpoint index must be in [1, {last}] (checkpoint 0 is derived), got {i}"
@@ -222,47 +223,42 @@ class StateStore:
         self.checkpoints[i] = checkpoint
 
     def get_checkpoint(self, i: int) -> Checkpoint:
-        cp = self.checkpoints.get(as_index(i))
+        cp = self.checkpoints.get(as_int(i, "slice index"))
         if cp is None:
             raise NotFound(f"no checkpoint for slice {i}")
         return cp
 
     # ---- increments --------------------------------------------------
-    def record_increment(self, i: int, ids, deltas) -> None:
-        """Replace slice i's ledger with ``ids`` and ``deltas``, none consumed."""
-        self._put_ledger(as_index(i), ids, deltas)
-
-    def _put_ledger(self, i: int, ids, deltas) -> None:
-        """Check and store slice i's ledger and build its row index. The ids
-        must be slice i's in plan order, as the engine records them, with one
-        delta row per batch of ``batch_size`` ids. Deltas that already have
-        the stored dtype are kept, not copied, and made read-only."""
-        if i < 1:
-            raise InvalidArgument("slice indices are 1-based")
-        ids, deltas = np.asarray(ids, dtype=np.int64), np.asarray(deltas, dtype=np.float32)
-        if ids.size and not 0 <= ids.min() <= ids.max() < self.n:
-            raise InvalidArgument(f"ledger ids must lie in [0, {self.n})")
-        rows = -(-ids.size // self.config.batch_size)
-        if deltas.shape != (rows, self.layout.param_count):
-            raise InvalidArgument(
-                f"{ids.size} ids take {rows} delta rows of {self.layout.param_count}, "
-                f"got shape {deltas.shape}"
-            )
-        if i >= self.threshold:
+    def record_increment(self, i: int, deltas) -> None:
+        """Replace slice i's ledger with ``deltas``, none consumed, over the
+        slice's live ids as of this call: the ids the engine just trained,
+        since nothing revokes between its read of them and this record."""
+        i = as_int(i, "slice index")
+        if not 1 <= i < self.threshold:  # slice 0 would read masks[-1], slice S's
             raise PolicyViolation(
                 f"increments are recorded only for slices below {self.threshold}, got {i}"
             )
-        at = self.plan.pos_of[ids]
-        if (self.plan.slice_of[ids] != i).any() or (at[1:] <= at[:-1]).any():
-            raise InvalidArgument(f"ledger ids must be slice {i}'s, in plan order")
-        index = np.full(self.plan.order[i - 1].size, -1, dtype=np.int32)
-        index[at] = np.arange(ids.size, dtype=np.int32)
+        self._put_ledger(i, self.plan.masks[i - 1], deltas)
+
+    def _put_ledger(self, i: int, mask: np.ndarray, deltas) -> None:
+        """Store slice i's ledger over ``mask``, its live mask at recording time:
+        one delta row per batch of the ids the mask sets, and the mask's running
+        count as the row index. Float32 deltas are kept, not copied, read-only."""
+        deltas, count = np.asarray(deltas, dtype=np.float32), int(np.count_nonzero(mask))
+        rows = -(-count // self.config.batch_size)
+        if deltas.shape != (rows, self.layout.param_count):
+            raise InvalidArgument(
+                f"{count} ids take {rows} delta rows of {self.layout.param_count}, "
+                f"got shape {deltas.shape}"
+            )
+        index = np.cumsum(mask, dtype=np.int32) - 1
+        index[~mask] = -1
         deltas.flags.writeable = index.flags.writeable = False
         self.ledgers[i] = Ledger(deltas, np.zeros(len(deltas), dtype=bool), index)
 
     def _ledger(self, i: int, j: int) -> Ledger:
         if type(i) is not int or type(j) is not int:
-            i, j = as_index(i), as_index(j)
+            i, j = as_int(i, "slice index"), as_int(j, "batch index")
         ledger = self.ledgers.get(i)
         if ledger is None or not 1 <= j <= ledger.consumed.size:
             raise NotFound(f"no increment record for slice {i}, batch {j}")
@@ -281,22 +277,17 @@ class StateStore:
         consumed[j - 1] = True
         return True
 
-    def recorded_batch_index(self, i: int, sample_id: int) -> int:
-        """Recording-time 1-based batch index of a sample within slice i: its
-        row in slice i's ledger, read through the ledger's index at the
-        sample's as-planned position."""
-        if type(i) is not int:
-            i = as_index(i)
+    def recorded_batch_index(self, i: int, k: int) -> int:
+        """Recording-time 1-based batch of the id at as-planned index k of
+        slice i (``SlicePlan.position``'s k): its ledger row in runs of
+        ``batch_size``; NotFound for a k outside the slice or not recorded."""
+        if type(i) is not int or type(k) is not int:
+            i, k = as_int(i, "slice index"), as_int(k, "as-planned index")
         ledger = self.ledgers.get(i)
-        if ledger is None:
-            raise NotFound(f"slice {i} has no recorded increments")
-        if type(sample_id) is not int:
-            sample_id = as_sample_id(sample_id)
-        planned = 0 <= sample_id < self.n and self.plan.slice_of.item(sample_id) == i
-        k = ledger.index.item(self.plan.pos_of.item(sample_id)) if planned else -1
-        if k < 0:
-            raise NotFound(f"sample {sample_id} is not in slice {i}'s recorded batches")
-        return k // self.config.batch_size + 1
+        row = ledger.index.item(k) if ledger is not None and 0 <= k < ledger.index.size else -1
+        if row < 0:
+            raise NotFound(f"slice {i} recorded no id at as-planned index {k}")
+        return row // self.config.batch_size + 1
 
     @property
     def tombstones(self) -> frozenset[int]:
@@ -393,13 +384,14 @@ class StateStore:
         store.dataset_fingerprint = str(manifest["dataset_fingerprint"])
         count, last = layout.param_count, config.num_slices
         for entry in manifest["checkpoints"]:
-            if entry["slice"] not in range(1, last + 1):
-                raise StoreCorruption(
-                    f"manifest.json: stored checkpoints are 1..{last}, got {entry['slice']!r}"
-                )
-            if entry["slice"] == last and "step_count" in entry:
+            path, i = _named_file(root, entry, "checkpoint"), entry["slice"]
+            if i not in range(1, last + 1):
+                raise StoreCorruption(f"manifest.json: stored checkpoints are 1..{last}, got {i}")
+            if i in store.checkpoints:
+                raise StoreCorruption(f"manifest.json: lists checkpoint {i} twice")
+            if i == last and "step_count" in entry:
                 raise StoreCorruption(f"{entry['file']}: checkpoint {last} has no step count")
-            si, bi, payload, crc = read_vector_file(_named_file(root, entry, "checkpoint"))
+            si, bi, payload, crc = read_vector_file(path)
             if crc != entry["crc32"]:
                 raise StoreCorruption(f"{entry['file']}: manifest checksum disagrees")
             width = count if si == last else 3 * count
@@ -407,12 +399,9 @@ class StateStore:
                 raise StoreCorruption(f"{entry['file']}: checkpoint framing mismatch")
             params, state = ParameterVector(payload[:count], layout), None
             if si < last:
-                state = OptimizerState(
-                    payload[count : 2 * count],
-                    payload[2 * count :],
-                    _count(entry["step_count"], "step_count"),
-                    config.hyper(),
-                )
+                m, v = payload[count:].reshape(2, count)
+                steps = _count(entry["step_count"], "step_count")
+                state = OptimizerState(m, v, steps, config.hyper())
             store.checkpoints[si] = Checkpoint(si, params, state)
         for entry in manifest["ledgers"]:
             path, i = _named_file(root, entry, "ledger"), entry["slice"]
@@ -421,6 +410,8 @@ class StateStore:
                     f"{entry['file']}: increments are recorded only for slices below "
                     f"{store.threshold}, got {i}"
                 )
+            if i in store.ledgers:
+                raise StoreCorruption(f"manifest.json: lists ledger {i} twice")
             si, rows, payload, crc = read_vector_file(path)
             if crc != entry["crc32"]:
                 raise StoreCorruption(f"{entry['file']}: manifest checksum disagrees")
@@ -431,10 +422,11 @@ class StateStore:
             bits = np.unpackbits(payload[:words].view(np.uint8), bitorder="little")
             if bits[order.size :].any():
                 raise StoreCorruption(f"{entry['file']}: mask sets a bit past slice {i}'s ids")
-            ids = order[bits[: order.size].view(bool)]
-            if rows != -(-ids.size // config.batch_size):
-                raise StoreCorruption(f"{entry['file']}: {rows} delta rows for {ids.size} ids")
-            store._put_ledger(i, ids, payload[words:].reshape(rows, count))
+            mask = bits[: order.size].view(bool)
+            held = int(np.count_nonzero(mask))
+            if rows != -(-held // config.batch_size):
+                raise StoreCorruption(f"{entry['file']}: {rows} delta rows for {held} ids")
+            store._put_ledger(i, mask, payload[words:].reshape(rows, count))
         store.set_tombstones(_count(x, "a tombstone") for x in manifest["tombstones"])
         # A ledger holds every id still live in its slice, and a batch is
         # consumed exactly when one of its ids is revoked.

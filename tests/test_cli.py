@@ -274,10 +274,51 @@ def test_audit_flow(out_root, capsys):
     assert result["revoked_count"] == 30
 
 
-def test_audit_requires_replay(out_root):
-    cfg = write_config(out_root, output_dir="noreplay")
+def test_audit_requires_replay(out_root, capsys):
+    cfg = write_config(out_root, output_dir="noreplay", request_count=5)
     assert main(["train", "--config", str(cfg)]) == 0
     assert main(["audit", "--config", str(cfg)]) == 2
+    assert main(["replay", "--config", str(cfg)]) == 0
+    (out_root / "noreplay" / "params_after.muck").unlink()
+    capsys.readouterr()
+    assert main(["audit", "--config", str(cfg)]) == 1
+    assert "error: params_after.muck: cannot be read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content,shown",
+    [
+        ("[-1]", "-1 is not a distinct training row id in [0, 400)"),
+        ("[1.5]", "1.5 is not a distinct"),
+        ("[5, 100000]", "100000 is not a distinct"),
+        ("[5, 400]", "400 is not a distinct"),
+        ("[7, 3, 7]", "7 is not a distinct"),
+        ("[2, true]", "True is not a distinct"),
+        ('["3"]', "'3' is not a distinct"),
+        ('{"a": 1}', "must hold a non-empty JSON list of ids, got {'a': 1}"),
+        ("7", "must hold a non-empty JSON list of ids, got 7"),
+        ("[]", "must hold a non-empty JSON list of ids, got []"),
+        ("[1,", "is not valid JSON"),
+    ],
+    ids=[
+        "negative", "float", "past_n", "at_n", "repeated", "bool", "string", "object",
+        "number", "empty", "truncated",
+    ],
+)
+def test_audit_refuses_a_bad_revoked_ids_file(out_root, capsys, content, shown):
+    """An edited revoked_ids.json is a configuration error naming the file
+    and its first bad entry (400 training rows here), not a traceback and not
+    an audit of other rows."""
+    cfg = write_config(out_root, output_dir="badrevoked", request_count=5)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["replay", "--config", str(cfg)]) == 0
+    path = out_root / "badrevoked" / "revoked_ids.json"
+    path.write_text(content)
+    capsys.readouterr()
+    assert main(["audit", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}") and shown in err
+    assert not (out_root / "badrevoked" / "audit.json").exists()
 
 
 # ---------------------------------------------------------------- csv dataset

@@ -82,6 +82,39 @@ def test_config_validation():
     assert threshold(CostConfig(4, 2, 3)).t == threshold(CostConfig(4, 2, 3.0)).t
 
 
+@pytest.mark.parametrize(
+    "args,match",
+    [
+        ((2000.5, 4, 3500.0), "n must be an integer, got 2000.5"),
+        ((2000.0, 4, 3500.0), "n must be an integer, got 2000.0"),
+        ((True, 1, 0.0), "n must be an integer, got True"),
+        ((2000, 4.0, 3500.0), "num_slices must be an integer, got 4.0"),
+        ((2000, True, 0.0), "num_slices must be an integer, got True"),
+        ((2000, np.float64(4), 0.0), "num_slices must be an integer"),
+        (("2000", 4, 0.0), "n must be an integer, got '2000'"),
+    ],
+)
+def test_config_takes_integer_counts(args, match):
+    """n and the slice count are Python or numpy ints, never bools or floats."""
+    with pytest.raises(InvalidArgument, match=match):
+        CostConfig(*args)
+
+
+def test_config_keeps_numpy_counts_as_python_ints():
+    cfg = CostConfig(np.int64(2000), np.int32(4), 3500.0)
+    assert type(cfg.n) is type(cfg.num_slices) is int
+    assert cfg == CostConfig(2000, 4, 3500.0)
+    assert threshold(cfg) == threshold(CostConfig(2000, 4, 3500.0))
+
+
+def test_retrain_cost_takes_an_integer_slice():
+    cfg = CostConfig(1000, 4, 0.0)
+    for bad in (2.0, True, np.float64(1.0), "1", None):
+        with pytest.raises(InvalidArgument, match="slice index must be an integer"):
+            retrain_cost(bad, cfg)
+    assert retrain_cost(np.int64(2), cfg) == retrain_cost(2, cfg) == 2250.0
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(1, 1_000_000),

@@ -399,7 +399,7 @@ def test_tombstone_all_refuses_non_integer_ids(plan_1000):
         [3.7, True], [5, True], [2, np.float64(4.0)], [1, "2"], [None], [np.bool_(True)],
         np.array([1.0, 2.0]), np.array([True]),
     ):
-        with pytest.raises(InvalidArgument, match="sample ids are integers"):
+        with pytest.raises(InvalidArgument, match="sample id must be an integer"):
             plan_1000.tombstone_all(bad)
         assert not plan_1000.tombstones
     assert plan_1000.copy().tombstone_all([np.int64(3), np.int32(5), 7]).tombstones == {3, 5, 7}
@@ -421,7 +421,7 @@ def test_plan_indexes_must_be_integers(plan_1000, bad):
         lambda: plan_1000.batch_at(1, bad),
     ]
     for call in calls:
-        with pytest.raises(InvalidArgument, match="slice and batch indexes are integers"):
+        with pytest.raises(InvalidArgument, match="index must be an integer, got"):
             call()
     calls = [plan_1000.slice_ids, plan_1000.num_batches, lambda i: plan_1000.batch_at(i, 0)]
     for i in (0, 5, np.int64(-1)):

@@ -211,11 +211,12 @@ class EngineMachine(RuleBasedStateMachine):
                 batches = [held[j : j + b] for j in range(0, len(held), b)]
                 assert recorded_ids(store, i).tolist() == held and not index.flags.writeable
                 assert consumed.tolist() == [not dead.isdisjoint(x) for x in batches]
-            for i in range(1, self.s + 2):
-                held = line.recorded.get(i, [])
-                for sid in (-1, self.n, *(self.order[i - 1] if i <= self.s else ())):
+            for i in range(1, self.s + 2):  # every as-planned index of each slice, and past it
+                held, planned = line.recorded.get(i, []), self.order[i - 1] if i <= self.s else []
+                for k in range(-1, len(planned) + 1):
+                    sid = planned[k] if 0 <= k < len(planned) else None
                     want = held.index(sid) // b + 1 if sid in held else NotFound
-                    assert _attempt(store.recorded_batch_index, i, sid) == want
+                    assert _attempt(store.recorded_batch_index, i, k) == want
         for params, values in self.snapshots:
             assert params.values.tobytes() == values and not params.values.flags.writeable
 

@@ -130,10 +130,19 @@ def deltas(*seeds):
     return np.stack([init_params(LAYOUT, seed).values for seed in seeds])
 
 
+def keep_first(store, i, count):
+    """Revoke slice i's live ids past its first ``count``, as requests do
+    before a retrain re-records the slice; return the ids kept."""
+    ids = store.plan.slice_ids(i)
+    store.set_tombstones(ids[count:])
+    return ids[:count]
+
+
 def test_increment_roundtrip_and_consume_flag():
     store = fresh_store()
     delta = init_params(LAYOUT, 7)
-    store.record_increment(1, store.plan.slice_ids(1)[:20], deltas(6, 7))  # two batches of 16
+    keep_first(store, 1, 20)
+    store.record_increment(1, deltas(6, 7))  # two batches of 16
     assert store.get_increment(1, 2).bits_equal(delta)
     assert not store.ledgers[1].consumed[1]
     assert store.mark_consumed(1, 2) is True
@@ -142,10 +151,13 @@ def test_increment_roundtrip_and_consume_flag():
 
 
 def test_record_at_or_above_threshold_rejected():
+    """Only slices 1..t-1 take a ledger; slice 0 would read slice S's mask."""
     store = fresh_store()
     assert store.threshold == 3
-    with pytest.raises(PolicyViolation):
-        store.record_increment(3, store.plan.slice_ids(3)[:16], deltas(0))
+    for i in (3, 4, 5, 0, -1):
+        with pytest.raises(PolicyViolation, match=f"slices below 3, got {i}"):
+            store.record_increment(i, deltas(0, 1))
+    assert not store.ledgers
 
 
 def test_get_missing_increment():
@@ -155,54 +167,43 @@ def test_get_missing_increment():
 
 
 def test_recorded_batch_lookup():
+    """A ledger is looked up by slice and as-planned index k, the k that
+    ``SlicePlan.position`` gives; a k outside the slice or not recorded is
+    NotFound, and a k that is not an integer InvalidArgument."""
     store = fresh_store()
-    ids, other = store.plan.slice_ids(1), store.plan.slice_ids(2)  # 25 ids each
-    store.record_increment(1, ids[:20], deltas(0, 1))  # ids[:16], then ids[16:20]
-    assert store.recorded_batch_index(1, ids[15]) == 1
-    assert store.recorded_batch_index(1, int(ids[18])) == 2
-    for absent in (ids[20], other[0], -1, 100, 10**12):
-        with pytest.raises(NotFound):
+    ids = keep_first(store, 1, 20)  # ids[:16], then ids[16:20]
+    store.record_increment(1, deltas(0, 1))
+    pos, size = store.plan.pos_of[ids], store.plan.order[0].size  # 25 planned
+    assert store.recorded_batch_index(1, pos[15]) == 1
+    assert store.recorded_batch_index(1, int(pos[18])) == 2
+    unrecorded = np.setdiff1d(np.arange(size), pos)
+    assert unrecorded.size == 5
+    for absent in (*unrecorded.tolist(), -1, size, 10**12, 2**70):
+        with pytest.raises(NotFound, match="slice 1 recorded no id at as-planned index"):
             store.recorded_batch_index(1, absent)
-    with pytest.raises(NotFound):
-        store.recorded_batch_index(2, other[0])
-    for bad in (float(ids[0]), True, "1", None):
-        with pytest.raises(InvalidArgument, match="sample ids are integers"):
+    with pytest.raises(NotFound, match="slice 2 recorded no id at as-planned index 0"):
+        store.recorded_batch_index(2, 0)
+    for bad in (float(pos[0]), 1.0, True, False, np.bool_(True), "1", None):
+        with pytest.raises(InvalidArgument, match="as-planned index must be an integer"):
             store.recorded_batch_index(1, bad)
-    store.record_increment(1, np.delete(ids, [0, 3]), deltas(0, 1))  # re-recorded without two
-    assert store.recorded_batch_index(1, np.int32(ids[17])) == 1  # row 15
-    assert store.recorded_batch_index(1, ids[18]) == 2
-    for gone in ids[[0, 3]]:
+    store.set_tombstones(ids[[0, 3]])
+    store.record_increment(1, deltas(0, 1))  # re-recorded without two
+    assert store.recorded_batch_index(1, np.int32(pos[17])) == 1  # row 15
+    assert store.recorded_batch_index(1, pos[18]) == 2
+    for gone in pos[[0, 3]]:
         with pytest.raises(NotFound):
             store.recorded_batch_index(1, gone)  # in the old ledger only
-
-
-def test_record_rejects_ids_outside_the_store():
-    store = fresh_store()  # n = 100
-    for ids in ([3, -1], [100], [5, 2**40]):
-        with pytest.raises(InvalidArgument, match=r"\[0, 100\)"):
-            store.record_increment(1, ids, deltas(0))
-    assert not store.ledgers
-
-
-def test_record_rejects_ids_off_the_plan():
-    """A ledger holds slice i's ids in plan order: ids of another slice, out
-    of order or repeated are refused, and nothing is recorded."""
-    store = fresh_store()
-    ids, other = store.plan.slice_ids(1), store.plan.slice_ids(2)
-    for bad in (other[:16], np.concatenate([ids[:8], other[:8]]), ids[15::-1], ids[[0, 0, 1]]):
-        with pytest.raises(InvalidArgument, match="slice 1's, in plan order"):
-            store.record_increment(1, bad, deltas(0))
-    assert not store.ledgers
 
 
 def test_record_rejects_deltas_that_do_not_fit_the_ids():
     """A ledger takes one delta row per batch of ids, each as wide as the
     layout; any other shape is refused, and nothing is recorded."""
     store = fresh_store()  # batch size 16
-    ids, width = store.plan.slice_ids(1)[:20], LAYOUT.param_count
+    keep_first(store, 1, 20)
+    width = LAYOUT.param_count
     for bad in (deltas(0), deltas(0, 1, 2), deltas(0, 1)[:, :3], deltas(0, 1).ravel()):
         with pytest.raises(InvalidArgument, match=f"20 ids take 2 delta rows of {width}"):
-            store.record_increment(1, ids, bad)
+            store.record_increment(1, bad)
     assert not store.ledgers
 
 
@@ -211,28 +212,28 @@ def test_store_indexes_must_be_integers(bad):
     """Every slice or batch index a store method takes is a Python or numpy
     int, never a bool: anything else is InvalidArgument and changes nothing."""
     store = populated_store()
-    ledger, ids = store.ledgers[1], recorded_ids(store, 1)
-    cp, rows = make_checkpoint(2), deltas(91, 92)
+    ledger, cp, rows = store.ledgers[1], make_checkpoint(2), deltas(91, 92)
     calls = [
         lambda: store.get_checkpoint(bad),
         lambda: store.put_checkpoint(replace(cp, slice_index=bad)),
-        lambda: store.record_increment(bad, ids, rows),
+        lambda: store.record_increment(bad, rows),
         lambda: store.get_increment(bad, 1),
         lambda: store.get_increment(1, bad),
         lambda: store.mark_consumed(bad, 2),
         lambda: store.mark_consumed(1, bad),
-        lambda: store.recorded_batch_index(bad, ids[0]),
+        lambda: store.recorded_batch_index(bad, 0),
+        lambda: store.recorded_batch_index(1, bad),
     ]
     checkpoints, consumed = dict(store.checkpoints), store.ledgers[1].consumed.tolist()
     for call in calls:
-        with pytest.raises(InvalidArgument, match="slice and batch indexes are integers"):
+        with pytest.raises(InvalidArgument, match="index must be an integer, got"):
             call()
     assert store.checkpoints == checkpoints and store.ledgers[1] is ledger
     assert store.ledgers[1].consumed.tolist() == consumed == [True, False]
     one, two = np.int64(1), np.int32(2)
     assert store.get_checkpoint(two) is store.get_checkpoint(2)
     assert store.get_increment(one, two).bits_equal(store.get_increment(1, 2))
-    assert store.recorded_batch_index(one, ids[17]) == 2
+    assert store.recorded_batch_index(one, np.int32(17)) == 2
     assert store.mark_consumed(one, two) is True
 
 
@@ -243,8 +244,8 @@ def populated_store():
     store = fresh_store(num_slices=5, phi=290.0)
     for i in range(1, 6):
         store.put_checkpoint(make_checkpoint(i, seed=40, num_slices=5))
+    store.record_increment(1, deltas(91, 92))  # batch size 16: two batches
     ids = store.plan.slice_ids(1)
-    store.record_increment(1, ids, deltas(91, 92))  # batch size 16: two batches
     store.mark_consumed(1, 1)
     store.set_tombstones([ids[5], ids[9]])
     store.dataset_fingerprint = "abc123"
@@ -280,6 +281,25 @@ def test_persist_load_bit_identical(tmp_path):
     assert loaded.config == store.config
     assert loaded.layout == LAYOUT
     assert loaded.dataset_fingerprint == "abc123"
+
+
+def test_ledger_recorded_after_tombstones_round_trips(tmp_path):
+    """A ledger records its slice's live ids as of the call, as a retrain
+    re-records it after a revocation: it reloads with equal deltas, index and
+    consumed flags."""
+    store = populated_store()  # ids 5 and 9 of slice 1 revoked
+    store.record_increment(1, deltas(93, 94))  # 18 live ids, none consumed
+    held = recorded_ids(store, 1)
+    assert held.tolist() == store.plan.slice_ids(1).tolist() and held.size == 18
+    store.set_tombstones([held[17]])  # as a direct update that consumed batch 2
+    assert store.mark_consumed(1, 2)
+    store.persist(tmp_path)
+    loaded = StateStore.load(tmp_path).ledgers[1]
+    ledger = store.ledgers[1]
+    want = deltas(93, 94).astype(np.float32).tobytes()
+    assert loaded.deltas.tobytes() == ledger.deltas.tobytes() == want
+    assert loaded.index.tobytes() == ledger.index.tobytes()
+    assert loaded.consumed.tolist() == ledger.consumed.tolist() == [False, True]
 
 
 def test_flipped_byte_reports_corruption_with_filename(tmp_path):
@@ -361,6 +381,11 @@ def _config(edit):
     return lambda m: edit(m["config"])
 
 
+def _twice(kind):
+    """The first ``kind`` entry listed again, after the others."""
+    return lambda m: m[kind].append(dict(m[kind][0]))
+
+
 _STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative integer, got "
 _RECORDED = "increments are recorded only for slices below 2, got "
 
@@ -421,6 +446,8 @@ _RECORDED = "increments are recorded only for slices below 2, got "
         (_ledger_entry(_set("slice", "1")), "malformed .*slice must be .* got '1'"),
         (_ledger_entry(_set("slice", True)), "malformed .*slice must be .* got True"),
         (_list_checkpoint(True), "malformed .*slice must be .* got True"),
+        (_twice("checkpoints"), "manifest.json: lists checkpoint 1 twice"),
+        (_twice("ledgers"), "manifest.json: lists ledger 1 twice"),
     ],
     ids=[
         "no_S", "tombstone_string", "tombstone_past_n", "tombstone_negative", "tombstone_float",
@@ -433,7 +460,7 @@ _RECORDED = "increments are recorded only for slices below 2, got "
         "checkpoint_past_S", "step_count_at_S", "checkpoint_file_parent",
         "checkpoint_file_absolute", "checkpoint_file_other_slice", "ledger_file_parent",
         "ledger_file_checkpoint", "ledger_slice_string", "ledger_slice_bool",
-        "checkpoint_slice_bool",
+        "checkpoint_slice_bool", "checkpoint_twice", "ledger_twice",
     ],
 )
 def test_damaged_manifest_reports_corruption(tmp_path, edit, match):
@@ -646,7 +673,7 @@ def test_loaded_position_index_equals_the_in_memory_one(tiny_dataset, tiny_confi
         _assert_ledger_indexes(store)
         assert store.ledgers[1].index[store.plan.pos_of[revoked]] == -1
         with pytest.raises(NotFound):
-            store.recorded_batch_index(1, revoked)
+            store.recorded_batch_index(1, int(store.plan.pos_of[revoked]))
     for i, ledger in engine.store.ledgers.items():
         assert np.array_equal(loaded.ledgers[i].index, ledger.index)
 
@@ -751,11 +778,13 @@ def test_clone_is_isolated():
     assert dup.tombstones == set(ids[[5, 9, 12]].tolist())
     dup.mark_consumed(1, 2)
     assert not store.ledgers[1].consumed[1]
-    store.record_increment(1, ids[2:], deltas(0, 1))
-    assert (store.recorded_batch_index(1, ids[17]), dup.recorded_batch_index(1, ids[17])) == (1, 2)
-    assert dup.recorded_batch_index(1, ids[0]) == 1
+    store.set_tombstones(ids[:2])
+    store.record_increment(1, deltas(0))  # ids 0, 1, 5, 9 and 11 revoked: 15 live
+    at = store.plan.pos_of[ids]
+    assert (store.recorded_batch_index(1, at[17]), dup.recorded_batch_index(1, at[17])) == (1, 2)
+    assert dup.recorded_batch_index(1, at[0]) == 1
     with pytest.raises(NotFound):
-        store.recorded_batch_index(1, ids[0])
+        store.recorded_batch_index(1, at[0])
 
 
 @pytest.mark.parametrize(
