@@ -45,12 +45,12 @@ def engine_strategy(name: str) -> str:
 @dataclass
 class ExperimentConfig:
     dataset: dict = field(default_factory=lambda: {"kind": "synthetic", "n": 2000, "dim": 20, "seed": 3})
-    num_slices: int = 4
-    batch_size: int = 128
-    learning_rate: float = 0.005
-    epochs_per_slice: int = 1
-    phi: float = 0.0
-    seed: int = 0
+    num_slices: int = TrainConfig.num_slices
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    epochs_per_slice: int = TrainConfig.epochs_per_slice
+    phi: float = TrainConfig.phi
+    seed: int = TrainConfig.seed
     strategy: str = "hs"
     request_count: int = 100
     request_seed: int = 7
@@ -164,13 +164,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _write_config_copy(config: ExperimentConfig, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(config.to_dict(), indent=1), encoding="utf-8"
-    )
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = config.resolved_output_dir()
@@ -181,7 +174,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     train_ds, _ = config.build_datasets()
     engine = UnlearnEngine.train(train_ds, config.train_config(), ohs_depth=config.ohs_depth)
-    _write_config_copy(config, out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(config.to_dict(), indent=1), encoding="utf-8")
     engine.store.persist(store_dir)
     summary = {
         "t": engine.threshold,
@@ -289,13 +283,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     "final_accuracy": report.final_accuracy,
                 }
             )
-    _write_config_copy(config, out)
     with open(out / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
     payload = {
         "notes": "request stream is shared across strategies for paired comparison",
+        "config": config.to_dict(),
         "config_hash": config.config_hash(),
         "rows": rows,
     }

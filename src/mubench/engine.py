@@ -126,10 +126,12 @@ def train_batches(
     params: ParameterVector,
     state: OptimizerState,
     batches: Iterable[tuple[int, int, Batch]],
+    learning_rate: float,
     where: str,
     deltas: np.ndarray | None = None,
 ) -> tuple[ParameterVector, OptimizerState]:
-    """Take one Adam step per ``(epoch, j, batch)`` of ``batches``, in order.
+    """Take one Adam step at ``learning_rate`` per ``(epoch, j, batch)`` of
+    ``batches``, in order.
 
     The steps carry float32 from start to end. The start params are rounded to
     float32 once, and the steps run in four float32 buffers allocated once per
@@ -151,14 +153,14 @@ def train_batches(
     start, spare, grad_out, scratch = np.empty((4, layout.param_count), dtype=F32)
     start[:] = params.values
     current = ParameterVector.float32(start, layout)
-    work = OptimizerState(state.m.copy(), state.v.copy(), state.step_count, state.hyper)
+    work = OptimizerState(state.m.copy(), state.v.copy(), state.step_count)
     before = params.values
     for epoch, j, batch in batches:
         loss, grad = loss_grad(current, batch, grad_out)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss in {where}, epoch {epoch}")
         try:
-            stepped, work = adam_step(current, work, grad, (spare, scratch))
+            stepped, work = adam_step(current, work, grad, learning_rate, (spare, scratch))
         except NumericError as exc:
             raise TrainingDiverged(f"non-finite gradient in {where}, epoch {epoch}") from exc
         if deltas is not None:
@@ -328,7 +330,9 @@ class UnlearnEngine:
         orders = _epoch_orders(cfg.seed, k, cfg.epochs_per_slice, nb)
         batches = ((epoch, j, gathered[j]) for epoch, order in enumerate(orders, 1) for j in order)
         deltas = np.zeros((nb, self.layout.param_count)) if record else None
-        params, state = train_batches(params, state, batches, f"slice {k}", deltas)
+        params, state = train_batches(
+            params, state, batches, cfg.learning_rate, f"slice {k}", deltas
+        )
         if record:
             self.store.record_increment(k, deltas)
         return params, state

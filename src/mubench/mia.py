@@ -17,7 +17,6 @@ from .data import Dataset
 from .engine import TrainConfig, train_batches
 from .errors import DegenerateAttackSet, InvalidArgument, NotFound
 from .nn import (
-    AdamHyper,
     Batch,
     ModelLayout,
     OptimizerState,
@@ -30,6 +29,7 @@ from .nn import (
 F32 = np.float32
 
 ATTACK_HIDDEN = (32,)
+ATTACK_EPOCHS = 30
 
 
 @dataclass
@@ -91,8 +91,10 @@ def fit_dense(
                 idx = order[k : k + batch_size]
                 yield epoch, k // batch_size, Batch(features[idx], labels[idx])
 
-    state = OptimizerState.fresh(layout, AdamHyper(learning_rate=learning_rate))
-    params, _ = train_batches(init_params(layout, seed), state, batches(), "fit_dense")
+    state = OptimizerState.fresh(layout)
+    params, _ = train_batches(
+        init_params(layout, seed), state, batches(), learning_rate, "fit_dense"
+    )
     return params
 
 
@@ -155,7 +157,7 @@ def shuffle_member_labels(attack_set: AttackDataset, seed: int) -> AttackDataset
     return AttackDataset(attack_set.features, shuffled)
 
 
-def train_attack(attack_set: AttackDataset, seed: int, epochs: int = 30) -> AttackModel:
+def train_attack(attack_set: AttackDataset, seed: int) -> AttackModel:
     """Fit the 1x32 attack MLP; holdout accuracy from a 20% split."""
     layout = ModelLayout(attack_set.features.shape[1], ATTACK_HIDDEN, 2)
     perm = np.random.default_rng((seed, 0xA77AC)).permutation(attack_set.rows)
@@ -167,7 +169,7 @@ def train_attack(attack_set: AttackDataset, seed: int, epochs: int = 30) -> Atta
         attack_set.features[train],
         attack_set.members[train],
         layout,
-        epochs=epochs,
+        epochs=ATTACK_EPOCHS,
         batch_size=128,
         learning_rate=0.005,
         seed=seed,
@@ -182,10 +184,13 @@ def audit(
     ids,
     dataset: Dataset,
 ) -> AuditReport:
-    """Judge each id member/non-member from the target's predictions on it."""
-    idx = np.asarray(ids, dtype=np.int64).ravel()
+    """Judge each id member/non-member from the target's predictions on it.
+    ``ids`` must hold integers (not bools), else InvalidArgument."""
+    idx = np.asarray(ids).ravel()
     if idx.size == 0:
         raise InvalidArgument("audit needs at least one id")
+    if idx.dtype.kind not in "iu":
+        raise InvalidArgument(f"audit ids must be integers, got dtype {idx.dtype}")
     if idx.min() < 0 or idx.max() >= dataset.n:
         bad = idx[(idx < 0) | (idx >= dataset.n)][0]
         raise NotFound(f"id {bad} is not in the dataset")

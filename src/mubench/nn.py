@@ -35,6 +35,12 @@ from .errors import EmptyInput, InvalidArgument, NumericError, ShapeMismatch
 F32 = np.float32
 F64 = np.float64
 
+# Adam's moment decays and denominator guard. Python floats: a numpy float64
+# scalar would promote adam_step's float32 arithmetic to float64 (NEP 50).
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class ModelLayout:
@@ -116,21 +122,6 @@ class ParameterVector:
         )
 
 
-@dataclass(frozen=True)
-class AdamHyper:
-    """Adam's hyperparameters, held as Python floats: a numpy float64 scalar
-    would promote ``adam_step``'s float32 arithmetic to float64 (NEP 50)."""
-
-    learning_rate: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self) -> None:
-        for name in ("learning_rate", "beta1", "beta2", "epsilon"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-
 @dataclass
 class OptimizerState:
     """Adam first/second moments (float32, like the stored form) plus the
@@ -139,7 +130,6 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     step_count: int
-    hyper: AdamHyper
 
     def __post_init__(self) -> None:
         self.m = np.ascontiguousarray(self.m, dtype=F32).ravel()
@@ -150,9 +140,9 @@ class OptimizerState:
             raise InvalidArgument("step_count must be non-negative")
 
     @classmethod
-    def fresh(cls, layout: ModelLayout, hyper: AdamHyper | None = None) -> "OptimizerState":
+    def fresh(cls, layout: ModelLayout) -> "OptimizerState":
         n = layout.param_count
-        return cls(np.zeros(n, dtype=F32), np.zeros(n, dtype=F32), 0, hyper or AdamHyper())
+        return cls(np.zeros(n, dtype=F32), np.zeros(n, dtype=F32), 0)
 
 
 @dataclass
@@ -300,9 +290,11 @@ def adam_step(
     params: ParameterVector,
     state: OptimizerState,
     grad: ParameterVector,
+    learning_rate: float,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ParameterVector, OptimizerState]:
-    """One bias-corrected Adam update.
+    """One bias-corrected Adam update at ``learning_rate``, with BETA1, BETA2
+    and EPSILON; the rate is taken as a Python float (see BETA1).
 
     The moment and step arithmetic runs in float32 and the new parameters are
     quantized back to the float32 grid, so a checkpoint written to disk resumes
@@ -330,27 +322,26 @@ def adam_step(
     g = grad.values.astype(F32, copy=False)
     if not np.isfinite(g).all():
         raise NumericError("gradient contains non-finite elements")
-    h = state.hyper
     t = state.step_count + 1
     # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, then
     # step = lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in float32 and
     # in that order; the denominator goes into ``new`` until the step is done.
-    np.multiply(g, 1.0 - h.beta1, out=buf)
-    m *= h.beta1
+    np.multiply(g, 1.0 - BETA1, out=buf)
+    m *= BETA1
     m += buf
     np.multiply(g, g, out=buf)
-    buf *= 1.0 - h.beta2
-    v *= h.beta2
+    buf *= 1.0 - BETA2
+    v *= BETA2
     v += buf
-    np.divide(v, 1.0 - h.beta2**t, out=new)
+    np.divide(v, 1.0 - BETA2**t, out=new)
     np.sqrt(new, out=new)
-    new += h.epsilon
-    np.divide(m, 1.0 - h.beta1**t, out=buf)
+    new += EPSILON
+    np.divide(m, 1.0 - BETA1**t, out=buf)
     buf /= new
-    buf *= h.learning_rate
+    buf *= float(learning_rate)
     np.subtract(params.values.astype(F32, copy=False), buf, out=new)
     stepped = ParameterVector(new, layout) if out is None else ParameterVector.float32(new, layout)
-    return stepped, OptimizerState(m, v, t, h)
+    return stepped, OptimizerState(m, v, t)
 
 
 EVAL_BLOCK_ROWS = 4096

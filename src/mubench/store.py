@@ -52,7 +52,7 @@ from .errors import (
     StoreCorruption,
     StoreVersionError,
 )
-from .nn import AdamHyper, ModelLayout, OptimizerState, ParameterVector, init_params
+from .nn import ModelLayout, OptimizerState, ParameterVector, init_params
 
 MAGIC = b"MUCK"
 FORMAT_VERSION = 9  # of the manifest; it also fixes what a ledger payload holds
@@ -91,9 +91,6 @@ class TrainConfig:
         dims = self.hidden_dims
         if not isinstance(dims, (tuple, list)) or not all(type(d) is int and d > 0 for d in dims):
             raise InvalidArgument(f"hidden_dims must hold positive integers, got {dims!r}")
-
-    def hyper(self) -> AdamHyper:
-        return AdamHyper(learning_rate=self.learning_rate)
 
 
 @dataclass
@@ -203,7 +200,7 @@ class StateStore:
         self.n = int(plan.slice_of.size)
         self.threshold = threshold(CostConfig(self.n, config.num_slices, config.phi)).t
         self.dataset_fingerprint = ""
-        start = init_params(layout, config.seed), OptimizerState.fresh(layout, config.hyper())
+        start = init_params(layout, config.seed), OptimizerState.fresh(layout)
         self.checkpoints: dict[int, Checkpoint] = {0: Checkpoint(0, *start)}
         self.ledgers: dict[int, Ledger] = {}
 
@@ -401,7 +398,7 @@ class StateStore:
             if si < last:
                 m, v = payload[count:].reshape(2, count)
                 steps = _count(entry["step_count"], "step_count")
-                state = OptimizerState(m, v, steps, config.hyper())
+                state = OptimizerState(m, v, steps)
             store.checkpoints[si] = Checkpoint(si, params, state)
         for entry in manifest["ledgers"]:
             path, i = _named_file(root, entry, "ledger"), entry["slice"]

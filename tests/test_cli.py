@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
 
 import pytest
 
-from mubench.cli import main
+from mubench import TrainConfig
+from mubench.cli import ExperimentConfig, main
 
 
 @pytest.fixture()
@@ -106,6 +108,10 @@ def test_train_invalid_slices_names_field(out_root, capsys, overrides, flags, fi
         code = exc.code
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+def test_default_config_trains_under_the_default_recipe():
+    assert ExperimentConfig().train_config() == TrainConfig()
 
 
 def test_unknown_config_field_rejected(out_root):
@@ -227,6 +233,28 @@ def test_compare_serves_at_the_configured_ohs_depth(out_root, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: --slice-counts value 2 must be in [3, 400]")
     assert not (out_root / "cmp" / "comparison.csv").exists()
+
+
+def _config_hash(config: dict) -> str:
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def test_compare_leaves_the_trained_config_alone(out_root):
+    """compare into a train's directory under other flags keeps the train's
+    config.json, which still hashes to model.json's config_hash; compare's
+    own config goes into comparison.json."""
+    cfg = write_config(out_root, request_count=5, output_dir="run")
+    assert main(["train", "--config", str(cfg), "--strategy", "ohs", "--ohs-depth", "1"]) == 0
+    run = out_root / "run"
+    trained = (run / "config.json").read_bytes()
+    assert main(["compare", "--config", str(cfg), "--strategies", "dpus,ohs",
+                 "--slice-counts", "3", "--ohs-depth", "1"]) == 0
+    assert (run / "config.json").read_bytes() == trained
+    model = json.loads((run / "model.json").read_text())
+    assert _config_hash(json.loads(trained)) == model["config_hash"]
+    payload = json.loads((run / "comparison.json").read_text())
+    assert payload["config"]["strategy"] == "hs" and payload["config"]["ohs_depth"] == 1
+    assert _config_hash(payload["config"]) == payload["config_hash"] != model["config_hash"]
 
 
 @pytest.mark.parametrize(

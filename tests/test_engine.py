@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import mubench.engine
 from mubench import (
-    AdamHyper,
     Batch,
     Dataset,
     ModelLayout,
@@ -116,13 +115,13 @@ def test_train_divergence_detected(train):
         train(bad)
 
 
-def _reference_train(params, state, steps, deltas=None):
+def _reference_train(params, state, steps, lr, deltas=None):
     """The per-step loop on float64 vectors that train_batches must equal bit
     for bit: loss_grad, then adam_step, both without ``out``, and each step's
     change added to its batch's delta row as a float64 difference."""
     for _epoch, j, batch in steps:
         _, grad = loss_grad(params, batch)
-        stepped, state = adam_step(params, state, grad)
+        stepped, state = adam_step(params, state, grad, lr)
         if deltas is not None:
             deltas[j] += stepped.values - params.values
         params = stepped
@@ -157,13 +156,12 @@ def test_train_batches_bit_equal_to_per_step_reference(
     if off_grid:  # as an OHS start: a checkpoint minus a recorded float32 delta
         delta = ParameterVector(rng.standard_normal(n).astype(np.float32) * 1e-3, layout)
         start = combine(start, delta, "-")
-    state = OptimizerState.fresh(layout, AdamHyper(learning_rate=0.01))
+    state = OptimizerState.fresh(layout)
     if warm:
         state = OptimizerState(
             (rng.standard_normal(n) * 1e-2).astype(np.float32),
             (rng.standard_normal(n) * 1e-2).astype(np.float32) ** 2,
             int(rng.integers(1, 500)),
-            state.hyper,
         )
     for values in (start.values, state.m, state.v):  # shared read-only, as a checkpoint's
         values.flags.writeable = False
@@ -178,8 +176,8 @@ def test_train_batches_bit_equal_to_per_step_reference(
     order = [(k // nb + 1, int(j), batches[j]) for k, j in enumerate(rng.integers(0, nb, steps))]
     got_deltas, want_deltas = (np.zeros((nb, n)), np.zeros((nb, n))) if record else (None, None)
 
-    got, got_state = train_batches(start, state, iter(order), "test", got_deltas)
-    want, want_state = _reference_train(start, state, order, want_deltas)
+    got, got_state = train_batches(start, state, iter(order), 0.01, "test", got_deltas)
+    want, want_state = _reference_train(start, state, order, 0.01, want_deltas)
 
     assert got.values.dtype == np.float64 and got.layout == layout
     assert np.array_equal(_u(got.values), _u(want.values))
@@ -194,7 +192,7 @@ def test_train_batches_bit_equal_to_per_step_reference(
         return
     # the results are the caller's: a later call writes none of their memory
     kept = [x.copy() for x in (got.values, got_state.m, got_state.v)]
-    train_batches(start, state, iter(order), "again")
+    train_batches(start, state, iter(order), 0.01, "again")
     for now, before in zip((got.values, got_state.m, got_state.v), kept):
         assert np.array_equal(_u(now), _u(before))
 

@@ -158,6 +158,17 @@ def test_audit_unknown_id(pool, attack, target):
         audit(attack, engine.model.params, [POOL_N + 7], pool)
 
 
+@pytest.mark.parametrize(
+    "ids", [[], [1.7], [1.0], [True], np.array([0, 1], dtype=bool), ["3"], [1, 2.5]],
+    ids=["empty", "fraction", "whole_float", "bool", "bool_array", "string", "mixed"],
+)
+def test_audit_refuses_ids_that_are_not_integers(pool, attack, target, ids):
+    """Ids are read without a dtype, so no float or bool is truncated to a row."""
+    engine, _ = target
+    with pytest.raises(InvalidArgument):
+        audit(attack, engine.model.params, ids, pool)
+
+
 def test_audit_verdict_shape(pool, attack, target):
     engine, target_in = target
     report = audit(attack, engine.model.params, target_in[:10], pool)

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mubench import (
-    AdamHyper,
     Batch,
     ModelLayout,
     OptimizerState,
@@ -30,6 +29,7 @@ from mubench.nn import EVAL_BLOCK_ROWS
 from conftest import balanced_batch
 
 F32 = np.float32
+LR = 0.005
 PAPER_LAYOUT = ModelLayout(111)  # 111 features, two hidden layers of 128, 2 classes
 
 
@@ -262,7 +262,7 @@ def test_training_step_stays_on_float32_grid(small_layout):
     for step in range(5):
         _, grad = loss_grad(params, balanced_batch(small_layout, 9, seed=step))
         assert _on_f32_grid(grad.values)
-        params, state = adam_step(params, state, grad)
+        params, state = adam_step(params, state, grad, LR)
         assert _on_f32_grid(params.values)
         assert state.m.dtype == F32 and state.v.dtype == F32
 
@@ -272,7 +272,7 @@ def test_adam_zero_grad_is_fixed_point(small_layout):
     p = init_params(small_layout, seed=1)
     state = OptimizerState.fresh(small_layout)
     zero_grad = ParameterVector(np.zeros(small_layout.param_count), small_layout)
-    p2, s2 = adam_step(p, state, zero_grad)
+    p2, s2 = adam_step(p, state, zero_grad, LR)
     assert p2.bits_equal(p)
     assert s2.step_count == 1
 
@@ -280,9 +280,9 @@ def test_adam_zero_grad_is_fixed_point(small_layout):
 def test_adam_first_step_magnitude(small_layout):
     lr = 0.005
     zero = ParameterVector(np.zeros(small_layout.param_count), small_layout)
-    state = OptimizerState.fresh(small_layout, AdamHyper(learning_rate=lr))
+    state = OptimizerState.fresh(small_layout)
     g = np.where(np.arange(small_layout.param_count) % 2 == 0, 2.0, -3.0)
-    p2, _ = adam_step(zero, state, ParameterVector(g, small_layout))
+    p2, _ = adam_step(zero, state, ParameterVector(g, small_layout), lr)
     displacement = p2.values
     assert np.abs(displacement - (-lr * np.sign(g))).max() <= 1e-6 * lr
 
@@ -292,10 +292,10 @@ def test_adam_two_steps_match_hand_unrolled(small_layout):
     lr, b1, b2, eps = 0.005, 0.9, 0.999, 1e-8
     p0 = init_params(small_layout, seed=2)
     g = np.full(small_layout.param_count, 0.37)
-    state = OptimizerState.fresh(small_layout, AdamHyper(learning_rate=lr))
+    state = OptimizerState.fresh(small_layout)
     gv = ParameterVector(g, small_layout)
-    p1, s1 = adam_step(p0, state, gv)
-    p2, s2 = adam_step(p1, s1, gv)
+    p1, s1 = adam_step(p0, state, gv, lr)
+    p2, s2 = adam_step(p1, s1, gv, lr)
 
     x = p0.values.astype(np.float64)
     m = v = 0.0
@@ -307,14 +307,15 @@ def test_adam_two_steps_match_hand_unrolled(small_layout):
     assert s2.step_count == 2
 
 
-def _reference_adam(values, m, v, step_count, g, h):
+def _reference_adam(values, m, v, step_count, g, lr):
     """The Adam step written as plain float32 expressions, in the order adam_step keeps."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
     g = g.astype(F32)
     t = step_count + 1
-    m = h.beta1 * m + (1.0 - h.beta1) * g
-    v = h.beta2 * v + (1.0 - h.beta2) * (g * g)
-    m_hat, v_hat = m / (1.0 - h.beta1**t), v / (1.0 - h.beta2**t)
-    step = h.learning_rate * (m_hat / (np.sqrt(v_hat) + h.epsilon))
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * (g * g)
+    m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+    step = lr * (m_hat / (np.sqrt(v_hat) + eps))
     return (values.astype(F32) - step).astype(np.float64), m, v
 
 
@@ -323,20 +324,15 @@ def test_adam_step_bit_equal_to_reference(small_layout, seed):
     rng = np.random.default_rng(seed)
     n = small_layout.param_count
     scale = 10.0 ** rng.uniform(-6, 1)
-    hyper = AdamHyper(
-        learning_rate=float(10 ** rng.uniform(-4, -1)),
-        beta1=float(rng.uniform(0.5, 0.99)),
-        beta2=float(rng.uniform(0.9, 0.9999)),
-        epsilon=float(10 ** rng.uniform(-10, -6)),
-    )
+    lr = float(10 ** rng.uniform(-4, -1))
     m0 = (rng.standard_normal(n) * scale).astype(F32)
     v0 = (rng.standard_normal(n) * scale).astype(F32) ** 2
     g = rng.standard_normal(n) * scale
     g[::5] = 0.0
     params = ParameterVector(rng.standard_normal(n).astype(F32), small_layout)
-    state = OptimizerState(m0, v0, int(rng.integers(0, 1000)), hyper)
-    got, got_state = adam_step(params, state, ParameterVector(g, small_layout))
-    want, want_m, want_v = _reference_adam(params.values, m0, v0, state.step_count, g, hyper)
+    state = OptimizerState(m0, v0, int(rng.integers(0, 1000)))
+    got, got_state = adam_step(params, state, ParameterVector(g, small_layout), lr)
+    want, want_m, want_v = _reference_adam(params.values, m0, v0, state.step_count, g, lr)
     assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(got_state.m.view(np.uint32), want_m.view(np.uint32))
     assert np.array_equal(got_state.v.view(np.uint32), want_v.view(np.uint32))
@@ -344,18 +340,15 @@ def test_adam_step_bit_equal_to_reference(small_layout, seed):
     assert got_state.step_count == state.step_count + 1
 
 
-def test_adam_hyper_numpy_scalars_match_python_floats(small_layout):
-    """Numpy float64 hyperparameters must not promote the float32 step."""
-    as_numpy = AdamHyper(*(np.float64(x) for x in (0.005, 0.9, 0.999, 1e-8)))
-    assert all(type(x) is float for x in vars(as_numpy).values())
-    assert as_numpy == AdamHyper()
+def test_adam_numpy_learning_rate_matches_python_float(small_layout):
+    """A numpy float64 learning rate must not promote the float32 step."""
     params = init_params(small_layout, seed=4)
     _, grad = loss_grad(params, balanced_batch(small_layout, 8, seed=2))
     runs = []
-    for hyper in (AdamHyper(), as_numpy):
-        p, s = params, OptimizerState.fresh(small_layout, hyper)
+    for lr in (LR, np.float64(LR)):
+        p, s = params, OptimizerState.fresh(small_layout)
         for _ in range(3):
-            p, s = adam_step(p, s, grad)
+            p, s = adam_step(p, s, grad, lr)
         runs.append((p, s))
     (p1, s1), (p2, s2) = runs
     assert p1.bits_equal(p2)
@@ -369,14 +362,14 @@ def test_adam_rejects_nonfinite_grad(small_layout):
     g = np.zeros(small_layout.param_count)
     g[3] = np.nan
     with pytest.raises(NumericError):
-        adam_step(p, state, ParameterVector(g, small_layout))
+        adam_step(p, state, ParameterVector(g, small_layout), LR)
 
 
 def test_adam_length_mismatch(small_layout):
     other = ModelLayout(3, (4,), 2)
     p = init_params(small_layout, seed=1)
     with pytest.raises(ShapeMismatch):
-        adam_step(p, OptimizerState.fresh(small_layout), init_params(other, 1))
+        adam_step(p, OptimizerState.fresh(small_layout), init_params(other, 1), LR)
 
 
 def _wrong_buffers(layout):
@@ -398,9 +391,9 @@ def test_adam_step_checks_its_out_buffers(small_layout):
     for bad in _wrong_buffers(small_layout):
         for out in ((bad, np.empty(n, dtype=F32)), (np.empty(n, dtype=F32), bad)):
             with pytest.raises(ShapeMismatch):
-                adam_step(params, state, grad, out)
+                adam_step(params, state, grad, LR, out)
     with pytest.raises(ShapeMismatch):
-        adam_step(params, state, grad, (np.empty(n, dtype=F32),) * 3)
+        adam_step(params, state, grad, LR, (np.empty(n, dtype=F32),) * 3)
 
 
 def test_out_calls_write_the_bits_of_allocating_calls(small_layout):
@@ -409,14 +402,14 @@ def test_out_calls_write_the_bits_of_allocating_calls(small_layout):
     n = small_layout.param_count
     params = init_params(small_layout, seed=3)
     batch = balanced_batch(small_layout, 9, seed=1)
-    state = OptimizerState(np.full(n, 0.1, F32), np.full(n, 0.01, F32), 7, AdamHyper())
+    state = OptimizerState(np.full(n, 0.1, F32), np.full(n, 0.01, F32), 7)
     loss, grad = loss_grad(params, batch)
     out_loss, out_grad = loss_grad(params, batch, np.empty(n, dtype=F32))
     assert out_loss == loss and out_grad.values.dtype == F32
     assert np.array_equal(out_grad.values.astype(np.float64), grad.values)
-    want, want_state = adam_step(params, state, grad)
-    work = OptimizerState(state.m.copy(), state.v.copy(), state.step_count, state.hyper)
-    got, got_state = adam_step(params, work, out_grad, (np.empty(n, F32), np.empty(n, F32)))
+    want, want_state = adam_step(params, state, grad, LR)
+    work = OptimizerState(state.m.copy(), state.v.copy(), state.step_count)
+    got, got_state = adam_step(params, work, out_grad, LR, (np.empty(n, F32), np.empty(n, F32)))
     assert got.values.dtype == F32
     assert np.array_equal(got.values.astype(np.float64), want.values)
     assert np.shares_memory(got_state.m, work.m) and np.shares_memory(got_state.v, work.v)
