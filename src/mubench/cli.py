@@ -22,8 +22,7 @@ from .data import Dataset, gen_synthetic, load_csv, split_dataset, split_ids
 from .engine import STRATEGIES, TrainConfig, UnlearnEngine, UnlearnRequest, sample_request_ids
 from .errors import ConfigError, InvalidArgument, MuError
 from .mia import audit, build_attack_dataset, shuffle_member_labels, train_attack, train_shadows
-from .nn import ParameterVector
-from .store import CHECKPOINT_SENTINEL, StateStore, read_vector_file, write_vector_file
+from .store import StateStore
 
 STRATEGY_ALIASES = {"sisa": "prs"}
 
@@ -35,6 +34,7 @@ _JSON_TYPES = {
     "str": str,
     "dict": dict,
 }
+_DATASET_KEYS = {"synthetic": {"kind", "n", "dim", "seed"}, "csv": {"kind", "path", "label_column"}}
 
 
 def engine_strategy(name: str) -> str:
@@ -98,17 +98,22 @@ class ExperimentConfig:
                 f"config field 'strategy' must be one of {STRATEGIES + ('sisa',)}"
             )
         kind = self.dataset.get("kind")
+        if kind not in ("synthetic", "csv"):
+            raise ConfigError("config field 'dataset.kind' must be 'synthetic' or 'csv'")
+        unknown = sorted(set(self.dataset) - _DATASET_KEYS[kind])
+        if unknown:
+            raise ConfigError(f"config field 'dataset.{unknown[0]}' is not a {kind} dataset field")
         if kind == "synthetic":
             for name, low in (("n", 2), ("dim", 1), ("seed", 0)):
                 value = self.dataset.get(name, 0)
                 if isinstance(value, bool) or not isinstance(value, int) or value < low:
                     raise ConfigError(f"config field 'dataset.{name}' must be an integer >= {low}")
-        elif kind == "csv":
+        else:
             path = self.dataset.get("path")
             if not path or not isinstance(path, str):
                 raise ConfigError("config field 'dataset.path' must name the csv file")
-        else:
-            raise ConfigError("config field 'dataset.kind' must be 'synthetic' or 'csv'")
+            if not isinstance(self.dataset.get("label_column", "label"), str):
+                raise ConfigError("config field 'dataset.label_column' must be a column name")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -204,22 +209,24 @@ def _load_engine(config: ExperimentConfig) -> tuple[UnlearnEngine, Dataset, Data
     return engine, train_ds, eval_ds
 
 
+def _serve_stream(
+    engine: UnlearnEngine, config: ExperimentConfig, strategy: str, eval_ds=None, config_hash=None
+):
+    """Serve the config's request stream under ``strategy``: its ids and report."""
+    ids = sample_request_ids(engine.plan, config.request_count, config.request_seed)
+    requests = [UnlearnRequest(i, engine_strategy(strategy)) for i in ids]
+    return ids, engine.process_stream(requests, eval_ds, strategy, config_hash)
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = config.resolved_output_dir()
     engine, _, eval_ds = _load_engine(config)
-    ids = sample_request_ids(engine.plan, config.request_count, config.request_seed)
-    requests = [UnlearnRequest(i, engine_strategy(config.strategy)) for i in ids]
-    report = engine.process_stream(
-        requests, eval_ds, strategy_label=config.strategy, config_hash=config.config_hash()
-    )
+    ids, report = _serve_stream(engine, config, config.strategy, eval_ds, config.config_hash())
     report.notes = "request stream is shared across strategies for paired comparison"
     report.write_json(out / "report.json")
     report.write_csv(out / "report.csv")
     (out / "revoked_ids.json").write_text(json.dumps(ids), encoding="utf-8")
-    write_vector_file(
-        out / "params_after.muck", 0, CHECKPOINT_SENTINEL, engine.model.params.values
-    )
     print(
         json.dumps(
             {
@@ -268,9 +275,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 cfg = replace(config.train_config(), num_slices=s_count, phi=phi)
                 trained[phi] = UnlearnEngine.train(train_ds, cfg, ohs_depth=config.ohs_depth)
             engine = trained[phi].clone()
-            ids = sample_request_ids(engine.plan, config.request_count, config.request_seed)
-            requests = [UnlearnRequest(i, engine_strategy(strategy)) for i in ids]
-            report = engine.process_stream(requests, eval_ds, strategy_label=strategy)
+            _, report = _serve_stream(engine, config, strategy, eval_ds)
             rows.append(
                 {
                     "strategy": strategy,
@@ -298,48 +303,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _revoked_ids(path: Path, n_train: int) -> list[int]:
-    """The revoked ids in ``path``: a non-empty JSON list of distinct ints (not
-    bools) in [0, n_train); else ConfigError naming the file and first bad entry."""
-    try:
-        revoked = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(revoked, list) or not revoked:
-        raise ConfigError(f"{path} must hold a non-empty JSON list of ids, got {revoked!r}")
-    seen = set()
-    for x in revoked:
-        if type(x) is not int or not 0 <= x < n_train or x in seen:
-            raise ConfigError(f"{path}: {x!r} is not a distinct training row id in [0, {n_train})")
-        seen.add(x)
-    return revoked
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = config.resolved_output_dir()
-    revoked_path = out / "revoked_ids.json"
-    if not revoked_path.exists():
-        raise ConfigError(f"{revoked_path} not found; run `mu replay` first")
-
     engine, _, _ = _load_engine(config)
-    revoked = _revoked_ids(revoked_path, engine.dataset.n)
-    before_params = engine.store.get_checkpoint(engine.config.num_slices).params
-    _, _, after_values, _ = read_vector_file(out / "params_after.muck")  # missing: StoreCorruption
-    after_params = ParameterVector(after_values, engine.layout)
+    before_params = engine.model.params
+    revoked, report = _serve_stream(engine, config, config.strategy)
+    if report.partial:
+        raise MuError(report.error)
 
     # Shadows split the full source half/half; the target's training rows are
     # a subset of it, so revoked ids are mapped into source-id space.
     source = config.build_source()
     train_ids = config.train_ids_in_source(source)
-    revoked_in_source = train_ids[np.asarray(revoked, dtype=np.int64)]
+    revoked_in_source = train_ids[revoked]
     shadows = train_shadows(
         source, config.shadow_count, engine.config, split_seed=config.shadow_split_seed
     )
     attack_set = build_attack_dataset(shadows, source)
     attack = train_attack(attack_set, seed=config.attack_seed)
     before = audit(attack, before_params, revoked_in_source, source)
-    after = audit(attack, after_params, revoked_in_source, source)
+    after = audit(attack, engine.model.params, revoked_in_source, source)
     result = {
         "attack_holdout_accuracy": attack.holdout_accuracy,
         "member_rate_before": before.member_rate,
@@ -418,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--slice-counts", dest="slice_counts", default="4")
     p_compare.set_defaults(func=cmd_compare)
 
-    p_audit = sub.add_parser("audit", help="membership-inference audit of a replay")
+    p_audit = sub.add_parser("audit", help="membership-inference audit of the configured stream")
     add_config_flags(p_audit)
     p_audit.add_argument("--null-calibration", action="store_true")
     p_audit.set_defaults(func=cmd_audit)

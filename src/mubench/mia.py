@@ -185,10 +185,14 @@ def audit(
     dataset: Dataset,
 ) -> AuditReport:
     """Judge each id member/non-member from the target's predictions on it.
-    ``ids`` must hold integers (not bools), else InvalidArgument."""
+    ``ids`` must hold integers (not bools), else InvalidArgument, that are
+    rows of ``dataset``, else NotFound."""
     idx = np.asarray(ids).ravel()
     if idx.size == 0:
         raise InvalidArgument("audit needs at least one id")
+    if idx.dtype == object and all(type(x) is int or isinstance(x, np.integer) for x in idx):
+        # np.asarray holds an int beyond 64 bits as a Python int
+        raise NotFound(f"id {next(x for x in idx if not 0 <= x < dataset.n)} is not in the dataset")
     if idx.dtype.kind not in "iu":
         raise InvalidArgument(f"audit ids must be integers, got dtype {idx.dtype}")
     if idx.min() < 0 or idx.max() >= dataset.n:

@@ -61,10 +61,11 @@ CHECKPOINT_SENTINEL = 0xFFFFFFFF
 _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Sliced-training hyperparameters; defaults follow the benchmark setup
-    (batch size 128, learning rate 0.005, Adam)."""
+    (batch size 128, learning rate 0.005, Adam). Frozen: a store's ledgers
+    were recorded under it. A list ``hidden_dims`` is held as a tuple."""
 
     num_slices: int = 4
     batch_size: int = 128
@@ -73,6 +74,10 @@ class TrainConfig:
     seed: int = 0
     phi: float = 0.0
     hidden_dims: tuple[int, ...] = (128, 128)
+
+    def __post_init__(self) -> None:
+        if isinstance(self.hidden_dims, list):
+            object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
     def validate(self) -> None:
         ints = (("num_slices", 1), ("batch_size", 1), ("epochs_per_slice", 1), ("seed", 0))
@@ -89,7 +94,7 @@ class TrainConfig:
         if self.phi < 0:
             raise InvalidArgument("phi must be non-negative")
         dims = self.hidden_dims
-        if not isinstance(dims, (tuple, list)) or not all(type(d) is int and d > 0 for d in dims):
+        if not isinstance(dims, tuple) or not all(type(d) is int and d > 0 for d in dims):
             raise InvalidArgument(f"hidden_dims must hold positive integers, got {dims!r}")
 
 
@@ -372,7 +377,6 @@ class StateStore:
             raise StoreVersionError(f"manifest format version {version} is not supported")
         raw = manifest["config"]
         config = TrainConfig(**{f.name: raw[f.name] for f in fields(TrainConfig)})
-        config.hidden_dims = tuple(config.hidden_dims)  # JSON gave a list
         config.validate()
         layout = ModelLayout(manifest["input_dim"], config.hidden_dims)
         n = _count(manifest["n"], "n")

@@ -153,9 +153,12 @@ def test_audit_control_group_below_members(pool, attack, target):
 
 
 def test_audit_unknown_id(pool, attack, target):
+    """An id outside the pool is NotFound, as ``tombstone_all`` answers it,
+    also past int64 (uint64) and past 64 bits (an object array)."""
     engine, _ = target
-    with pytest.raises(NotFound):
-        audit(attack, engine.model.params, [POOL_N + 7], pool)
+    for ids in ([POOL_N + 7], [2**63], [2**70], [3, 2**70]):
+        with pytest.raises(NotFound, match=f"id {ids[-1]} is not in the dataset"):
+            audit(attack, engine.model.params, ids, pool)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import json
 import struct
 import zlib
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -818,6 +818,15 @@ def test_train_config_validate_checks_types(tiny_dataset, field, value, match):
         config.validate()
     with pytest.raises(InvalidArgument, match=match):
         UnlearnEngine(tiny_dataset, config)
+
+
+def test_train_config_is_frozen():
+    """A store's ledgers and threshold were recorded under its config, so no
+    caller can change it afterwards; a list ``hidden_dims`` is held as a tuple."""
+    config = TrainConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.phi = 0.0
+    assert TrainConfig(hidden_dims=[3]).hidden_dims == (3,)
 
 
 def test_train_config_validate_accepts_numbers_of_either_kind():
