@@ -1,6 +1,6 @@
 """Sliced training with checkpoint/increment ledgers and hybrid unlearning."""
 
-from .costs import CostConfig, ThresholdResult, retrain_cost, threshold
+from .costs import CostConfig, retrain_cost, threshold
 from .data import (
     Dataset,
     SlicePlan,
@@ -10,19 +10,10 @@ from .data import (
     save_csv,
     split_dataset,
 )
-from .engine import (
-    STRATEGIES,
-    Model,
-    UnlearnEngine,
-    UnlearnOutcome,
-    UnlearnRequest,
-    sample_request_ids,
-)
+from .engine import STRATEGIES, UnlearnEngine, UnlearnRequest, sample_request_ids
 from .mia import (
     AttackDataset,
     AttackModel,
-    AuditReport,
-    ShadowModel,
     audit,
     build_attack_dataset,
     shuffle_member_labels,
@@ -41,31 +32,23 @@ from .nn import (
     init_params,
     loss_grad,
 )
-from .report import MetricsReport, RequestRow
 from .store import Checkpoint, StateStore, TrainConfig
 
 __all__ = [
     "AttackDataset",
     "AttackModel",
-    "AuditReport",
     "Batch",
     "Checkpoint",
     "CostConfig",
     "Dataset",
-    "MetricsReport",
-    "Model",
     "ModelLayout",
     "OptimizerState",
     "ParameterVector",
-    "RequestRow",
     "STRATEGIES",
-    "ShadowModel",
     "SlicePlan",
     "StateStore",
-    "ThresholdResult",
     "TrainConfig",
     "UnlearnEngine",
-    "UnlearnOutcome",
     "UnlearnRequest",
     "adam_step",
     "audit",

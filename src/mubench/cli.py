@@ -15,8 +15,6 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .costs import CostConfig, threshold as compute_threshold
 from .data import Dataset, gen_synthetic, load_csv, split_dataset, split_ids
 from .engine import STRATEGIES, TrainConfig, UnlearnEngine, UnlearnRequest, sample_request_ids
@@ -115,11 +113,8 @@ class ExperimentConfig:
             if not isinstance(self.dataset.get("label_column", "label"), str):
                 raise ConfigError("config field 'dataset.label_column' must be a column name")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
+        canon = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def resolved_output_dir(self) -> Path:
@@ -142,11 +137,6 @@ class ExperimentConfig:
     def build_datasets(self) -> tuple[Dataset, Dataset]:
         """Materialize the source and split off the held-out evaluation part."""
         return split_dataset(self.build_source(), self.eval_fraction, seed=self.seed)
-
-    def train_ids_in_source(self, source: Dataset) -> np.ndarray:
-        """Source-dataset ids of the rows the training split kept."""
-        train_ids, _ = split_ids(source.n, self.eval_fraction, self.seed)
-        return train_ids
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -180,7 +170,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_ds, _ = config.build_datasets()
     engine = UnlearnEngine.train(train_ds, config.train_config(), ohs_depth=config.ohs_depth)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(config.to_dict(), indent=1), encoding="utf-8")
+    (out / "config.json").write_text(json.dumps(asdict(config), indent=1), encoding="utf-8")
     engine.store.persist(store_dir)
     summary = {
         "t": engine.threshold,
@@ -209,24 +199,24 @@ def _load_engine(config: ExperimentConfig) -> tuple[UnlearnEngine, Dataset, Data
     return engine, train_ds, eval_ds
 
 
-def _serve_stream(
-    engine: UnlearnEngine, config: ExperimentConfig, strategy: str, eval_ds=None, config_hash=None
-):
-    """Serve the config's request stream under ``strategy``: its ids and report."""
+def _serve_stream(engine: UnlearnEngine, config: ExperimentConfig, strategy: str, eval_ds=None):
+    """Serve the config's request stream under ``strategy``: its ids and a
+    report labeled with ``strategy`` and the config's hash."""
     ids = sample_request_ids(engine.plan, config.request_count, config.request_seed)
     requests = [UnlearnRequest(i, engine_strategy(strategy)) for i in ids]
-    return ids, engine.process_stream(requests, eval_ds, strategy, config_hash)
+    report = engine.process_stream(requests, eval_ds)
+    report.strategy, report.config_hash = strategy, config.config_hash()
+    return ids, report
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = config.resolved_output_dir()
     engine, _, eval_ds = _load_engine(config)
-    ids, report = _serve_stream(engine, config, config.strategy, eval_ds, config.config_hash())
+    _, report = _serve_stream(engine, config, config.strategy, eval_ds)
     report.notes = "request stream is shared across strategies for paired comparison"
     report.write_json(out / "report.json")
     report.write_csv(out / "report.csv")
-    (out / "revoked_ids.json").write_text(json.dumps(ids), encoding="utf-8")
     print(
         json.dumps(
             {
@@ -294,7 +284,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         writer.writerows(rows)
     payload = {
         "notes": "request stream is shared across strategies for paired comparison",
-        "config": config.to_dict(),
+        "config": asdict(config),
         "config_hash": config.config_hash(),
         "rows": rows,
     }
@@ -315,8 +305,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     # Shadows split the full source half/half; the target's training rows are
     # a subset of it, so revoked ids are mapped into source-id space.
     source = config.build_source()
-    train_ids = config.train_ids_in_source(source)
-    revoked_in_source = train_ids[revoked]
+    revoked_in_source = split_ids(source.n, config.eval_fraction, config.seed)[0][revoked]
     shadows = train_shadows(
         source, config.shadow_count, engine.config, split_seed=config.shadow_split_seed
     )

@@ -3,6 +3,10 @@
 Cost is measured in samples read: restarting training at slice i means
 replaying slices i..S, and the pass over slice k sits on top of the k-1
 slices already folded into the checkpoint, so it is priced at k * n/S.
+That prices SISA's cumulative slices. The engine trains slice k on its own
+live ids only, so a retrain from i reads about (S-i+1) * n/S * epochs rows
+(its ``rows_read``), well under this price; the formula stays as the
+threshold's definition.
 """
 
 from __future__ import annotations

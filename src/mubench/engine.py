@@ -402,22 +402,16 @@ class UnlearnEngine:
 
     # ---- replay ---------------------------------------------------------
     def process_stream(
-        self,
-        requests: Sequence[UnlearnRequest],
-        eval_dataset: Dataset | None = None,
-        strategy_label: str | None = None,
-        config_hash: str | None = None,
+        self, requests: Sequence[UnlearnRequest], eval_dataset: Dataset | None = None
     ) -> MetricsReport:
         """Serve requests in arrival order; abort on error with a partial report."""
         model = self._require_model()
-        label = strategy_label or (requests[0].requested_strategy if requests else "hs")
         report = MetricsReport(
-            strategy=label,
+            strategy=requests[0].requested_strategy if requests else "hs",
             num_slices=self.config.num_slices,
             phi=self.config.phi,
             t=self.threshold,
             r=self.default_ohs_depth,
-            config_hash=config_hash,
         )
         if eval_dataset is not None:
             report.pre_accuracy = evaluate(model.params, eval_dataset)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_int
 from .engine import TrainConfig, train_batches
 from .errors import DegenerateAttackSet, InvalidArgument, NotFound
 from .nn import (
@@ -67,7 +67,6 @@ class AttackModel:
 
 @dataclass
 class AuditReport:
-    ids: np.ndarray
     verdicts: np.ndarray  # 1 = judged training member
     member_rate: float
 
@@ -185,19 +184,15 @@ def audit(
     dataset: Dataset,
 ) -> AuditReport:
     """Judge each id member/non-member from the target's predictions on it.
-    ``ids`` must hold integers (not bools), else InvalidArgument, that are
-    rows of ``dataset``, else NotFound."""
-    idx = np.asarray(ids).ravel()
-    if idx.size == 0:
+    Each id is read by ``as_int``'s rule, as ``SlicePlan.tombstone_all``
+    reads them: one that is not an integer is InvalidArgument, and the first
+    that is not a row of ``dataset`` NotFound."""
+    idx = [as_int(x, "audit id") for x in ids]
+    if not idx:
         raise InvalidArgument("audit needs at least one id")
-    if idx.dtype == object and all(type(x) is int or isinstance(x, np.integer) for x in idx):
-        # np.asarray holds an int beyond 64 bits as a Python int
-        raise NotFound(f"id {next(x for x in idx if not 0 <= x < dataset.n)} is not in the dataset")
-    if idx.dtype.kind not in "iu":
-        raise InvalidArgument(f"audit ids must be integers, got dtype {idx.dtype}")
-    if idx.min() < 0 or idx.max() >= dataset.n:
-        bad = idx[(idx < 0) | (idx >= dataset.n)][0]
+    bad = next((x for x in idx if not 0 <= x < dataset.n), None)
+    if bad is not None:
         raise NotFound(f"id {bad} is not in the dataset")
-    feats = _attack_features(target_params, dataset, idx)
+    feats = _attack_features(target_params, dataset, np.array(idx, np.int64))
     verdicts = forward(attack_model.params, feats).argmax(axis=1)
-    return AuditReport(idx, verdicts, float(verdicts.mean()))
+    return AuditReport(verdicts, float(verdicts.mean()))

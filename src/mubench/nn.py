@@ -82,7 +82,8 @@ class ParameterVector:
     held by a checkpoint or served by the engine are read-only and shared;
     :meth:`copy` gives a writable one. Values produced by training
     sit on the float32 grid; ``combine`` results may carry exact sub-grid
-    differences until they are quantized at the serialization boundary.
+    differences. No ``combine`` result is persisted: a store holds only
+    checkpoints and ledger rows, both float32 from training.
     """
 
     values: np.ndarray

@@ -148,7 +148,7 @@ def test_replay_report_files(out_root, capsys):
     assert len(rows) == 1 + 20 + 2  # header + rows + footer
     assert rows[-2][0] == "average_time_s"
     assert rows[-1][0] == "final_accuracy"
-    assert (run / "revoked_ids.json").exists()
+    assert not (run / "revoked_ids.json").exists()
     assert not (run / "params_after.muck").exists()
 
 
@@ -248,6 +248,21 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def test_replay_report_names_the_cli_strategy_and_config_hash(out_root):
+    """The report names the strategy as the command line gave it, alias
+    included, and carries the hash of the config it was served under."""
+    flags = ["--config", str(write_config(out_root, request_count=3)), "--strategy", "sisa"]
+    assert main(["train", *flags]) == 0
+    assert main(["replay", *flags]) == 0
+    run = out_root / "run"
+    report = json.loads((run / "report.json").read_text())
+    assert report["summary"]["strategy"] == "sisa"
+    assert {row["strategy_executed"] for row in report["rows"]} == {"prs"}
+    want = _config_hash(json.loads((run / "config.json").read_text()))
+    assert report["config_hash"] == want
+    assert json.loads((run / "model.json").read_text())["config_hash"] == want
+
+
 def test_compare_leaves_the_trained_config_alone(out_root):
     """compare into a train's directory under other flags keeps the train's
     config.json, which still hashes to model.json's config_hash; compare's
@@ -321,9 +336,6 @@ def test_audit_needs_no_replay(out_root):
     assert main(["audit", "--config", str(cfg)]) == 0
     fresh = (run / "audit.json").read_bytes()
     assert main(["replay", "--config", str(cfg)]) == 0
-    assert main(["audit", "--config", str(cfg)]) == 0
-    assert (run / "audit.json").read_bytes() == fresh
-    (run / "revoked_ids.json").unlink()
     assert main(["audit", "--config", str(cfg)]) == 0
     assert (run / "audit.json").read_bytes() == fresh
 

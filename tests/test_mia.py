@@ -154,10 +154,12 @@ def test_audit_control_group_below_members(pool, attack, target):
 
 def test_audit_unknown_id(pool, attack, target):
     """An id outside the pool is NotFound, as ``tombstone_all`` answers it,
-    also past int64 (uint64) and past 64 bits (an object array)."""
+    also past int64 and past 64 bits, and the first such id is named, even
+    when ids that numpy would mix into float64 come with it."""
     engine, _ = target
-    for ids in ([POOL_N + 7], [2**63], [2**70], [3, 2**70]):
-        with pytest.raises(NotFound, match=f"id {ids[-1]} is not in the dataset"):
+    for ids, bad in (([POOL_N + 7], POOL_N + 7), ([2**63], 2**63), ([2**70], 2**70),
+                     ([3, 2**70], 2**70), ([2**63, -1], 2**63), ([3, -1], -1)):
+        with pytest.raises(NotFound, match=f"id {bad} is not in the dataset"):
             audit(attack, engine.model.params, ids, pool)
 
 
