@@ -79,7 +79,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
                 raise ConfigError(f"config field {f.name!r} must have type {f.type}")
-        self.train_config().validate()
+        self.train_config()  # TrainConfig checks its fields when built
         checks = [
             ("request_count", self.request_count >= 0, "must be non-negative"),
             ("request_seed", self.request_seed >= 0, "must be non-negative"),
@@ -176,7 +176,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "t": engine.threshold,
         "r": engine.default_ohs_depth,
         "checkpoints": len(engine.store.checkpoints),
-        "increments": sum(ledger.consumed.size for ledger in engine.store.ledgers.values()),
+        "increments": sum(len(ledger.deltas) for ledger in engine.store.ledgers.values()),
         "config_hash": config.config_hash(),
     }
     (out / "model.json").write_text(

@@ -27,6 +27,7 @@ from .errors import (
 )
 
 F32 = np.float32
+F32_MAX = float(np.finfo(F32).max)
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -75,8 +76,13 @@ class Dataset:
         return int(self.features.shape[1])
 
     def subset(self, ids, name: str | None = None) -> "Dataset":
-        """New dataset from the given rows, re-indexed to dense ids."""
-        idx = np.asarray(ids, dtype=np.int64)
+        """New dataset from the rows ``ids``, integers in [0, n), re-indexed to dense ids."""
+        idx = np.asarray(ids)
+        if idx.dtype.kind not in "iu":
+            raise InvalidArgument(f"row ids must be 64-bit integers, got {idx.dtype} ids")
+        outside = idx[(idx < 0) | (idx >= self.n)]
+        if outside.size:
+            raise NotFound(f"{self.name}: row {outside[0]} is not in [0, {self.n})")
         features, labels = self.features[idx], self.labels[idx]  # fresh arrays, handed over
         features.flags.writeable = labels.flags.writeable = False
         return Dataset(features, labels, name or f"{self.name}-subset")
@@ -121,12 +127,15 @@ def load_csv(path, label_column: str = "label") -> Dataset:
                 if col == label_idx:
                     continue
                 try:
-                    feats.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = np.nan
+                if not abs(value) <= F32_MAX:  # nan too: features are float32
                     raise CsvParseError(
                         f"{path}: row {rownum}, column {header[col]!r}: "
-                        f"cell {cell.strip()!r} is not numeric"
-                    ) from None
+                        f"cell {cell.strip()!r} is not a finite float32 number"
+                    )
+                feats.append(value)
             raw = row[label_idx].strip()
             if raw not in ("0", "1"):
                 raise LabelDomainError(

@@ -208,10 +208,7 @@ class UnlearnEngine:
         self.model: Model | None = None
 
     def _configure(self, dataset: Dataset, config: TrainConfig, ohs_depth: int | None) -> None:
-        """Check the config and set everything but the store and the model."""
-        config.validate()
-        if config.num_slices > dataset.n:
-            raise InvalidArgument("num_slices cannot exceed the dataset size")
+        """Set everything but the store and the model (CostConfig checks n)."""
         self.dataset = dataset
         self.config = config
         self.layout = ModelLayout(dataset.feature_dim, config.hidden_dims, 2)
@@ -292,9 +289,8 @@ class UnlearnEngine:
         trained from bit-identical start params, Adam state and live slice
         ids: training is deterministic in those, so it would write the same
         bits. A reused checkpoint is re-put and reads no rows; a reused
-        recorded slice keeps its ledger, whose ids are the same and whose
-        batches are unconsumed (a consumed batch comes with a tombstone in
-        its slice, which forces a retrain)."""
+        recorded slice keeps its ledger, whose ids are the same and all
+        still live, so none of its batches is consumed."""
         last, rows_read = self.config.num_slices, 0
         trained = list(range(start_slice, last + 1))
         for k in trained:

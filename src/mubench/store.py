@@ -20,8 +20,8 @@ is ``init_params`` under the config's seed with fresh Adam state, the
 dispatch threshold comes from the config and n, each ledger's ids from its
 slice's as-planned order and its mask (so the row count is the mask's
 popcount in runs of ``batch_size``), its row index from the mask's running
-count, and each batch's consumed flag (set exactly when one of its ids is
-revoked, as the engine leaves it) from its slice's live mask. Loading keeps
+count and its batch ends, and whether a batch is consumed from its slice's
+live mask when a request asks. Loading keeps
 the deltas as read-only views of the file's bytes, rebuilds checkpoint 0 and
 the plan from the config and n, revokes the tombstones in the plan and
 refuses a ledger that leaves out an id still live in its slice, or a
@@ -64,8 +64,8 @@ _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
 @dataclass(frozen=True)
 class TrainConfig:
     """Sliced-training hyperparameters; defaults follow the benchmark setup
-    (batch size 128, learning rate 0.005, Adam). Frozen: a store's ledgers
-    were recorded under it. A list ``hidden_dims`` is held as a tuple."""
+    (batch size 128, learning rate 0.005, Adam), checked when built. Frozen: a
+    store's ledgers were recorded under it. A list ``hidden_dims`` is a tuple."""
 
     num_slices: int = 4
     batch_size: int = 128
@@ -78,8 +78,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if isinstance(self.hidden_dims, list):
             object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-
-    def validate(self) -> None:
         ints = (("num_slices", 1), ("batch_size", 1), ("epochs_per_slice", 1), ("seed", 0))
         for name, low in ints:
             value = getattr(self, name)
@@ -132,16 +130,16 @@ class Checkpoint:
 
 
 class Ledger(NamedTuple):
-    """A recorded slice: one float32 delta row per batch and ``index``, each
-    as-planned position's row among the slice's live ids at recording time
-    as int32 (-1: not recorded), both read-only and shared by clones; and
-    one consumed flag per batch, set while the batch holds a revoked id.
-    The recorded ids are the positions with ``index >= 0``, in plan order;
+    """A recorded slice, read-only and shared by clones: one float32 delta row
+    per batch; ``index``, each as-planned position's row among the slice's
+    live ids at recording time as int32 (-1: not recorded); and ``ends``, from
+    0: batch j spans as-planned ``[ends[j-1], ends[j])``, to its last recorded
+    id. The recorded ids are the positions with ``index >= 0``, in plan order;
     batch j is their j-th run of ``batch_size``."""
 
     deltas: np.ndarray
-    consumed: np.ndarray
     index: np.ndarray
+    ends: np.ndarray
 
 
 def write_vector_file(path: Path, slice_index: int, batch_index: int, values, mask=()) -> int:
@@ -232,9 +230,9 @@ class StateStore:
 
     # ---- increments --------------------------------------------------
     def record_increment(self, i: int, deltas) -> None:
-        """Replace slice i's ledger with ``deltas``, none consumed, over the
-        slice's live ids as of this call: the ids the engine just trained,
-        since nothing revokes between its read of them and this record."""
+        """Replace slice i's ledger with ``deltas`` over the slice's live ids
+        as of this call: the ids the engine just trained, since nothing
+        revokes between its read of them and this record."""
         i = as_int(i, "slice index")
         if not 1 <= i < self.threshold:  # slice 0 would read masks[-1], slice S's
             raise PolicyViolation(
@@ -244,8 +242,8 @@ class StateStore:
 
     def _put_ledger(self, i: int, mask: np.ndarray, deltas) -> None:
         """Store slice i's ledger over ``mask``, its live mask at recording time:
-        one delta row per batch of the ids the mask sets, and the mask's running
-        count as the row index. Float32 deltas are kept, not copied, read-only."""
+        one delta row per batch of the ids it sets, its running count as the row
+        index and the batch ends. Float32 deltas are kept, not copied, read-only."""
         deltas, count = np.asarray(deltas, dtype=np.float32), int(np.count_nonzero(mask))
         rows = -(-count // self.config.batch_size)
         if deltas.shape != (rows, self.layout.param_count):
@@ -255,14 +253,16 @@ class StateStore:
             )
         index = np.cumsum(mask, dtype=np.int32) - 1
         index[~mask] = -1
-        deltas.flags.writeable = index.flags.writeable = False
-        self.ledgers[i] = Ledger(deltas, np.zeros(len(deltas), dtype=bool), index)
+        after = np.concatenate(([0], np.flatnonzero(mask) + 1))  # 1 + the c-th id's position
+        ends = after[np.minimum(np.arange(rows + 1) * self.config.batch_size, count)]
+        deltas.flags.writeable = index.flags.writeable = ends.flags.writeable = False
+        self.ledgers[i] = Ledger(deltas, index, ends)
 
     def _ledger(self, i: int, j: int) -> Ledger:
         if type(i) is not int or type(j) is not int:
             i, j = as_int(i, "slice index"), as_int(j, "batch index")
         ledger = self.ledgers.get(i)
-        if ledger is None or not 1 <= j <= ledger.consumed.size:
+        if ledger is None or not 1 <= j <= len(ledger.deltas):
             raise NotFound(f"no increment record for slice {i}, batch {j}")
         return ledger
 
@@ -272,12 +272,14 @@ class StateStore:
         return ParameterVector(self._ledger(i, j).deltas[j - 1], self.layout)
 
     def mark_consumed(self, i: int, j: int) -> bool:
-        """Flip the consume flag; False reports an already-consumed record."""
-        consumed = self._ledger(i, j).consumed
-        if consumed[j - 1]:
-            return False
-        consumed[j - 1] = True
-        return True
+        """Whether a request into recorded batch j of slice i consumes it: True
+        while all the ids the batch recorded are live, counted as the live bits
+        in its span (an unrecorded position there was revoked before recording).
+        The request's own tombstone is the mark; the bench tracer wraps this name."""
+        ledger = self._ledger(i, j)
+        lo, hi = ledger.ends.item(j - 1), ledger.ends.item(j)
+        recorded = ledger.index.item(hi - 1) - (j - 1) * self.config.batch_size + 1
+        return bool(np.count_nonzero(self.plan.masks[i - 1][lo:hi]) == recorded)
 
     def recorded_batch_index(self, i: int, k: int) -> int:
         """Recording-time 1-based batch of the id at as-planned index k of
@@ -301,13 +303,12 @@ class StateStore:
         self.plan.tombstone_all(ids)
 
     def clone(self) -> "StateStore":
-        """An independent store sharing the read-only checkpoints and each
-        ledger's deltas and index; the plan's masks and the consumed flags
-        are copied."""
+        """An independent store sharing the read-only checkpoints and
+        ledgers; the plan's masks are copied."""
         dup = copy.copy(self)
         dup.plan = self.plan.copy()
         dup.checkpoints = dict(self.checkpoints)
-        dup.ledgers = {i: x._replace(consumed=x.consumed.copy()) for i, x in self.ledgers.items()}
+        dup.ledgers = dict(self.ledgers)
         return dup
 
     # ---- persistence -------------------------------------------------
@@ -377,7 +378,6 @@ class StateStore:
             raise StoreVersionError(f"manifest format version {version} is not supported")
         raw = manifest["config"]
         config = TrainConfig(**{f.name: raw[f.name] for f in fields(TrainConfig)})
-        config.validate()
         layout = ModelLayout(manifest["input_dim"], config.hidden_dims)
         n = _count(manifest["n"], "n")
         plan = make_slice_plan(n, config.num_slices, config.batch_size, config.seed)
@@ -429,14 +429,9 @@ class StateStore:
                 raise StoreCorruption(f"{entry['file']}: {rows} delta rows for {held} ids")
             store._put_ledger(i, mask, payload[words:].reshape(rows, count))
         store.set_tombstones(_count(x, "a tombstone") for x in manifest["tombstones"])
-        # A ledger holds every id still live in its slice, and a batch is
-        # consumed exactly when one of its ids is revoked.
         for i, ledger in store.ledgers.items():
-            live = plan.masks[i - 1]
-            if (ledger.index[live] < 0).any():
+            if (ledger.index[plan.masks[i - 1]] < 0).any():
                 raise StoreCorruption(f"ledger_{i:04d}.muck: leaves out a live id of slice {i}")
-            rows = ledger.index[~live]
-            ledger.consumed[rows[rows >= 0] // config.batch_size] = True
         return store
 
 

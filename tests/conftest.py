@@ -57,12 +57,12 @@ def recorded_ids(store, i):
 
 def engine_state(eng):
     """Every structure of an engine as bytes: checkpoints with Adam state
-    (checkpoint S has none), ledgers' deltas, consumed flags and index, the
+    (checkpoint S has none), ledgers' deltas, index and batch ends, the
     plan's masks, and last the served params."""
     store = eng.store
     return (
         {k: _checkpoint_state(c) for k, c in store.checkpoints.items()},
-        {k: _as_bytes(x.deltas, x.consumed, x.index) for k, x in store.ledgers.items()},
+        {k: _as_bytes(x.deltas, x.index, x.ends) for k, x in store.ledgers.items()},
         _as_bytes(*eng.plan.masks),
         eng.model.params.values.tobytes(),
     )

@@ -45,6 +45,17 @@ def test_load_csv_nonnumeric_cell_names_row(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", " NaN ", "1e39"])
+def test_load_csv_nonfinite_cell_names_row_and_column(tmp_path, cell):
+    """A cell that parses to nan, an infinity or a number beyond float32's
+    range is refused like a non-numeric one, naming its row and column,
+    before training scores it."""
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"f0,f1,label\n1.0,2.0,0\n3.0,{cell},1\n")
+    with pytest.raises(CsvParseError, match=f"row 2, column 'f1': cell {cell.strip()!r}"):
+        load_csv(path)
+
+
 def test_load_csv_nonbinary_label(tmp_path):
     path = tmp_path / "bad_label.csv"
     path.write_text("f0,label\n1.0,0\n2.0,2\n")
@@ -89,6 +100,23 @@ def test_dataset_arrays_are_read_only():
     assert ds.features[0, 0] == 1.0
     assert ds.fingerprint() is ds.fingerprint()
     assert ds.fingerprint() == Dataset(np.ones((4, 2)), [0, 1, 1, 0]).fingerprint()
+
+
+def test_subset_reads_ids_as_integers_in_range():
+    """``subset`` takes rows by integer ids, numpy or Python, in [0, n):
+    an array that does not hold 64-bit integers is InvalidArgument, and an
+    id outside the rows NotFound."""
+    ds = gen_synthetic(50, 3, seed=2)
+    for ids in ([4, 1], np.array([4, 1], np.uint8), (np.int32(4), 1)):
+        sub = ds.subset(ids)
+        assert np.array_equal(sub.features, ds.features[[4, 1]])
+        assert np.array_equal(sub.labels, ds.labels[[4, 1]])
+    for bad in ([1.7], ["3"], [True, False], np.array([1.0]), [1, None], [2**70]):
+        with pytest.raises(InvalidArgument, match="row ids must be 64-bit integers"):
+            ds.subset(bad)
+    for bad, shown in (([-1], "row -1"), ([3, 50], "row 50"), ([999], "row 999")):
+        with pytest.raises(NotFound, match=shown):
+            ds.subset(bad)
 
 
 # ------------------------------------------------------------------ synthetic

@@ -422,7 +422,7 @@ def test_ohs_subtracts_then_retrains_trailing_slice(tiny_dataset, tiny_config):
     assert out.checkpoints_rewritten == [s]
     assert eng.store.get_checkpoint(s - 1).params.bits_equal(pristine_base)
     i, j = out.located_at
-    assert eng.store.ledgers[i].consumed[j - 1]
+    assert not eng.store.mark_consumed(i, j)
 
     delta = twin.store.get_increment(i, j)
     start = combine(twin.store.get_checkpoint(s - 1).params, delta, "-")
@@ -562,6 +562,21 @@ def test_reload_keeps_a_direct_update(item1_engine, tmp_path):
     assert back.model.params.bits_equal(served)
 
 
+def test_revocation_on_the_plan_consumes_its_batch_as_a_reload_does(tmp_path):
+    """A tombstone set on the plan directly consumes its recorded batch: a
+    direct update into that batch serves the same path and params in memory
+    as after persist -> load -> from_store."""
+    config = TrainConfig(num_slices=4, phi=0.0, hidden_dims=(8,))  # one batch per slice
+    eng = UnlearnEngine.train(gen_synthetic(400, 6, 1), config)
+    x, y = (int(v) for v in eng.plan.slice_ids(1)[:2])
+    eng.plan.tombstone(x)
+    eng.store.persist(tmp_path)
+    back = UnlearnEngine.from_store(eng.dataset, StateStore.load(tmp_path))
+    in_memory, reloaded = (e.dispatch(UnlearnRequest(y, "dpus")) for e in (eng, back))
+    assert in_memory.strategy_executed == reloaded.strategy_executed == "noop-consumed"
+    assert in_memory.params_after.bits_equal(reloaded.params_after)
+
+
 # ----------------------------------------------------------- checkpoint reuse
 def _rows(eng, slices):
     return eng.config.epochs_per_slice * sum(eng.plan.slice_ids(k).size for k in slices)
@@ -597,7 +612,7 @@ def test_repeated_consumed_batch_ohs_trains_nothing(item1_engine, monkeypatch):
 def test_reused_recorded_slice_keeps_its_ledger(item1_engine):
     """A reused recorded slice keeps its ledger: its live ids are those the
     ledger recorded, and none of its batches is consumed, since a consumed
-    flag in slice k comes with a tombstone in slice k, which changes its live
+    batch in slice k holds a tombstone in slice k, which changes its live
     ids and forces a retrain. The state equals a retrain's."""
     eng = item1_engine.clone()
     a, b = (int(x) for x in eng.plan.slice_ids(1)[5:7])

@@ -192,7 +192,8 @@ class EngineMachine(RuleBasedStateMachine):
     @invariant()
     def lines_match_the_model(self):
         """Engine against twin and against scans of the model, where a batch
-        is consumed exactly when it holds a revoked id; params_after intact."""
+        is consumed exactly when it holds a revoked id, so ``mark_consumed``
+        answers True for the others only; params_after intact."""
         b, slices = self.batch, range(1, self.s + 1)
         for line in self.lines:
             plan, store, dead = line.engine.plan, line.engine.store, set(line.revoked)
@@ -207,10 +208,11 @@ class EngineMachine(RuleBasedStateMachine):
                 assert _attempt(plan.locate, sid) == want
             assert store.ledgers.keys() == line.recorded.keys()
             for i, held in line.recorded.items():
-                index, consumed = store.ledgers[i].index, store.ledgers[i].consumed
+                index = store.ledgers[i].index
                 batches = [held[j : j + b] for j in range(0, len(held), b)]
                 assert recorded_ids(store, i).tolist() == held and not index.flags.writeable
-                assert consumed.tolist() == [not dead.isdisjoint(x) for x in batches]
+                whole = [store.mark_consumed(i, j) for j in range(1, len(batches) + 1)]
+                assert whole == [dead.isdisjoint(x) for x in batches]
             for i in range(1, self.s + 2):  # every as-planned index of each slice, and past it
                 held, planned = line.recorded.get(i, []), self.order[i - 1] if i <= self.s else []
                 for k in range(-1, len(planned) + 1):

@@ -139,15 +139,17 @@ def keep_first(store, i, count):
 
 
 def test_increment_roundtrip_and_consume_flag():
+    """A recorded batch is consumed once one of its ids is revoked: the
+    request's own tombstone is the mark, and asking writes nothing."""
     store = fresh_store()
     delta = init_params(LAYOUT, 7)
-    keep_first(store, 1, 20)
+    ids = keep_first(store, 1, 20)
     store.record_increment(1, deltas(6, 7))  # two batches of 16
     assert store.get_increment(1, 2).bits_equal(delta)
-    assert not store.ledgers[1].consumed[1]
-    assert store.mark_consumed(1, 2) is True
+    assert store.mark_consumed(1, 2) is store.mark_consumed(1, 2) is True
+    store.set_tombstones([ids[17]])  # as the request that consumed batch 2
     assert store.mark_consumed(1, 2) is False  # reports already-consumed
-    assert store.ledgers[1].consumed.tolist() == [False, True]
+    assert store.mark_consumed(1, 1) is True
 
 
 def test_record_at_or_above_threshold_rejected():
@@ -224,12 +226,13 @@ def test_store_indexes_must_be_integers(bad):
         lambda: store.recorded_batch_index(bad, 0),
         lambda: store.recorded_batch_index(1, bad),
     ]
-    checkpoints, consumed = dict(store.checkpoints), store.ledgers[1].consumed.tolist()
+    checkpoints, masks = dict(store.checkpoints), [m.copy() for m in store.plan.masks]
     for call in calls:
         with pytest.raises(InvalidArgument, match="index must be an integer, got"):
             call()
     assert store.checkpoints == checkpoints and store.ledgers[1] is ledger
-    assert store.ledgers[1].consumed.tolist() == consumed == [True, False]
+    assert all(np.array_equal(a, b) for a, b in zip(store.plan.masks, masks))
+    assert [store.mark_consumed(1, 1), store.mark_consumed(1, 2)] == [False, True]
     one, two = np.int64(1), np.int32(2)
     assert store.get_checkpoint(two) is store.get_checkpoint(2)
     assert store.get_increment(one, two).bits_equal(store.get_increment(1, 2))
@@ -240,13 +243,12 @@ def test_store_indexes_must_be_integers(bad):
 def populated_store():
     """A state the engine can reach: five slices of 20 ids, all checkpointed;
     slice 1 recorded (t = 2) as two batches of its plan ids; two ids of batch
-    1 revoked, the first by a direct update that consumed that batch."""
+    1 revoked, which consumes that batch."""
     store = fresh_store(num_slices=5, phi=290.0)
     for i in range(1, 6):
         store.put_checkpoint(make_checkpoint(i, seed=40, num_slices=5))
     store.record_increment(1, deltas(91, 92))  # batch size 16: two batches
     ids = store.plan.slice_ids(1)
-    store.mark_consumed(1, 1)
     store.set_tombstones([ids[5], ids[9]])
     store.dataset_fingerprint = "abc123"
     return store
@@ -271,8 +273,12 @@ def test_persist_load_bit_identical(tmp_path):
         got = loaded.ledgers[i]
         assert np.array_equal(recorded_ids(loaded, i), recorded_ids(store, i))
         assert np.array_equal(got.deltas.view(np.uint32), ledger.deltas.view(np.uint32))
-        assert np.array_equal(got.consumed, ledger.consumed)  # derived on load
         assert np.array_equal(got.index, ledger.index)  # derived on load
+        assert np.array_equal(got.ends, ledger.ends)  # derived on load
+        batches = range(1, len(ledger.deltas) + 1)
+        assert [loaded.mark_consumed(i, j) for j in batches] == [
+            store.mark_consumed(i, j) for j in batches
+        ]
         assert got.index.dtype == np.int32 and not got.index.flags.writeable
     assert loaded.tombstones == store.tombstones == loaded.plan.tombstones
     for i in range(1, 6):
@@ -285,21 +291,22 @@ def test_persist_load_bit_identical(tmp_path):
 
 def test_ledger_recorded_after_tombstones_round_trips(tmp_path):
     """A ledger records its slice's live ids as of the call, as a retrain
-    re-records it after a revocation: it reloads with equal deltas, index and
-    consumed flags."""
+    re-records it after a revocation: it reloads with equal deltas and index,
+    and the same batch consumed."""
     store = populated_store()  # ids 5 and 9 of slice 1 revoked
     store.record_increment(1, deltas(93, 94))  # 18 live ids, none consumed
     held = recorded_ids(store, 1)
     assert held.tolist() == store.plan.slice_ids(1).tolist() and held.size == 18
-    store.set_tombstones([held[17]])  # as a direct update that consumed batch 2
     assert store.mark_consumed(1, 2)
+    store.set_tombstones([held[17]])  # as a direct update that consumed batch 2
     store.persist(tmp_path)
-    loaded = StateStore.load(tmp_path).ledgers[1]
-    ledger = store.ledgers[1]
+    back = StateStore.load(tmp_path)
+    loaded, ledger = back.ledgers[1], store.ledgers[1]
     want = deltas(93, 94).astype(np.float32).tobytes()
     assert loaded.deltas.tobytes() == ledger.deltas.tobytes() == want
     assert loaded.index.tobytes() == ledger.index.tobytes()
-    assert loaded.consumed.tolist() == ledger.consumed.tolist() == [False, True]
+    for s in (store, back):
+        assert [s.mark_consumed(1, 1), s.mark_consumed(1, 2)] == [True, False]
 
 
 def test_flipped_byte_reports_corruption_with_filename(tmp_path):
@@ -758,9 +765,9 @@ def test_checkpoint_sentinel_in_file(tmp_path):
 
 
 def test_clone_is_isolated():
-    """A clone shares the read-only checkpoints and each ledger's deltas
-    and index, and owns its plan and consumed flags; a ledger recorded after
-    the clone leaves the clone's lookups as they were."""
+    """A clone shares the read-only checkpoints and ledgers and owns its
+    plan, so a batch it consumes stays whole in the store; a ledger recorded
+    after the clone leaves the clone's lookups as they were."""
     store = populated_store()
     ids = recorded_ids(store, 1)
     dup = store.clone()
@@ -770,14 +777,13 @@ def test_clone_is_isolated():
         for values in (cp.params.values, *state):
             with pytest.raises(ValueError):
                 values[0] += 1.0
-    assert dup.ledgers[1].deltas is store.ledgers[1].deltas
-    assert dup.ledgers[1].index is store.ledgers[1].index
+    assert dup.ledgers[1] is store.ledgers[1]
     store.set_tombstones([ids[11]])
     dup.set_tombstones([ids[12]])
     assert store.tombstones == set(ids[[5, 9, 11]].tolist())
     assert dup.tombstones == set(ids[[5, 9, 12]].tolist())
-    dup.mark_consumed(1, 2)
-    assert not store.ledgers[1].consumed[1]
+    dup.set_tombstones([ids[17]])  # consumes batch 2 in the clone only
+    assert (store.mark_consumed(1, 2), dup.mark_consumed(1, 2)) == (True, False)
     store.set_tombstones(ids[:2])
     store.record_increment(1, deltas(0))  # ids 0, 1, 5, 9 and 11 revoked: 15 live
     at = store.plan.pos_of[ids]
@@ -803,21 +809,26 @@ def test_clone_is_isolated():
         ("hidden_dims", (True,), "hidden_dims must hold positive integers"),
         ("hidden_dims", (8, 0), "hidden_dims must hold positive integers"),
         ("hidden_dims", 8, "hidden_dims must hold positive integers, got 8"),
+        ("num_slices", 0, "num_slices must be >= 1"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("epochs_per_slice", 0, "epochs_per_slice must be >= 1"),
+        ("learning_rate", -1.0, "learning_rate must be positive"),
+        ("phi", -0.5, "phi must be non-negative"),
     ],
     ids=[
         "num_slices_float", "batch_size_float", "epochs_bool", "seed_bool", "seed_numpy",
         "learning_rate_bool", "learning_rate_nan", "phi_string", "phi_inf", "hidden_dims_float",
-        "hidden_dims_bool", "hidden_dims_zero", "hidden_dims_int",
+        "hidden_dims_bool", "hidden_dims_zero", "hidden_dims_int", "num_slices_zero",
+        "batch_size_zero", "epochs_zero", "learning_rate_negative", "phi_negative",
     ],
 )
-def test_train_config_validate_checks_types(tiny_dataset, field, value, match):
-    """A field of the wrong type is InvalidArgument from ``validate``, and so
-    from the engine, before numpy or the store sees it."""
-    config = replace(TrainConfig(), **{field: value})
+def test_train_config_validate_checks_types(field, value, match):
+    """A field of the wrong type or out of range is InvalidArgument when the
+    config is built, so no engine, store or shadow trainer ever sees it."""
     with pytest.raises(InvalidArgument, match=match):
-        config.validate()
+        TrainConfig(**{field: value})
     with pytest.raises(InvalidArgument, match=match):
-        UnlearnEngine(tiny_dataset, config)
+        replace(TrainConfig(), **{field: value})
 
 
 def test_train_config_is_frozen():
@@ -830,5 +841,6 @@ def test_train_config_is_frozen():
 
 
 def test_train_config_validate_accepts_numbers_of_either_kind():
-    TrainConfig(learning_rate=1, phi=np.float64(2.5), hidden_dims=[3]).validate()
-    TrainConfig(hidden_dims=()).validate()
+    config = TrainConfig(learning_rate=1, phi=np.float64(2.5), hidden_dims=[3])
+    assert (config.learning_rate, config.phi, config.hidden_dims) == (1, 2.5, (3,))
+    assert TrainConfig(hidden_dims=()).hidden_dims == ()
