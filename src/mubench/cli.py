@@ -369,11 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ohs-depth", dest="ohs_depth", type=int)
         p.add_argument("--shadow-count", dest="shadow_count", type=int)
         p.add_argument("--attack-seed", dest="attack_seed", type=int)
-        p.add_argument(
+        source = p.add_mutually_exclusive_group()
+        source.add_argument(
             "--synthetic", nargs=3, type=int, metavar=("N", "DIM", "SEED"),
             help="use a synthetic dataset",
         )
-        p.add_argument("--csv", help="use a CSV dataset at this path")
+        source.add_argument("--csv", help="use a CSV dataset at this path")
         p.add_argument("--label-column", dest="label_column", default="label")
 
     p_train = sub.add_parser("train", help="train and persist the sliced store")

@@ -32,13 +32,9 @@ class CostConfig:
     num_slices: int
     phi: float
 
-    def __post_init__(self) -> None:
-        for name in ("n", "num_slices"):  # numpy ints kept as Python ints
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.num_slices < 1:
-            raise InvalidArgument("num_slices must be >= 1")
-        if self.n < self.num_slices:
-            raise InvalidArgument("n must be >= num_slices")
+    def __post_init__(self) -> None:  # numpy ints are kept as Python ints
+        object.__setattr__(self, "num_slices", as_int(self.num_slices, "num_slices", 1))
+        object.__setattr__(self, "n", as_int(self.n, "n", self.num_slices))
         check_finite_real("phi", self.phi)
         if self.phi < 0:
             raise InvalidArgument("phi must be non-negative")
@@ -65,9 +61,7 @@ def _slices_read(i: int, s: int) -> int:
 def retrain_cost(i: int, config: CostConfig) -> float:
     """Samples read when retraining restarts at slice i: (n/S) * sum(i..S)."""
     s = config.num_slices
-    i = as_int(i, "slice index")
-    if not 1 <= i <= s:
-        raise InvalidArgument(f"slice index must be in [1, {s}], got {i}")
+    i = as_int(i, "slice index", 1, s)
     return (config.n / s) * _slices_read(i, s)
 
 

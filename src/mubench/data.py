@@ -103,7 +103,7 @@ def load_csv(path, label_column: str = "label") -> Dataset:
 
     Error naming counts data rows from 1 (the header is row 0).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a BOM is not header text
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -170,10 +170,9 @@ def gen_synthetic(n: int, dim: int, seed: int) -> Dataset:
 
     Deterministic in (n, dim, seed); class balance concentrates near 50/50.
     """
-    if n < 2:
-        raise InvalidArgument(f"n must be >= 2, got {n}")
-    if dim < 1:
-        raise InvalidArgument(f"dim must be >= 1, got {dim}")
+    n = as_int(n, "n", 2)
+    dim = as_int(dim, "dim", 1)
+    seed = as_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     teacher = rng.standard_normal(dim)
     feats = rng.standard_normal((n, dim))
@@ -187,7 +186,7 @@ def split_ids(n: int, eval_fraction: float, seed: int) -> tuple[np.ndarray, np.n
     """Deterministic (train_ids, eval_ids) partition of range(n), both sorted."""
     if not 0.0 < eval_fraction < 1.0:
         raise InvalidArgument("eval_fraction must be in (0, 1)")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(as_int(seed, "seed", 0)).permutation(n)
     n_eval = max(1, int(round(n * eval_fraction)))
     if n_eval >= n:
         raise InvalidArgument("eval_fraction leaves no training rows")
@@ -203,13 +202,19 @@ def split_dataset(dataset: Dataset, eval_fraction: float, seed: int) -> tuple[Da
     )
 
 
-def as_int(value, name: str) -> int:
-    """``value`` (a sample id, an index or a count, called ``name``) as an int;
-    InvalidArgument unless a Python or numpy int (not a bool). Hot callers
-    test ``type(value) is int`` before calling."""
+def as_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` (a count, size, index or seed, called ``name``) as a Python
+    int; InvalidArgument unless a Python or numpy int (not a bool) in
+    [low, high], either bound left open when None. Hot callers test
+    ``type(value) is int`` before calling."""
     if type(value) is not int and not isinstance(value, np.integer):
         raise InvalidArgument(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        raise InvalidArgument(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise InvalidArgument(f"{name} must be <= {high}, got {value}")
+    return value
 
 
 @dataclass(eq=False)
@@ -352,10 +357,10 @@ class SlicePlan:
 def make_slice_plan(n: int, num_slices: int, batch_size: int, seed: int) -> SlicePlan:
     """Shuffle the ids 0..n-1 by seed and split them into near-equal
     contiguous slices."""
-    if not 1 <= num_slices <= n:
-        raise InvalidArgument(f"num_slices must be in [1, {n}], got {num_slices}")
-    if batch_size < 1:
-        raise InvalidArgument("batch_size must be >= 1")
+    n = as_int(n, "n", 1)
+    num_slices = as_int(num_slices, "num_slices", 1, n)
+    batch_size = as_int(batch_size, "batch_size", 1)
+    seed = as_int(seed, "seed", 0)
     perm = np.random.default_rng(seed).permutation(n).astype(np.int64, copy=False)
     perm.flags.writeable = False
     order = tuple(np.array_split(perm, num_slices))

@@ -112,12 +112,10 @@ class UnlearnOutcome:
 def sample_request_ids(plan: SlicePlan, count: int, seed: int) -> list[int]:
     """Draw distinct live ids uniformly without replacement; ``count`` and
     ``seed`` are InvalidArgument unless Python or numpy ints (not bools)."""
-    count, seed = as_int(count, "count"), as_int(seed, "seed")
+    count, seed = as_int(count, "count"), as_int(seed, "seed", 0)
     live = plan.live_ids()
     if not 0 <= count <= live.size:
         raise InvalidArgument(f"cannot draw {count} requests from {live.size} live ids")
-    if seed < 0:
-        raise InvalidArgument(f"seed must be non-negative, got {seed}")
     picked = np.random.default_rng(seed).choice(live, size=count, replace=False)
     return [int(x) for x in picked]
 
@@ -189,14 +187,6 @@ def _epoch_orders(
     )
 
 
-def _ohs_depth(value, num_slices: int) -> int:
-    """``value`` as an OHS depth; InvalidArgument unless a Python or numpy int
-    (not a bool) in [0, num_slices]."""
-    if not 0 <= as_int(value, "ohs depth") <= num_slices:
-        raise InvalidArgument("ohs depth must be in [0, num_slices]")
-    return int(value)
-
-
 class UnlearnEngine:
     """Owns the dataset view, the state store with its slice plan, and the
     current model."""
@@ -216,7 +206,7 @@ class UnlearnEngine:
             CostConfig(n=dataset.n, num_slices=config.num_slices, phi=config.phi)
         )
         depth = decision.r if ohs_depth is None else ohs_depth
-        self.default_ohs_depth = _ohs_depth(depth, config.num_slices)
+        self.default_ohs_depth = as_int(depth, "ohs depth", 0, config.num_slices)
 
     @property
     def threshold(self) -> int:
@@ -363,9 +353,9 @@ class UnlearnEngine:
         t0 = time.perf_counter()
         num_slices = self.config.num_slices
         sample_id, strategy, depth = request.sample_id, request.requested_strategy, request.depth
-        r = 0
-        if strategy == "ohs":
-            r = self.default_ohs_depth if depth is None else _ohs_depth(depth, num_slices)
+        r = self.default_ohs_depth if strategy == "ohs" else 0
+        if depth is not None:  # only an ohs request has one
+            r = as_int(depth, "ohs depth", 0, num_slices)
         i, k = self.plan.position(sample_id)
         if strategy == "dpus" and i >= self.threshold:
             raise DispatchError(

@@ -105,8 +105,8 @@ def train_shadows(
     pool: Dataset, k: int, config: TrainConfig, split_seed: int = 0
 ) -> list[ShadowModel]:
     """Train k shadows, each on a half/half split of the pool."""
-    if k < 1:
-        raise InvalidArgument("need at least one shadow model")
+    k = as_int(k, "k", 1)
+    split_seed = as_int(split_seed, "split_seed", 0)
     if pool.n < 2:
         raise InvalidArgument("shadow pool needs at least two samples")
     layout = ModelLayout(pool.feature_dim, config.hidden_dims, 2)
@@ -152,13 +152,14 @@ def build_attack_dataset(shadows: list[ShadowModel], pool: Dataset) -> AttackDat
 
 def shuffle_member_labels(attack_set: AttackDataset, seed: int) -> AttackDataset:
     """Null-calibration control: membership labels randomly permuted."""
-    shuffled = np.random.default_rng(seed).permutation(attack_set.members)
+    shuffled = np.random.default_rng(as_int(seed, "seed", 0)).permutation(attack_set.members)
     return AttackDataset(attack_set.features, shuffled)
 
 
 def train_attack(attack_set: AttackDataset, seed: int) -> AttackModel:
     """Fit the 1x32 attack MLP; holdout accuracy from a 20% split."""
     layout = ModelLayout(attack_set.features.shape[1], ATTACK_HIDDEN, 2)
+    seed = as_int(seed, "seed", 0)
     perm = np.random.default_rng((seed, 0xA77AC)).permutation(attack_set.rows)
     n_hold = max(1, attack_set.rows // 5)
     hold, train = perm[:n_hold], perm[n_hold:]

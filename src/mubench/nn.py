@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_int
 from .errors import EmptyInput, InvalidArgument, NumericError, ShapeMismatch
 
 F32 = np.float32
@@ -51,11 +52,10 @@ class ModelLayout:
     output_dim: int = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "input_dim", int(self.input_dim))
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        object.__setattr__(self, "output_dim", int(self.output_dim))
-        if min(self.dims) <= 0:
-            raise InvalidArgument(f"all layout dimensions must be positive, got {self.dims}")
+        object.__setattr__(self, "input_dim", as_int(self.input_dim, "input_dim", 1))
+        hidden = tuple(as_int(d, f"hidden_dims[{k}]", 1) for k, d in enumerate(self.hidden_dims))
+        object.__setattr__(self, "hidden_dims", hidden)
+        object.__setattr__(self, "output_dim", as_int(self.output_dim, "output_dim", 1))
         # Derived once, outside the dataclass fields: (fan_in, fan_out, weight
         # offset, bias offset) per layer, and the total length.
         offsets, off = [], 0
@@ -184,7 +184,7 @@ def init_params(layout: ModelLayout, seed: int) -> ParameterVector:
     Weights for a layer are drawn uniformly from
     [-sqrt(6 / (fan_in + fan_out)), +sqrt(6 / (fan_in + fan_out))].
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
     flat = np.zeros(layout.param_count, dtype=F64)
     for w, _b in _layer_views(flat, layout):
         fan_in, fan_out = w.shape

@@ -76,15 +76,9 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (128, 128)
 
     def __post_init__(self) -> None:
-        if isinstance(self.hidden_dims, list):
-            object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         ints = (("num_slices", 1), ("batch_size", 1), ("epochs_per_slice", 1), ("seed", 0))
-        for name, low in ints:
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise InvalidArgument(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise InvalidArgument(f"{name} must be >= {low}")
+        for name, low in ints:  # numpy ints are kept as Python ints, so asdict writes JSON
+            object.__setattr__(self, name, as_int(getattr(self, name), name, low))
         check_finite_real("learning_rate", self.learning_rate)
         check_finite_real("phi", self.phi)
         if self.learning_rate <= 0:
@@ -92,8 +86,10 @@ class TrainConfig:
         if self.phi < 0:
             raise InvalidArgument("phi must be non-negative")
         dims = self.hidden_dims
-        if not isinstance(dims, tuple) or not all(type(d) is int and d > 0 for d in dims):
+        if not isinstance(dims, (tuple, list)):
             raise InvalidArgument(f"hidden_dims must hold positive integers, got {dims!r}")
+        dims = tuple(as_int(d, f"hidden_dims[{k}]", 1) for k, d in enumerate(dims))
+        object.__setattr__(self, "hidden_dims", dims)
 
 
 @dataclass
@@ -378,14 +374,16 @@ class StateStore:
             raise StoreVersionError(f"manifest format version {version} is not supported")
         raw = manifest["config"]
         config = TrainConfig(**{f.name: raw[f.name] for f in fields(TrainConfig)})
+        unknown = sorted(set(raw) - set(asdict(config)))
+        if unknown:
+            raise ValueError(f"config field {unknown[0]!r} is not a TrainConfig field")
         layout = ModelLayout(manifest["input_dim"], config.hidden_dims)
-        n = _count(manifest["n"], "n")
-        plan = make_slice_plan(n, config.num_slices, config.batch_size, config.seed)
+        plan = make_slice_plan(manifest["n"], config.num_slices, config.batch_size, config.seed)
         store = cls(config, layout, plan)
         store.dataset_fingerprint = str(manifest["dataset_fingerprint"])
         count, last = layout.param_count, config.num_slices
         for entry in manifest["checkpoints"]:
-            path, i = _named_file(root, entry, "checkpoint"), entry["slice"]
+            path, i = _named_file(root, entry, "checkpoint")
             if i not in range(1, last + 1):
                 raise StoreCorruption(f"manifest.json: stored checkpoints are 1..{last}, got {i}")
             if i in store.checkpoints:
@@ -396,16 +394,16 @@ class StateStore:
             if crc != entry["crc32"]:
                 raise StoreCorruption(f"{entry['file']}: manifest checksum disagrees")
             width = count if si == last else 3 * count
-            if si != entry["slice"] or bi != CHECKPOINT_SENTINEL or payload.size != width:
+            if si != i or bi != CHECKPOINT_SENTINEL or payload.size != width:
                 raise StoreCorruption(f"{entry['file']}: checkpoint framing mismatch")
             params, state = ParameterVector(payload[:count], layout), None
             if si < last:
                 m, v = payload[count:].reshape(2, count)
-                steps = _count(entry["step_count"], "step_count")
+                steps = as_int(entry["step_count"], "step_count", 0)
                 state = OptimizerState(m, v, steps)
             store.checkpoints[si] = Checkpoint(si, params, state)
         for entry in manifest["ledgers"]:
-            path, i = _named_file(root, entry, "ledger"), entry["slice"]
+            path, i = _named_file(root, entry, "ledger")
             if not 1 <= i < store.threshold:  # slice 0 would read order[-1], slice S's
                 raise StoreCorruption(
                     f"{entry['file']}: increments are recorded only for slices below "
@@ -428,24 +426,17 @@ class StateStore:
             if rows != -(-held // config.batch_size):
                 raise StoreCorruption(f"{entry['file']}: {rows} delta rows for {held} ids")
             store._put_ledger(i, mask, payload[words:].reshape(rows, count))
-        store.set_tombstones(_count(x, "a tombstone") for x in manifest["tombstones"])
+        store.set_tombstones(manifest["tombstones"])
         for i, ledger in store.ledgers.items():
             if (ledger.index[plan.masks[i - 1]] < 0).any():
                 raise StoreCorruption(f"ledger_{i:04d}.muck: leaves out a live id of slice {i}")
         return store
 
 
-def _named_file(root: Path, entry: dict, kind: str) -> Path:
-    """The file in ``root`` of a ``kind`` entry, under the name ``persist`` gives it."""
-    name = f"{kind}_{_count(entry['slice'], 'slice'):04d}.muck"
+def _named_file(root: Path, entry: dict, kind: str) -> tuple[Path, int]:
+    """A ``kind`` entry's file in ``root``, by the name ``persist`` gives it, and its slice."""
+    i = as_int(entry["slice"], "slice", 0)
+    name = f"{kind}_{i:04d}.muck"
     if entry["file"] != name:
         raise StoreCorruption(f"manifest.json: {kind} file {entry['file']!r} is not {name}")
-    return root / name
-
-
-def _count(value, name: str) -> int:
-    """``value``, a manifest's ``name``, checked to be a non-negative int (a
-    bool is not)."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
+    return root / name, i

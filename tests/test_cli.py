@@ -130,6 +130,17 @@ def test_unknown_config_field_rejected(out_root):
         assert main(["train", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "replay", "compare", "audit"])
+def test_synthetic_and_csv_are_exclusive(out_root, capsys, command):
+    """Naming both dataset sources is argparse's usage error, before anything
+    is read or written."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--synthetic", "400", "6", "1", "--csv", str(out_root / "d.csv")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert list(out_root.iterdir()) == []
+
+
 # --------------------------------------------------------------------- replay
 def test_replay_report_files(out_root, capsys):
     cfg = write_config(out_root)

@@ -32,6 +32,27 @@ def test_load_csv_three_rows(tmp_path):
     assert ds.features[1, 0] == np.float32(-2.0)
 
 
+@pytest.mark.parametrize(
+    "header,rows",
+    [("label,f0,f1", "0,0.5,1.5\n1,-2.0,0.25\n"), ("f0,f1,label", "0.5,1.5,0\n-2.0,0.25,1\n")],
+    ids=["label_first", "label_last"],
+)
+def test_load_csv_reads_a_byte_order_mark(tmp_path, header, rows):
+    """A UTF-8 byte-order mark is not part of the first column's name,
+    whether that column is the label or a feature (an error names it
+    ``'f0'``); ``save_csv`` writes none."""
+    path = tmp_path / "bom.csv"
+    path.write_text(f"\ufeff{header}\n{rows}", encoding="utf-8")
+    ds = load_csv(path)
+    assert list(ds.labels) == [0, 1]
+    assert np.array_equal(ds.features, np.array([[0.5, 1.5], [-2.0, 0.25]], np.float32))
+    path.write_text(f"\ufeff{header}\n{rows.replace('-2.0', 'x')}", encoding="utf-8")
+    with pytest.raises(CsvParseError, match="row 2, column 'f0': cell 'x'"):
+        load_csv(path)
+    save_csv(ds, path)
+    assert path.read_bytes().startswith(b"f0,f1,label")
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "nope.csv")

@@ -393,7 +393,7 @@ def _twice(kind):
     return lambda m: m[kind].append(dict(m[kind][0]))
 
 
-_STEP_COUNT = "manifest.json: malformed .*step_count must be a non-negative integer, got "
+_STEP_COUNT = "manifest.json: malformed .*step_count must be .*, got "
 _RECORDED = "increments are recorded only for slices below 2, got "
 
 
@@ -403,9 +403,9 @@ _RECORDED = "increments are recorded only for slices below 2, got "
         (_config(_drop("num_slices")), "manifest.json: missing field 'num_slices'"),
         (_set("tombstones", ["x"]), "manifest.json: malformed .*'x'"),
         (_set("tombstones", [5, 100]), "manifest.json: malformed .*sample 100 is not in the plan"),
-        (_set("tombstones", [-1]), "manifest.json: malformed .*a tombstone must be .* got -1"),
-        (_set("tombstones", [16.7]), "manifest.json: malformed .*a tombstone must be .* got 16.7"),
-        (_set("tombstones", [True]), "manifest.json: malformed .*a tombstone must be .* got True"),
+        (_set("tombstones", [-1]), "manifest.json: malformed .*sample -1 is not in the plan"),
+        (_set("tombstones", [16.7]), "manifest.json: malformed .*sample id must be .* got 16.7"),
+        (_set("tombstones", [True]), "manifest.json: malformed .*sample id must be .* got True"),
         (_config(_set("batch_size", 0)), "manifest.json: malformed .*batch_size must be >= 1"),
         (_config(_drop("seed")), "manifest.json: missing field 'seed'"),
         (_config(_set("seed", 1.5)), r"malformed .*seed must be an integer, got 1\.5"),
@@ -414,7 +414,8 @@ _RECORDED = "increments are recorded only for slices below 2, got "
         (_config(_set("batch_size", 16.0)), "malformed .*batch_size must be an integer, got 16.0"),
         (_config(_set("phi", True)), "malformed .*phi must be a finite real number, got True"),
         (_config(_set("learning_rate", "0.1")), "malformed .*learning_rate must be a finite real"),
-        (_config(_set("hidden_dims", [5.0])), "manifest.json: malformed .*hidden_dims must hold"),
+        (_config(_set("hidden_dims", [5.0])), r"malformed .*hidden_dims\[0\] must be .* got 5\.0"),
+        (_config(_set("momentum", 0.5)), "malformed .*config field 'momentum' is not a TrainConfig"),
         (_set("input_dim", []), "manifest.json: malformed"),
         (_set("n", 100.0), r"manifest.json: malformed .*n must be .* got 100\.0"),
         (_ledger_slice(0), "ledger_0000.muck: " + _RECORDED + "0"),
@@ -460,7 +461,7 @@ _RECORDED = "increments are recorded only for slices below 2, got "
         "no_S", "tombstone_string", "tombstone_past_n", "tombstone_negative", "tombstone_float",
         "tombstone_bool", "batch_size_zero", "no_train_seed", "seed_not_int", "seed_bool",
         "num_slices_float", "batch_size_float", "phi_bool", "learning_rate_string",
-        "hidden_dims_float", "layout_list", "n_float", "ledger_slice_zero",
+        "hidden_dims_float", "config_unknown_field", "layout_list", "n_float", "ledger_slice_zero",
         "ledger_slice_at_threshold", "rows_short_of_ids", "mask_short_of_payload", "ids_past_n",
         "step_count_float", "step_count_integral_float",
         "step_count_bool", "step_count_negative", "tombstone_huge", "checkpoint_zero",
@@ -800,14 +801,13 @@ def test_clone_is_isolated():
         ("batch_size", 32.0, "batch_size must be an integer, got 32.0"),
         ("epochs_per_slice", True, "epochs_per_slice must be an integer, got True"),
         ("seed", True, "seed must be an integer, got True"),
-        ("seed", np.int64(3), "seed must be an integer"),
         ("learning_rate", True, "learning_rate must be a finite real number, got True"),
         ("learning_rate", float("nan"), "learning_rate must be a finite real number"),
         ("phi", "100", "phi must be a finite real number, got '100'"),
         ("phi", float("inf"), "phi must be a finite real number, got inf"),
-        ("hidden_dims", (5.0,), r"hidden_dims must hold positive integers, got \(5.0,\)"),
-        ("hidden_dims", (True,), "hidden_dims must hold positive integers"),
-        ("hidden_dims", (8, 0), "hidden_dims must hold positive integers"),
+        ("hidden_dims", (5.0,), r"hidden_dims\[0\] must be an integer, got 5\.0"),
+        ("hidden_dims", (True,), r"hidden_dims\[0\] must be an integer, got True"),
+        ("hidden_dims", (8, 0), r"hidden_dims\[1\] must be >= 1, got 0"),
         ("hidden_dims", 8, "hidden_dims must hold positive integers, got 8"),
         ("num_slices", 0, "num_slices must be >= 1"),
         ("batch_size", 0, "batch_size must be >= 1"),
@@ -816,7 +816,7 @@ def test_clone_is_isolated():
         ("phi", -0.5, "phi must be non-negative"),
     ],
     ids=[
-        "num_slices_float", "batch_size_float", "epochs_bool", "seed_bool", "seed_numpy",
+        "num_slices_float", "batch_size_float", "epochs_bool", "seed_bool",
         "learning_rate_bool", "learning_rate_nan", "phi_string", "phi_inf", "hidden_dims_float",
         "hidden_dims_bool", "hidden_dims_zero", "hidden_dims_int", "num_slices_zero",
         "batch_size_zero", "epochs_zero", "learning_rate_negative", "phi_negative",
@@ -838,6 +838,19 @@ def test_train_config_is_frozen():
     with pytest.raises(FrozenInstanceError):
         config.phi = 0.0
     assert TrainConfig(hidden_dims=[3]).hidden_dims == (3,)
+
+
+def test_train_config_keeps_numpy_ints_as_python_ints(tiny_dataset, tmp_path):
+    """A numpy int field is held as the Python int it equals, so the config
+    is the one built from Python ints and a store trained under it persists
+    its config as JSON and loads it back equal."""
+    config = TrainConfig(num_slices=np.int32(3), batch_size=np.int64(64), seed=np.int64(3))
+    assert config == TrainConfig(num_slices=3, batch_size=64, seed=3)
+    assert type(config.seed) is type(config.num_slices) is type(config.batch_size) is int
+    dims = TrainConfig(hidden_dims=(np.int64(5),)).hidden_dims
+    assert dims == (5,) and type(dims[0]) is int
+    UnlearnEngine.train(tiny_dataset, config).store.persist(tmp_path)
+    assert StateStore.load(tmp_path).config == config
 
 
 def test_train_config_validate_accepts_numbers_of_either_kind():
