@@ -62,12 +62,12 @@ from .nn import (
     loss_grad,
 )
 from .report import MetricsReport, RequestRow
-from .store import Checkpoint, StateStore, TrainConfig
+from .store import Checkpoint, DerivedRows, StateStore, TrainConfig
 
 STRATEGIES = ("prs", "dpus", "hs", "ohs")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     params: ParameterVector
 
@@ -187,18 +187,79 @@ def _epoch_orders(
     )
 
 
+def _train_slice(
+    dataset: Dataset,
+    config: TrainConfig,
+    params: ParameterVector,
+    state: OptimizerState,
+    k: int,
+    ids: np.ndarray,
+    record: bool,
+) -> tuple[ParameterVector, OptimizerState, np.ndarray | None]:
+    """Run epochs_per_slice passes over slice k of ``dataset``, whose ids are
+    ``ids``; return the params, the Adam state and, with ``record``, the
+    per-batch delta rows, summed in float64 and rounded to float32 once,
+    else None.
+
+    Batch j is the j-th run of ``batch_size`` of ``ids``, gathered once per
+    call; each (slice, epoch) pass only shuffles the visit order, and a
+    batch's summed delta stays attributable across epochs. The orders come
+    from ``_epoch_orders``, a function of (seed, slice, epochs, batch count)
+    and never of request history, which keeps suffix retraining
+    bit-reproducible regardless of which revocation triggered it; a retrain
+    of an unchanged batch count reuses the orders already drawn.
+    """
+    features, labels = dataset.features, dataset.labels
+    runs = (ids[at : at + config.batch_size] for at in range(0, ids.size, config.batch_size))
+    gathered = [Batch(features[run], labels[run]) for run in runs]
+    nb = len(gathered)
+    orders = _epoch_orders(config.seed, k, config.epochs_per_slice, nb)
+    batches = ((epoch, j, gathered[j]) for epoch, order in enumerate(orders, 1) for j in order)
+    deltas = np.zeros((nb, params.layout.param_count)) if record else None
+    params, state = train_batches(
+        params, state, batches, config.learning_rate, f"slice {k}", deltas
+    )
+    return params, state, None if deltas is None else deltas.astype(np.float32)
+
+
+def _derive_rows(
+    dataset: Dataset,
+    config: TrainConfig,
+    i: int,
+    start: Checkpoint,
+    end: Checkpoint,
+    order: np.ndarray,
+    index: np.ndarray,
+) -> np.ndarray:
+    """Slice i's ledger rows, re-run from ``start``, the checkpoint i-1 it was
+    recorded from, over its recording-time ids (the as-planned ``order``
+    where its row ``index`` is set): float32 and read-only, as
+    ``record_increment`` keeps them. The run must end on ``end``, checkpoint
+    i, which the recording run wrote; otherwise the rows are not the ones
+    recorded, and that is StoreCorruption. It takes no engine or store, so
+    the ``DerivedRows`` bound to it keep neither alive."""
+    ids = order[index >= 0]
+    params, _, rows = _train_slice(dataset, config, start.params, start.opt_state, i, ids, True)
+    if not params.bits_equal(end.params):
+        raise StoreCorruption(
+            f"ledger {i}: re-running slice {i} from checkpoint {i - 1} does not give "
+            f"checkpoint {i}, so its rows cannot be derived"
+        )
+    rows.flags.writeable = False
+    return rows
+
+
 class UnlearnEngine:
-    """Owns the dataset view, the state store with its slice plan, and the
-    current model."""
+    """Owns the dataset view and the state store with its slice plan, which
+    holds the served params."""
 
     def __init__(self, dataset: Dataset, config: TrainConfig, ohs_depth: int | None = None):
         self._configure(dataset, config, ohs_depth)
         plan = make_slice_plan(dataset.n, config.num_slices, config.batch_size, config.seed)
         self.store = StateStore(config, self.layout, plan)
-        self.model: Model | None = None
 
     def _configure(self, dataset: Dataset, config: TrainConfig, ohs_depth: int | None) -> None:
-        """Set everything but the store and the model (CostConfig checks n)."""
+        """Set everything but the store (CostConfig checks n)."""
         self.dataset = dataset
         self.config = config
         self.layout = ModelLayout(dataset.feature_dim, config.hidden_dims, 2)
@@ -218,6 +279,13 @@ class UnlearnEngine:
         """The store's slice plan, which requests revoke from in place."""
         return self.store.plan
 
+    @property
+    def model(self) -> Model | None:
+        """The served model, None before ``fit``: a view of the store's served
+        params, their one record."""
+        served = self.store.served
+        return None if served is None else Model(served)
+
     # ---- construction helpers -----------------------------------------
     @classmethod
     def train(cls, dataset: Dataset, config: TrainConfig, ohs_depth: int | None = None):
@@ -228,9 +296,12 @@ class UnlearnEngine:
     @classmethod
     def from_store(cls, dataset: Dataset, store: StateStore, ohs_depth: int | None = None):
         """Rebuild a live engine around a loaded store, whose plan already
-        holds its tombstones; the engine serves checkpoint S. A store that
-        lacks a checkpoint 1..S or a ledger 1..t-1, which requests would
-        resume or amend from, is StoreCorruption."""
+        holds its tombstones; the engine serves the store's served params. A
+        store that lacks a checkpoint 1..S or a ledger 1..t-1, which requests
+        would resume or amend from, is StoreCorruption. Each ledger persisted
+        as its mask only derives its rows from its slice's re-run the first
+        time a request reads them; a ledger bound by an earlier call keeps its
+        binding and any rows it derived."""
         last = store.config.num_slices
         for kind, held, upto in (
             ("checkpoint", store.checkpoints, last),
@@ -248,24 +319,29 @@ class UnlearnEngine:
         engine = cls.__new__(cls)
         engine._configure(dataset, store.config, ohs_depth)
         engine.store = store
-        engine.model = Model(store.get_checkpoint(store.config.num_slices).params)
+        for i, ledger in store.ledgers.items():
+            rows = ledger.deltas
+            if type(rows) is DerivedRows and rows.derive is None:  # persisted as its mask only
+                start, end = store.checkpoints[i - 1], store.checkpoints[i]
+                rows.derive = functools.partial(
+                    _derive_rows, dataset, store.config, i, start, end,
+                    store.plan.order[i - 1], ledger.index,
+                )
         return engine
 
     def clone(self) -> "UnlearnEngine":
         dup = copy.copy(self)
         dup.store = self.store.clone()
-        if self.model is not None:
-            dup.model = Model(self.model.params)
         return dup
 
     # ---- training -------------------------------------------------------
     def fit(self) -> Model:
-        if self.model is not None:
+        if self.store.served is not None:
             raise InvalidArgument("engine is already trained")
         start = self.store.checkpoints[0]
         params, _, _ = self._train_slices(1, start.params, start.opt_state)
         self.store.dataset_fingerprint = self.dataset.fingerprint()
-        self.model = Model(params)
+        self.store.served = params
         return self.model
 
     def _train_slices(
@@ -280,53 +356,36 @@ class UnlearnEngine:
         ids: training is deterministic in those, so it would write the same
         bits. A reused checkpoint is re-put and reads no rows; a reused
         recorded slice keeps its ledger, whose ids are the same and all
-        still live, so none of its batches is consumed."""
-        last, rows_read = self.config.num_slices, 0
+        still live, so none of its batches is consumed.
+
+        A recorded slice is derivable when its start is the stored checkpoint
+        k-1 itself (every slice but the first of an OHS retrain that
+        subtracted a delta), so ``persist`` writes its ledger's mask only."""
+        last, rows_read, store = self.config.num_slices, 0, self.store
         trained = list(range(start_slice, last + 1))
         for k in trained:
             ids, record = self.plan.slice_ids(k), k < self.threshold
             start = (state.step_count, params.values, state.m, state.v, ids)
-            cp = self.store.checkpoints.get(k)
+            cp = store.checkpoints.get(k)
             if cp is not None and cp.was_trained_from(start):
                 params, state = cp.params, cp.opt_state
             else:
-                params, state = self._train_slice(params, state, k, ids, record)
+                before = store.checkpoints[k - 1]
+                derivable = params is before.params and state is before.opt_state
+                params, state, deltas = _train_slice(
+                    self.dataset, self.config, params, state, k, ids, record
+                )
+                if record:
+                    store.record_increment(k, deltas, derivable)
                 rows_read += ids.size * self.config.epochs_per_slice
-            self.store.put_checkpoint(Checkpoint(k, params, state if k < last else None, start))
+            store.put_checkpoint(Checkpoint(k, params, state if k < last else None, start))
         return params, trained, rows_read
 
-    def _train_slice(
-        self, params: ParameterVector, state: OptimizerState, k: int, ids: np.ndarray, record: bool
-    ) -> tuple[ParameterVector, OptimizerState]:
-        """Run epochs_per_slice passes over slice k, whose live ids are
-        ``ids``; optionally ledger deltas.
-
-        Batch j is the j-th run of ``batch_size`` of ``ids``, gathered once
-        per call; each (slice, epoch) pass only shuffles the visit order, and a
-        batch's summed delta stays attributable across epochs. The orders
-        come from ``_epoch_orders``, a function of (seed, slice, epochs, batch
-        count) and never of request history, which keeps suffix retraining
-        bit-reproducible regardless of which revocation triggered it; a
-        retrain of an unchanged batch count reuses the orders already drawn.
-        """
-        cfg, features, labels = self.config, self.dataset.features, self.dataset.labels
-        runs = (ids[at : at + cfg.batch_size] for at in range(0, ids.size, cfg.batch_size))
-        gathered = [Batch(features[run], labels[run]) for run in runs]
-        nb = len(gathered)
-        orders = _epoch_orders(cfg.seed, k, cfg.epochs_per_slice, nb)
-        batches = ((epoch, j, gathered[j]) for epoch, order in enumerate(orders, 1) for j in order)
-        deltas = np.zeros((nb, self.layout.param_count)) if record else None
-        params, state = train_batches(
-            params, state, batches, cfg.learning_rate, f"slice {k}", deltas
-        )
-        if record:
-            self.store.record_increment(k, deltas)
-        return params, state
-
-    def _require_model(self) -> Model:
-        if self.model is None:
+    def _served(self) -> ParameterVector:
+        served = self.store.served
+        if served is None:
             raise InvalidArgument("engine is not trained yet")
-        return self.model
+        return served
 
     # ---- revocation -------------------------------------------------------
     def dispatch(self, request: UnlearnRequest) -> UnlearnOutcome:
@@ -349,7 +408,7 @@ class UnlearnEngine:
         the ledger lookup and the tombstone take it; only the retraining path
         counts its live batch, while an amend reports the recording-time one.
         """
-        model = self._require_model()
+        served = self._served()
         t0 = time.perf_counter()
         num_slices = self.config.num_slices
         sample_id, strategy, depth = request.sample_id, request.requested_strategy, request.depth
@@ -367,7 +426,7 @@ class UnlearnEngine:
         )
         start = num_slices - r + 1 if amend else i
         base = self.store.get_checkpoint(start - 1) if start <= num_slices else None
-        params = model.params if base is None else base.params
+        params = served if base is None else base.params
         if amend:
             j = self.store.recorded_batch_index(i, k)
             fresh = self.store.mark_consumed(i, j)
@@ -382,7 +441,7 @@ class UnlearnEngine:
         if base is not None:
             params, rewritten, rows_read = self._train_slices(start, params, base.opt_state)
         params.values.flags.writeable = False
-        model.params = params
+        self.store.served = params
         wall_time = time.perf_counter() - t0
         return UnlearnOutcome(executed, (i, j), wall_time, params, rewritten, rows_read)
 
@@ -391,7 +450,7 @@ class UnlearnEngine:
         self, requests: Sequence[UnlearnRequest], eval_dataset: Dataset | None = None
     ) -> MetricsReport:
         """Serve requests in arrival order; abort on error with a partial report."""
-        model = self._require_model()
+        self._served()
         report = MetricsReport(
             strategy=requests[0].requested_strategy if requests else "hs",
             num_slices=self.config.num_slices,
@@ -400,7 +459,7 @@ class UnlearnEngine:
             r=self.default_ohs_depth,
         )
         if eval_dataset is not None:
-            report.pre_accuracy = evaluate(model.params, eval_dataset)
+            report.pre_accuracy = evaluate(self.store.served, eval_dataset)
         for idx, request in enumerate(requests):
             try:
                 outcome = self.dispatch(request)
@@ -419,5 +478,5 @@ class UnlearnEngine:
                 )
             )
         if eval_dataset is not None:
-            report.final_accuracy = evaluate(model.params, eval_dataset)
+            report.final_accuracy = evaluate(self.store.served, eval_dataset)
         return report

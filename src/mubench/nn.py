@@ -82,8 +82,8 @@ class ParameterVector:
     held by a checkpoint or served by the engine are read-only and shared;
     :meth:`copy` gives a writable one. Values produced by training
     sit on the float32 grid; ``combine`` results may carry exact sub-grid
-    differences. No ``combine`` result is persisted: a store holds only
-    checkpoints and ledger rows, both float32 from training.
+    differences, which is why a store persists the served params as float64
+    while its checkpoints and ledger rows are float32 from training.
     """
 
     values: np.ndarray
@@ -126,7 +126,7 @@ class ParameterVector:
 @dataclass
 class OptimizerState:
     """Adam first/second moments (float32, like the stored form) plus the
-    shared step counter."""
+    shared step counter, a Python or numpy int >= 0 kept as a Python int."""
 
     m: np.ndarray
     v: np.ndarray
@@ -137,8 +137,9 @@ class OptimizerState:
         self.v = np.ascontiguousarray(self.v, dtype=F32).ravel()
         if self.m.size != self.v.size:
             raise ShapeMismatch("m and v must have equal length")
-        if self.step_count < 0:
-            raise InvalidArgument("step_count must be non-negative")
+        steps = self.step_count
+        if type(steps) is not int or steps < 0:
+            self.step_count = as_int(steps, "step_count", 0)
 
     @classmethod
     def fresh(cls, layout: ModelLayout) -> "OptimizerState":

@@ -1,33 +1,46 @@
-"""Persistence of per-slice checkpoints, the per-slice increment ledger and
-the slice plan, whose live masks are the record of the revoked ids.
+"""Persistence of per-slice checkpoints, the per-slice increment ledger, the
+served parameters and the slice plan, whose live masks are the record of the
+revoked ids.
 
-On-disk layout (format 9): ``manifest.json`` plus one binary file per
-checkpoint 1..S or recorded slice. The manifest holds the training config as
-one ``config`` section (the engine's ``TrainConfig``), the input width, n,
+On-disk layout (format 10): ``manifest.json`` plus one binary file per
+checkpoint 1..S or recorded slice, and ``served.muck`` when the served
+parameters differ from checkpoint S. The manifest holds the training config
+as one ``config`` section (the engine's ``TrainConfig``), the input width, n,
 the tombstones and one entry per file: a checkpoint's holds its slice, file
 (``checkpoint_0001.muck`` for slice 1), Adam step count (checkpoints 1..S-1
-only) and CRC, a ledger's its slice, file (``ledger_0001.muck``) and CRC; a
-load reads no other file name. Binary framing: magic ``MUCK``, u32 framing
-version, u32 slice index, u32 batch field (0xFFFFFFFF for checkpoints, the
-row count for a ledger), u64 payload length in 4-byte words, the
-little-endian payload, u32 CRC32 trailer over all preceding bytes.
-Checkpoint payloads are float32 (params, adam_m, adam_v; checkpoint S, which
-no retrain resumes, holds its params only); a ledger's payload is its
-slice's live mask at recording time, one bit per as-planned position, least
-significant bit first and zero-padded to whole 4-byte words, then its
-float32 delta rows in batch order. Nothing derivable is stored: checkpoint 0
-is ``init_params`` under the config's seed with fresh Adam state, the
-dispatch threshold comes from the config and n, each ledger's ids from its
-slice's as-planned order and its mask (so the row count is the mask's
-popcount in runs of ``batch_size``), its row index from the mask's running
-count and its batch ends, and whether a batch is consumed from its slice's
-live mask when a request asks. Loading keeps
-the deltas as read-only views of the file's bytes, rebuilds checkpoint 0 and
-the plan from the config and n, revokes the tombstones in the plan and
-refuses a ledger that leaves out an id still live in its slice, or a
-checkpoint or ledger listed twice. A version-8 or older manifest is refused.
-Writes go to a temp file then ``os.replace``; once the new manifest is in
-place, the store files it does not name are removed.
+only) and CRC, a ledger's its slice, file (``ledger_0001.muck``) and CRC, and
+``served`` its file and CRC; a load reads no other file name. Binary framing:
+magic ``MUCK``, u32 framing version, u32 slice index, u32 batch field
+(0xFFFFFFFF for checkpoints and the served parameters, the delta row count
+held for a ledger), u64 payload length in 4-byte words, the little-endian
+payload, u32 CRC32 trailer over all preceding bytes. Checkpoint payloads are
+float32 (params, adam_m, adam_v; checkpoint S, which no retrain resumes, holds
+its params only); the served parameters are float64, which a direct update
+moves off the float32 grid, framed as twice as many float32 words (slice S).
+A ledger's payload is its slice's live mask at recording time, one bit per
+as-planned position, least significant bit first and zero-padded to whole
+4-byte words, then its float32 delta rows in batch order only when it was
+not recorded from the stored checkpoint i-1 (an OHS retrain's amended start,
+or rows put through ``record_increment`` without ``derivable``); otherwise
+the row count is 0 and the rows are a cache: re-running slice i from
+checkpoint i-1 over the mask's ids gives them bit for bit, and the engine
+that serves a loaded store does so the first time a request reads one of
+them (one slice's training pass: about 20-28 ms for 6,250 ids and 128x128
+hidden units on a 2-vCPU VM with one BLAS thread), refusing them with
+StoreCorruption unless the re-run ends on checkpoint i. Nothing else
+derivable is stored: checkpoint 0 is ``init_params`` under the config's seed with fresh
+Adam state, the dispatch threshold comes from the config and n, each ledger's
+ids from its slice's as-planned order and its mask (so the row count is the
+mask's popcount in runs of ``batch_size``), its row index from the mask's
+running count and its batch ends, and whether a batch is consumed from its
+slice's live mask when a request asks. Loading keeps stored deltas and served
+parameters as read-only views of the file's bytes, rebuilds checkpoint 0 and
+the plan from the config and n, serves checkpoint S when no served file is
+named, revokes the tombstones in the plan and refuses a ledger that leaves
+out an id still live in its slice, or a checkpoint or ledger listed twice. A
+version-9 or older manifest is refused. Writes go to a temp file then
+``os.replace``; once the new manifest is in place, the store files it does
+not name are removed.
 """
 
 from __future__ import annotations
@@ -55,9 +68,10 @@ from .errors import (
 from .nn import ModelLayout, OptimizerState, ParameterVector, init_params
 
 MAGIC = b"MUCK"
-FORMAT_VERSION = 9  # of the manifest; it also fixes what a ledger payload holds
+FORMAT_VERSION = 10  # of the manifest; it also fixes what a ledger payload holds
 FRAME_VERSION = 3  # of the binary files; the header has not changed since version 3
 CHECKPOINT_SENTINEL = 0xFFFFFFFF
+SERVED_FILE = "served.muck"
 _HEADER = struct.Struct("<IIIQ")  # version, slice, batch, length
 
 
@@ -125,17 +139,43 @@ class Checkpoint:
         )
 
 
+class DerivedRows:
+    """The delta rows of a loaded ledger that was persisted as its mask only.
+    ``UnlearnEngine.from_store`` sets ``derive``, which re-runs the slice on
+    the first row read; later reads index the result. Clones share the
+    ledger, so they derive it once."""
+
+    __slots__ = ("derive", "rows")
+
+    def __init__(self):
+        self.derive, self.rows = None, None
+
+    def __getitem__(self, key):
+        if self.rows is None:
+            if self.derive is None:
+                raise NotFound(
+                    "a ledger persisted as its mask only is derived by the engine serving the store"
+                )
+            self.rows = self.derive()
+        return self.rows[key]
+
+
 class Ledger(NamedTuple):
     """A recorded slice, read-only and shared by clones: one float32 delta row
-    per batch; ``index``, each as-planned position's row among the slice's
-    live ids at recording time as int32 (-1: not recorded); and ``ends``, from
-    0: batch j spans as-planned ``[ends[j-1], ends[j])``, to its last recorded
-    id. The recorded ids are the positions with ``index >= 0``, in plan order;
-    batch j is their j-th run of ``batch_size``."""
+    per batch (``DerivedRows`` until first read, for a loaded ledger whose
+    file holds its mask only); ``index``, each as-planned position's row
+    among the slice's live ids at recording time as int32 (-1: not recorded);
+    ``ends``, from 0: batch j spans as-planned ``[ends[j-1], ends[j])``, to its
+    last recorded id; and ``derivable``, whether it was recorded from the
+    stored checkpoint i-1, so that a re-run of the slice gives its rows and
+    ``persist`` writes its mask only. The recorded ids are the positions with
+    ``index >= 0``, in plan order; batch j is their j-th run of
+    ``batch_size``."""
 
-    deltas: np.ndarray
+    deltas: np.ndarray | DerivedRows
     index: np.ndarray
     ends: np.ndarray
+    derivable: bool
 
 
 def write_vector_file(path: Path, slice_index: int, batch_index: int, values, mask=()) -> int:
@@ -189,8 +229,10 @@ class StateStore:
     ``config``; its live masks are the one record of the revoked ids. The
     store owns it: requests revoke in it in place, and only ``clone`` copies
     it. ``threshold`` is the dispatch threshold t of ``config`` and n.
-    Checkpoint 0, the start every training run takes, is built here from
-    ``config`` and never put, persisted or loaded."""
+    ``served`` is the parameters the engine serves (set by its ``fit`` and
+    ``dispatch``), read-only like the checkpoints. Checkpoint 0, the start
+    every training run takes, is built here from ``config`` and never put,
+    persisted or loaded."""
 
     def __init__(self, config: TrainConfig, layout: ModelLayout, plan: SlicePlan):
         self.config = config
@@ -202,6 +244,7 @@ class StateStore:
         start = init_params(layout, config.seed), OptimizerState.fresh(layout)
         self.checkpoints: dict[int, Checkpoint] = {0: Checkpoint(0, *start)}
         self.ledgers: dict[int, Ledger] = {}
+        self.served: ParameterVector | None = None
 
     # ---- checkpoints -------------------------------------------------
     def put_checkpoint(self, checkpoint: Checkpoint) -> None:
@@ -225,46 +268,53 @@ class StateStore:
         return cp
 
     # ---- increments --------------------------------------------------
-    def record_increment(self, i: int, deltas) -> None:
+    def record_increment(self, i: int, deltas, derivable: bool = False) -> None:
         """Replace slice i's ledger with ``deltas`` over the slice's live ids
         as of this call: the ids the engine just trained, since nothing
-        revokes between its read of them and this record."""
+        revokes between its read of them and this record. ``derivable``: the
+        rows were trained from the stored checkpoint i-1, so ``persist``
+        writes the ledger's mask only."""
         i = as_int(i, "slice index")
         if not 1 <= i < self.threshold:  # slice 0 would read masks[-1], slice S's
             raise PolicyViolation(
                 f"increments are recorded only for slices below {self.threshold}, got {i}"
             )
-        self._put_ledger(i, self.plan.masks[i - 1], deltas)
+        self._put_ledger(i, self.plan.masks[i - 1], deltas, derivable)
 
-    def _put_ledger(self, i: int, mask: np.ndarray, deltas) -> None:
+    def _put_ledger(self, i: int, mask: np.ndarray, deltas, derivable: bool) -> None:
         """Store slice i's ledger over ``mask``, its live mask at recording time:
         one delta row per batch of the ids it sets, its running count as the row
-        index and the batch ends. Float32 deltas are kept, not copied, read-only."""
-        deltas, count = np.asarray(deltas, dtype=np.float32), int(np.count_nonzero(mask))
+        index and the batch ends. Float32 deltas are kept, not copied, read-only;
+        ``DerivedRows`` are kept as they are."""
+        count = int(np.count_nonzero(mask))
         rows = -(-count // self.config.batch_size)
-        if deltas.shape != (rows, self.layout.param_count):
-            raise InvalidArgument(
-                f"{count} ids take {rows} delta rows of {self.layout.param_count}, "
-                f"got shape {deltas.shape}"
-            )
+        if type(deltas) is not DerivedRows:
+            deltas = np.asarray(deltas, dtype=np.float32)
+            if deltas.shape != (rows, self.layout.param_count):
+                raise InvalidArgument(
+                    f"{count} ids take {rows} delta rows of {self.layout.param_count}, "
+                    f"got shape {deltas.shape}"
+                )
+            deltas.flags.writeable = False
         index = np.cumsum(mask, dtype=np.int32) - 1
         index[~mask] = -1
         after = np.concatenate(([0], np.flatnonzero(mask) + 1))  # 1 + the c-th id's position
         ends = after[np.minimum(np.arange(rows + 1) * self.config.batch_size, count)]
-        deltas.flags.writeable = index.flags.writeable = ends.flags.writeable = False
-        self.ledgers[i] = Ledger(deltas, index, ends)
+        index.flags.writeable = ends.flags.writeable = False
+        self.ledgers[i] = Ledger(deltas, index, ends, bool(derivable))
 
     def _ledger(self, i: int, j: int) -> Ledger:
         if type(i) is not int or type(j) is not int:
             i, j = as_int(i, "slice index"), as_int(j, "batch index")
         ledger = self.ledgers.get(i)
-        if ledger is None or not 1 <= j <= len(ledger.deltas):
+        if ledger is None or not 1 <= j < len(ledger.ends):
             raise NotFound(f"no increment record for slice {i}, batch {j}")
         return ledger
 
     def get_increment(self, i: int, j: int) -> ParameterVector:
         """Batch j's recorded delta in slice i, widened into a fresh float64
-        vector that the caller owns."""
+        vector that the caller owns. The first read of a loaded ledger
+        persisted as its mask only derives its rows (``DerivedRows``)."""
         return ParameterVector(self._ledger(i, j).deltas[j - 1], self.layout)
 
     def mark_consumed(self, i: int, j: int) -> bool:
@@ -310,8 +360,9 @@ class StateStore:
     # ---- persistence -------------------------------------------------
     def persist(self, directory) -> None:
         """Write the store into ``directory``, then remove the checkpoint,
-        ledger, increment and temp files there that the new manifest does not
-        name (left by an earlier store persisted into the same directory)."""
+        ledger, increment, served and temp files there that the new manifest
+        does not name (left by an earlier store persisted into the same
+        directory). A derivable ledger is written as its mask only."""
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
         cp_entries = []
@@ -327,9 +378,18 @@ class StateStore:
         ledger_entries = []
         for i, ledger in sorted(self.ledgers.items()):
             fname = f"ledger_{i:04d}.muck"
-            mask = ledger.index >= 0
-            crc = write_vector_file(root / fname, i, len(ledger.deltas), ledger.deltas, mask)
+            rows = () if ledger.derivable else ledger.deltas  # derivable: the mask only
+            crc = write_vector_file(root / fname, i, len(rows), rows, ledger.index >= 0)
             ledger_entries.append({"slice": i, "file": fname, "crc32": crc})
+        files = {entry["file"] for entry in cp_entries + ledger_entries}
+        extra, served = {}, self.served  # the served params, unless checkpoint S's
+        last = self.checkpoints.get(self.config.num_slices)
+        if served is not None and (last is None or not served.bits_equal(last.params)):
+            words = served.values.astype("<f8", copy=False).view("<f4")
+            s = self.config.num_slices
+            crc = write_vector_file(root / SERVED_FILE, s, CHECKPOINT_SENTINEL, words)
+            extra["served"] = {"file": SERVED_FILE, "crc32": crc}
+            files.add(SERVED_FILE)
         manifest = {
             "format_version": FORMAT_VERSION,
             "config": asdict(self.config),
@@ -339,21 +399,24 @@ class StateStore:
             "tombstones": sorted(self.tombstones),
             "checkpoints": cp_entries,
             "ledgers": ledger_entries,
+            **extra,
         }
         tmp = root / "manifest.json.tmp"
         tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
         os.replace(tmp, root / "manifest.json")
-        named = {entry["file"] for entry in cp_entries + ledger_entries}
-        for pattern in ("checkpoint_*.muck", "ledger_*.muck", "increment_*.muck", "*.tmp"):
+        patterns = ("checkpoint_*.muck", "ledger_*.muck", "increment_*.muck", SERVED_FILE, "*.tmp")
+        for pattern in patterns:
             for path in root.glob(pattern):
-                if path.name not in named:
+                if path.name not in files:
                     path.unlink()
 
     @classmethod
     def load(cls, directory) -> "StateStore":
         """Load a persisted store; a damaged manifest, a tombstone outside the
         plan or a file name other than ``persist`` gives among them, and a
-        named file that cannot be read raise StoreCorruption."""
+        named file that cannot be read raise StoreCorruption. The rows of a
+        ledger persisted as its mask only are ``DerivedRows`` that
+        ``UnlearnEngine.from_store`` binds to its slice's re-run."""
         root = Path(directory)
         manifest_path = root / "manifest.json"
         if not manifest_path.exists():
@@ -423,9 +486,26 @@ class StateStore:
                 raise StoreCorruption(f"{entry['file']}: mask sets a bit past slice {i}'s ids")
             mask = bits[: order.size].view(bool)
             held = int(np.count_nonzero(mask))
-            if rows != -(-held // config.batch_size):
+            if rows not in (0, -(-held // config.batch_size)):  # 0: the mask only
                 raise StoreCorruption(f"{entry['file']}: {rows} delta rows for {held} ids")
-            store._put_ledger(i, mask, payload[words:].reshape(rows, count))
+            if rows or not held:
+                store._put_ledger(i, mask, payload[words:].reshape(rows, count), False)
+            else:
+                store._put_ledger(i, mask, DerivedRows(), True)
+        served = manifest.get("served")
+        if served is not None:
+            if served["file"] != SERVED_FILE:
+                raise StoreCorruption(
+                    f"manifest.json: served file {served['file']!r} is not {SERVED_FILE}"
+                )
+            si, bi, payload, crc = read_vector_file(root / SERVED_FILE)
+            if crc != served["crc32"]:
+                raise StoreCorruption(f"{SERVED_FILE}: manifest checksum disagrees")
+            if si != last or bi != CHECKPOINT_SENTINEL or payload.size != 2 * count:
+                raise StoreCorruption(f"{SERVED_FILE}: served parameter framing mismatch")
+            store.served = ParameterVector(payload.view("<f8"), layout)
+        elif last in store.checkpoints:
+            store.served = store.checkpoints[last].params
         store.set_tombstones(manifest["tombstones"])
         for i, ledger in store.ledgers.items():
             if (ledger.index[plan.masks[i - 1]] < 0).any():

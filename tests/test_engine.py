@@ -1,4 +1,9 @@
-from dataclasses import replace
+import gc
+import json
+import struct
+import weakref
+import zlib
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -28,11 +33,13 @@ from mubench.errors import (
     AlreadyRevoked,
     DispatchError,
     InvalidArgument,
+    StoreCorruption,
     TrainingDiverged,
 )
-from mubench.engine import _epoch_orders, train_batches
+from mubench.engine import _epoch_orders, _train_slice, train_batches
 from mubench.mia import fit_dense
 from mubench.nn import loss_grad
+from mubench.store import DerivedRows
 
 from conftest import engine_state, forget_training_starts, recorded_ids
 
@@ -428,7 +435,8 @@ def test_ohs_subtracts_then_retrains_trailing_slice(tiny_dataset, tiny_config):
     start = combine(twin.store.get_checkpoint(s - 1).params, delta, "-")
     state = twin.store.get_checkpoint(s - 1).opt_state
     twin.plan.tombstone(victim)
-    expected, _ = twin._train_slice(start, state, s, twin.plan.slice_ids(s), record=False)
+    ids = twin.plan.slice_ids(s)
+    expected, _, _ = _train_slice(twin.dataset, twin.config, start, state, s, ids, record=False)
     assert out.params_after.bits_equal(expected)
 
 
@@ -519,8 +527,8 @@ def test_ohs_depth_past_the_sample_runs_prs(item1_engine, depth):
 
 
 # ------------------------------------------- revocations across requests
-# ROADMAP item 1: a later retraining start or a reload drops an earlier
-# subtraction. Each test asserts the correct behaviour and fails today.
+# ROADMAP item 1: a later retraining start drops an earlier subtraction. Each
+# ITEM_1 test asserts the correct behaviour and fails today; a reload keeps it.
 ITEM_1 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 
 
@@ -553,13 +561,143 @@ def test_ohs_keeps_an_earlier_subtraction(item1_engine):
     assert not both.model.params.bits_equal(only_a2.model.params)
 
 
-@ITEM_1
 def test_reload_keeps_a_direct_update(item1_engine, tmp_path):
     eng = item1_engine.clone()
     served = eng.dispatch(UnlearnRequest(eng.plan.slice_ids(1)[5], "dpus")).params_after
     eng.store.persist(tmp_path)
     back = UnlearnEngine.from_store(eng.dataset, StateStore.load(tmp_path))
     assert back.model.params.bits_equal(served)
+
+
+# Per case, the stream served before the persist and the one served after it,
+# each request as (slice, index among the slice's ids as trained, strategy,
+# depth). At depth 3 an OHS request into slice 1 retrains slices 2..4 from
+# checkpoint 1 amended, so ledger 2 is not derivable; depth 2 then reads it.
+ROUND_TRIPS = {
+    "dpus": (
+        [(1, 5, "dpus", None), (2, 9, "dpus", None)],
+        [(1, 6, "dpus", None), (1, 300, "dpus", None), (2, 200, "dpus", None)],
+    ),
+    "hs": (
+        [(1, 5, "hs", None), (3, 9, "hs", None)],
+        [(2, 6, "hs", None), (4, 30, "hs", None), (1, 200, "hs", None)],
+    ),
+    "prs": (
+        [(2, 5, "prs", None)],
+        [(1, 6, "prs", None), (3, 30, "prs", None), (2, 200, "prs", None)],
+    ),
+    "ohs": (
+        [(1, 5, "ohs", None), (4, 9, "ohs", None)],
+        [(2, 6, "ohs", None), (1, 7, "ohs", None), (3, 30, "ohs", None)],
+    ),
+    "ohs-depth-3": ([(1, 5, "ohs", 3)], [(2, 100, "ohs", 2), (1, 200, "ohs", 3), (2, 8, "ohs", 2)]),
+}
+
+
+@pytest.mark.parametrize("case", ROUND_TRIPS)
+def test_reloaded_store_serves_as_the_in_memory_engine(item1_engine, tmp_path, case):
+    """persist -> load -> from_store -> a further stream gives the outcomes
+    and the state, served params and ledger rows included, of that stream on
+    an in-memory clone. A ledger recorded from its stored checkpoint i-1 is
+    written as its mask only and derived no sooner than a request reads it;
+    one recorded from an amended start keeps its rows."""
+    first, further = ROUND_TRIPS[case]
+    trained = item1_engine.plan
+
+    def request(k, m, strategy, depth):
+        return UnlearnRequest(int(trained.slice_ids(k)[m]), strategy, depth)
+
+    eng = item1_engine.clone()
+    for spec in first:
+        eng.dispatch(request(*spec))
+    eng.store.persist(tmp_path)
+    assert [eng.store.ledgers[i].derivable for i in (1, 2)] == [True, case != "ohs-depth-3"]
+    for i, ledger in eng.store.ledgers.items():
+        words = -(-eng.plan.order[i - 1].size // 32)
+        rows = 0 if ledger.derivable else (len(ledger.ends) - 1) * eng.layout.param_count
+        assert (tmp_path / f"ledger_{i:04d}.muck").stat().st_size == 24 + 4 * (words + rows) + 4
+    back = UnlearnEngine.from_store(eng.dataset, StateStore.load(tmp_path))
+    for ledger in back.store.ledgers.values():
+        assert ledger.deltas.rows is None if ledger.derivable else ledger.deltas.size
+    memory = eng.clone()
+    forget_training_starts(memory)  # a loaded checkpoint has no start to reuse
+    for spec in further:
+        a, b = (e.dispatch(request(*spec)) for e in (memory, back))
+        assert (a.strategy_executed, a.located_at, a.checkpoints_rewritten, a.rows_read) == (
+            b.strategy_executed, b.located_at, b.checkpoints_rewritten, b.rows_read
+        )
+        assert a.params_after.bits_equal(b.params_after)
+    assert engine_state(back) == engine_state(memory)
+
+
+def test_a_restarted_engine_is_freed_when_dropped(tiny_dataset, tiny_config, tmp_path):
+    """The ``DerivedRows`` that ``from_store`` binds hold no engine or store,
+    so dropping a restarted engine frees its store at once, not at the next
+    cycle collection: a service that restarts often holds one store."""
+    UnlearnEngine.train(tiny_dataset, replace(tiny_config, phi=0.0)).store.persist(tmp_path)
+    gc.disable()
+    try:
+        back = UnlearnEngine.from_store(tiny_dataset, StateStore.load(tmp_path))
+        store = weakref.ref(back.store)
+        assert all(type(ledger.deltas) is DerivedRows for ledger in back.store.ledgers.values())
+        del back
+        assert store() is None
+    finally:
+        gc.enable()
+
+
+def test_from_store_twice_keeps_the_rows_it_derived(item1_engine, tmp_path):
+    """A second ``from_store`` on one loaded store leaves each ledger's
+    binding, and the rows it derived, as they are."""
+    item1_engine.store.persist(tmp_path)
+    store = StateStore.load(tmp_path)
+    first = UnlearnEngine.from_store(item1_engine.dataset, store)
+    rows = first.store.ledgers[1].deltas
+    first.store.get_increment(1, 1)
+    derive, derived = rows.derive, rows.rows
+    UnlearnEngine.from_store(item1_engine.dataset, store)
+    assert store.ledgers[1].deltas is rows and (rows.derive, rows.rows) == (derive, derived)
+
+
+def test_a_derived_ledger_must_end_on_its_checkpoint(item1_engine, tmp_path):
+    """Ledger i is derived only if the re-run of slice i from checkpoint i-1
+    ends on checkpoint i. A checkpoint 1 whose Adam moments were changed, its
+    checksums made to agree, loads, and ledger 1 still derives; the first
+    direct update into slice 2 is StoreCorruption naming ledger 2 and leaves
+    its sample live."""
+    item1_engine.store.persist(tmp_path)
+    path = tmp_path / "checkpoint_0001.muck"
+    raw = bytearray(path.read_bytes())
+    at = 24 + 4 * item1_engine.layout.param_count  # adam_m[0], after the params
+    struct.pack_into("<f", raw, at, struct.unpack_from("<f", raw, at)[0] + 1.0)
+    crc = zlib.crc32(raw[:-4]) & 0xFFFFFFFF
+    struct.pack_into("<I", raw, len(raw) - 4, crc)
+    path.write_bytes(bytes(raw))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["checkpoints"][0]["slice"] == 1
+    manifest["checkpoints"][0]["crc32"] = crc
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+
+    back = UnlearnEngine.from_store(item1_engine.dataset, StateStore.load(tmp_path))
+    trained = item1_engine.plan
+    first = back.dispatch(UnlearnRequest(int(trained.slice_ids(1)[5]), "dpus"))
+    assert first.strategy_executed == "dpus"
+    victim = int(trained.slice_ids(2)[5])
+    with pytest.raises(StoreCorruption, match="ledger 2: re-running slice 2 from checkpoint 1"):
+        back.dispatch(UnlearnRequest(victim, "dpus"))
+    assert back.plan.locate(victim)[0] == 2
+
+
+def test_the_served_params_have_one_record(item1_engine):
+    """``model`` is a read-only view of the store's served params: a request
+    moves both, a clone serves its own, and the view takes no writes."""
+    a = item1_engine.clone()
+    out = a.dispatch(UnlearnRequest(int(a.plan.slice_ids(1)[5]), "dpus"))
+    assert a.model.params is a.store.served is out.params_after
+    assert item1_engine.model.params is item1_engine.store.served
+    assert not item1_engine.store.served.bits_equal(out.params_after)
+    with pytest.raises(FrozenInstanceError):
+        a.model.params = item1_engine.store.served
 
 
 def test_revocation_on_the_plan_consumes_its_batch_as_a_reload_does(tmp_path):

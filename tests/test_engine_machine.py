@@ -2,7 +2,9 @@
 clones and reloads on small engines. A line is an engine, its twin (cleared of
 ``trained_from`` before each request, so it never reuses) and the model: the
 ids revoked in order and each ledger's ids. After every rule each engine must
-match its twin, and its plan, ledgers and tombstones a scan of the model."""
+match its twin, and its plan, ledgers and tombstones a scan of the model;
+each ledger recorded from its stored checkpoint i-1 must be a re-run of its
+slice from that checkpoint."""
 
 import functools
 import os
@@ -16,6 +18,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from mubench import STRATEGIES, StateStore, TrainConfig, UnlearnEngine, UnlearnRequest
 from mubench import gen_synthetic, init_params
+from mubench.engine import _derive_rows
 from mubench.errors import AlreadyRevoked, DispatchError, InvalidArgument, MuError, NotFound
 
 from conftest import engine_state, forget_training_starts, recorded_ids
@@ -170,9 +173,10 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(k=LINE)
     def reload(self, k):
-        """persist -> load -> from_store on both; all but the served params
-        stay. No file holds checkpoint 0, which a load derives, and checkpoint
-        S holds no Adam state before or after."""
+        """persist -> load -> from_store on both; everything stays, the served
+        params and the derived ledger rows included. No file holds checkpoint
+        0, which a load derives, and checkpoint S holds no Adam state before
+        or after."""
         line = self.lines[k % len(self.lines)]
         for name in ("engine", "twin"):
             eng = getattr(line, name)
@@ -180,7 +184,7 @@ class EngineMachine(RuleBasedStateMachine):
                 eng.store.persist(root)
                 assert not os.path.exists(os.path.join(root, "checkpoint_0000.muck"))
                 back = UnlearnEngine.from_store(eng.dataset, StateStore.load(root))
-            assert engine_state(back)[:-1] == engine_state(eng)[:-1]  # ROADMAP item 1
+            assert engine_state(back) == engine_state(eng)
             start, zeros = back.store.get_checkpoint(0), bytes(4 * back.layout.param_count)
             assert start.params.bits_equal(init_params(back.layout, back.config.seed))
             state = start.opt_state  # fresh: step 0, float32 zero moments
@@ -207,6 +211,15 @@ class EngineMachine(RuleBasedStateMachine):
                 want = where.get(sid, AlreadyRevoked if sid in dead else NotFound)
                 assert _attempt(plan.locate, sid) == want
             assert store.ledgers.keys() == line.recorded.keys()
+            for eng in (line.engine, line.twin):  # a derivable ledger is a re-run of its slice
+                for i, ledger in eng.store.ledgers.items():
+                    if not ledger.derivable:
+                        event("a ledger recorded from an amended start")
+                        continue
+                    start, end = eng.store.checkpoints[i - 1], eng.store.checkpoints[i]
+                    order = eng.plan.order[i - 1]
+                    rerun = _derive_rows(eng.dataset, eng.config, i, start, end, order, ledger.index)
+                    assert rerun.tobytes() == ledger.deltas[:].tobytes()
             for i, held in line.recorded.items():
                 index = store.ledgers[i].index
                 batches = [held[j : j + b] for j in range(0, len(held), b)]

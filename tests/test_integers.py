@@ -13,6 +13,7 @@ import pytest
 from mubench import (
     CostConfig,
     ModelLayout,
+    OptimizerState,
     TrainConfig,
     UnlearnEngine,
     UnlearnRequest,
@@ -70,6 +71,9 @@ CASES = {
     "gen_synthetic.dim": ("dim", lambda g, x: gen_synthetic(30, x, 1), 3, 0),
     "gen_synthetic.seed": ("seed", lambda g, x: gen_synthetic(30, 3, x), 1, -1),
     "split_dataset.seed": ("seed", lambda g, x: split_dataset(g.pool, 0.25, x), 6, -1),
+    "OptimizerState.step_count": (
+        "step_count", lambda g, x: OptimizerState(np.zeros(2), np.zeros(2), x), 3, -1,
+    ),
     "init_params.seed": ("seed", lambda g, x: init_params(ModelLayout(3, (4,), 2), x), 2, -1),
     "ModelLayout.input_dim": ("input_dim", lambda g, x: ModelLayout(x, (4,), 2), 6, 0),
     "ModelLayout.hidden_dims": ("hidden_dims[1]", lambda g, x: ModelLayout(3, (4, x), 2), 7, 0),

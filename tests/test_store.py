@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import zlib
 from dataclasses import FrozenInstanceError, fields, replace
@@ -26,7 +27,7 @@ from mubench.errors import (
     StoreCorruption,
     StoreVersionError,
 )
-from mubench.store import CHECKPOINT_SENTINEL, FORMAT_VERSION, write_vector_file
+from mubench.store import CHECKPOINT_SENTINEL, FORMAT_VERSION, DerivedRows, write_vector_file
 
 from conftest import recorded_ids
 
@@ -324,6 +325,8 @@ def test_manifest_version_99_rejected(tmp_path):
     store = populated_store()
     store.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # version 9 also kept the delta rows of every ledger, derivable or not,
+    # and no served params;
     # version 8 also kept each ledger's ids as int64 in its file and their
     # count in the manifest;
     # version 7 also kept checkpoint 0 and checkpoint S's Adam state (see
@@ -339,7 +342,7 @@ def test_manifest_version_99_rejected(tmp_path):
     manifest["ledgers"][0]["consumed"] = [True, False]
     manifest["ledgers"][0]["id_count"] = 20
     manifest["recorded_batches"] = {"1": [list(range(16)), list(range(16, 20))]}
-    for version in (99, 8, 7, 6, 5, 4, 3, 2, 1):
+    for version in (99, 9, 8, 7, 6, 5, 4, 3, 2, 1):
         manifest["format_version"] = version
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreVersionError):
@@ -608,8 +611,10 @@ def test_ledger_ids_off_the_plan_report_corruption(tmp_path):
 
 def _ledger_file_size(store, i):
     """Header, one mask bit per as-planned id of slice i in whole 4-byte
-    words, the float32 delta rows and the CRC."""
-    rows, words = len(store.ledgers[i].deltas), -(-store.plan.order[i - 1].size // 32)
+    words, the float32 delta rows unless the ledger is derivable, and the CRC."""
+    ledger = store.ledgers[i]
+    rows = 0 if ledger.derivable else len(ledger.ends) - 1
+    words = -(-store.plan.order[i - 1].size // 32)
     return 24 + 4 * words + 4 * rows * store.layout.param_count + 4
 
 
@@ -623,7 +628,7 @@ def test_ledger_ids_live_in_the_ledger_file(tmp_path):
     assert set(manifest["ledgers"][0]) == {"slice", "file", "crc32"}
     assert set(manifest["checkpoints"][0]) == {"slice", "file", "step_count", "crc32"}
     assert set(manifest["checkpoints"][-1]) == {"slice", "file", "crc32"}  # checkpoint S
-    assert "plan_version" not in manifest
+    assert "plan_version" not in manifest and "served" not in manifest  # nothing served
     victim = tmp_path / "ledger_0001.muck"
     assert victim.stat().st_size == _ledger_file_size(store, 1) == 28 + 8 * LAYOUT.param_count + 4
     assert victim.read_bytes()[24:28] == struct.pack("<I", _ALL_20)
@@ -642,10 +647,79 @@ def test_one_ledger_file_per_recorded_slice(tiny_dataset, tiny_config, tmp_path)
         f"ledger_{i:04d}.muck" for i in slices
     ]
     assert not list(tmp_path.glob("increment_*"))
-    width = engine.layout.param_count
-    for i in slices:  # 200 ids: seven mask words, then four delta rows
+    for i in slices:  # 200 ids, each slice trained from its stored start: seven mask words
         size = (tmp_path / f"ledger_{i:04d}.muck").stat().st_size
-        assert size == _ledger_file_size(engine.store, i) == 24 + 4 * 7 + 4 * 4 * width + 4
+        assert engine.store.ledgers[i].derivable
+        assert size == _ledger_file_size(engine.store, i) == 24 + 4 * 7 + 4
+
+
+def test_served_params_are_persisted_when_they_are_not_checkpoint_s(
+    tiny_dataset, tiny_config, tmp_path
+):
+    """A freshly trained store serves checkpoint S and writes no served file;
+    after a direct update it writes ``served.muck``, the float64 params as
+    twice as many float32 words, which a load serves read-only. A persist
+    that serves checkpoint S again removes the file; a damaged one, or one
+    the manifest misnames, fails the load."""
+    engine = UnlearnEngine.train(tiny_dataset, tiny_config)
+    last, width = tiny_config.num_slices, engine.layout.param_count
+    engine.store.persist(tmp_path)
+    assert "served" not in json.loads((tmp_path / "manifest.json").read_text())
+    assert not (tmp_path / "served.muck").exists()
+    loaded = StateStore.load(tmp_path)
+    assert loaded.served is loaded.get_checkpoint(last).params
+    assert loaded.served.bits_equal(engine.model.params)
+
+    served = engine.dispatch(UnlearnRequest(int(engine.plan.slice_ids(1)[3]), "dpus")).params_after
+    assert engine.store.served is served and not served.bits_equal(
+        engine.store.get_checkpoint(last).params
+    )
+    engine.store.persist(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["served"] == {"file": "served.muck", "crc32": manifest["served"]["crc32"]}
+    assert (tmp_path / "served.muck").stat().st_size == 24 + 8 * width + 4
+    back = StateStore.load(tmp_path).served
+    assert back.bits_equal(served) and not back.values.flags.writeable
+
+    for edit, match in (
+        (lambda m: m["served"].update(file="../served.muck"), "served file '../served.muck'"),
+        (lambda m: m["served"].update(crc32=0), "served.muck: manifest checksum disagrees"),
+    ):
+        edited = json.loads(json.dumps(manifest))
+        edit(edited)
+        (tmp_path / "manifest.json").write_text(json.dumps(edited))
+        with pytest.raises(StoreCorruption, match=re.escape(match)):
+            StateStore.load(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    raw = bytearray((tmp_path / "served.muck").read_bytes())
+    raw[40] ^= 0x01
+    (tmp_path / "served.muck").write_bytes(bytes(raw))
+    with pytest.raises(StoreCorruption, match="served.muck: CRC32 mismatch"):
+        StateStore.load(tmp_path)
+
+    UnlearnEngine.train(tiny_dataset, tiny_config).store.persist(tmp_path)
+    assert not (tmp_path / "served.muck").exists()
+
+
+def test_ledger_rows_are_kept_only_when_not_derivable(tiny_dataset, tiny_config, tmp_path):
+    """A ledger recorded from the stored checkpoint i-1 is written as its mask
+    only and loads as ``DerivedRows``, which only an engine serving the store
+    can read; rows put through ``record_increment`` by another caller are
+    written and loaded as they are."""
+    engine = UnlearnEngine.train(tiny_dataset, replace(tiny_config, phi=0.0))
+    engine.store.persist(tmp_path)
+    loaded = StateStore.load(tmp_path)
+    assert all(type(ledger.deltas) is DerivedRows for ledger in loaded.ledgers.values())
+    with pytest.raises(NotFound, match="derived by the engine serving the store"):
+        loaded.get_increment(1, 1)
+    assert loaded.mark_consumed(1, 1) and loaded.recorded_batch_index(1, 0) >= 1
+
+    rows = np.asarray(engine.store.ledgers[1].deltas) + np.float32(1)
+    engine.store.record_increment(1, rows)  # not derivable: kept
+    engine.store.persist(tmp_path)
+    assert (tmp_path / "ledger_0001.muck").stat().st_size == _ledger_file_size(engine.store, 1)
+    kept = StateStore.load(tmp_path).ledgers[1]
+    assert not kept.derivable and kept.deltas.tobytes() == rows.tobytes()
 
 
 def _assert_ledger_indexes(store):
