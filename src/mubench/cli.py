@@ -176,7 +176,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "t": engine.threshold,
         "r": engine.default_ohs_depth,
         "checkpoints": len(engine.store.checkpoints),
-        "increments": sum(len(ledger.deltas) for ledger in engine.store.ledgers.values()),
+        "increments": sum(len(ledger.ends) - 1 for ledger in engine.store.ledgers.values()),
         "config_hash": config.config_hash(),
     }
     (out / "model.json").write_text(

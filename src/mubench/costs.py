@@ -11,19 +11,11 @@ threshold's definition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .data import as_int
+from .data import as_int, check_finite_real
 from .errors import InvalidArgument
-
-
-def check_finite_real(name: str, value) -> None:
-    """InvalidArgument unless ``value`` is a finite int or float (not a bool)."""
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not real or not math.isfinite(value):
-        raise InvalidArgument(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)

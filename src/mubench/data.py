@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -184,6 +185,7 @@ def gen_synthetic(n: int, dim: int, seed: int) -> Dataset:
 
 def split_ids(n: int, eval_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (train_ids, eval_ids) partition of range(n), both sorted."""
+    check_finite_real("eval_fraction", eval_fraction)
     if not 0.0 < eval_fraction < 1.0:
         raise InvalidArgument("eval_fraction must be in (0, 1)")
     perm = np.random.default_rng(as_int(seed, "seed", 0)).permutation(n)
@@ -215,6 +217,13 @@ def as_int(value, name: str, low: int | None = None, high: int | None = None) ->
     if high is not None and value > high:
         raise InvalidArgument(f"{name} must be <= {high}, got {value}")
     return value
+
+
+def check_finite_real(name: str, value) -> None:
+    """InvalidArgument unless ``value`` is a finite int or float (not a bool)."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not real or not math.isfinite(value):
+        raise InvalidArgument(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(eq=False)

@@ -62,7 +62,7 @@ from .nn import (
     loss_grad,
 )
 from .report import MetricsReport, RequestRow
-from .store import Checkpoint, DerivedRows, StateStore, TrainConfig
+from .store import Checkpoint, StateStore, TrainConfig
 
 STRATEGIES = ("prs", "dpus", "hs", "ohs")
 
@@ -222,33 +222,6 @@ def _train_slice(
     return params, state, None if deltas is None else deltas.astype(np.float32)
 
 
-def _derive_rows(
-    dataset: Dataset,
-    config: TrainConfig,
-    i: int,
-    start: Checkpoint,
-    end: Checkpoint,
-    order: np.ndarray,
-    index: np.ndarray,
-) -> np.ndarray:
-    """Slice i's ledger rows, re-run from ``start``, the checkpoint i-1 it was
-    recorded from, over its recording-time ids (the as-planned ``order``
-    where its row ``index`` is set): float32 and read-only, as
-    ``record_increment`` keeps them. The run must end on ``end``, checkpoint
-    i, which the recording run wrote; otherwise the rows are not the ones
-    recorded, and that is StoreCorruption. It takes no engine or store, so
-    the ``DerivedRows`` bound to it keep neither alive."""
-    ids = order[index >= 0]
-    params, _, rows = _train_slice(dataset, config, start.params, start.opt_state, i, ids, True)
-    if not params.bits_equal(end.params):
-        raise StoreCorruption(
-            f"ledger {i}: re-running slice {i} from checkpoint {i - 1} does not give "
-            f"checkpoint {i}, so its rows cannot be derived"
-        )
-    rows.flags.writeable = False
-    return rows
-
-
 class UnlearnEngine:
     """Owns the dataset view and the state store with its slice plan, which
     holds the served params."""
@@ -298,10 +271,9 @@ class UnlearnEngine:
         """Rebuild a live engine around a loaded store, whose plan already
         holds its tombstones; the engine serves the store's served params. A
         store that lacks a checkpoint 1..S or a ledger 1..t-1, which requests
-        would resume or amend from, is StoreCorruption. Each ledger persisted
-        as its mask only derives its rows from its slice's re-run the first
-        time a request reads them; a ledger bound by an earlier call keeps its
-        binding and any rows it derived."""
+        would resume or amend from, is StoreCorruption. A ledger persisted as
+        its mask only gets its rows from ``_derive_ledger`` the first time a
+        direct update reads it."""
         last = store.config.num_slices
         for kind, held, upto in (
             ("checkpoint", store.checkpoints, last),
@@ -319,14 +291,6 @@ class UnlearnEngine:
         engine = cls.__new__(cls)
         engine._configure(dataset, store.config, ohs_depth)
         engine.store = store
-        for i, ledger in store.ledgers.items():
-            rows = ledger.deltas
-            if type(rows) is DerivedRows and rows.derive is None:  # persisted as its mask only
-                start, end = store.checkpoints[i - 1], store.checkpoints[i]
-                rows.derive = functools.partial(
-                    _derive_rows, dataset, store.config, i, start, end,
-                    store.plan.order[i - 1], ledger.index,
-                )
         return engine
 
     def clone(self) -> "UnlearnEngine":
@@ -381,6 +345,29 @@ class UnlearnEngine:
             store.put_checkpoint(Checkpoint(k, params, state if k < last else None, start))
         return params, trained, rows_read
 
+    def _derive_ledger(self, i: int) -> None:
+        """Derive the rows of ledger i, loaded as its mask only: re-run slice i
+        from the stored checkpoint i-1 over its recording-time ids and keep
+        the rows read-only, as ``record_increment`` does. A run that does not
+        end on the stored checkpoint i gives other rows than the recorded
+        ones: StoreCorruption. Reading the checkpoints now, not at
+        ``from_store``, gives the same rows: only a retrain from a slice at or
+        below i rewrites checkpoint i-1 or i, and it records ledger i anew,
+        since a loaded checkpoint has no ``trained_from`` to reuse."""
+        store = self.store
+        ledger, start = store.ledgers[i], store.checkpoints[i - 1]
+        ids = self.plan.order[i - 1][ledger.index >= 0]
+        params, _, rows = _train_slice(
+            self.dataset, self.config, start.params, start.opt_state, i, ids, True
+        )
+        if not params.bits_equal(store.checkpoints[i].params):
+            raise StoreCorruption(
+                f"ledger {i}: re-running slice {i} from checkpoint {i - 1} does not give "
+                f"checkpoint {i}, so its rows cannot be derived"
+            )
+        rows.flags.writeable = False
+        store.ledgers[i] = ledger._replace(deltas=rows)
+
     def _served(self) -> ParameterVector:
         served = self.store.served
         if served is None:
@@ -432,6 +419,8 @@ class UnlearnEngine:
             fresh = self.store.mark_consumed(i, j)
             executed = "ohs" if r else ("dpus" if fresh else "noop-consumed")
             if fresh:  # the widened increment, which this request owns, takes the result
+                if self.store.ledgers[i].deltas is None:  # loaded as its mask only
+                    self._derive_ledger(i)
                 increment = self.store.get_increment(i, j)
                 params = combine(params, increment, "-", out=increment)
         else:

@@ -23,10 +23,11 @@ as-planned position, least significant bit first and zero-padded to whole
 not recorded from the stored checkpoint i-1 (an OHS retrain's amended start,
 or rows put through ``record_increment`` without ``derivable``); otherwise
 the row count is 0 and the rows are a cache: re-running slice i from
-checkpoint i-1 over the mask's ids gives them bit for bit, and the engine
-that serves a loaded store does so the first time a request reads one of
-them (one slice's training pass: about 20-28 ms for 6,250 ids and 128x128
-hidden units on a 2-vCPU VM with one BLAS thread), refusing them with
+checkpoint i-1 over the mask's ids gives them bit for bit. Such a ledger
+loads with no rows (``Ledger.deltas`` None), and the engine serving the
+store re-runs the slice the first time a direct update reads it (one
+slice's training pass: about 20-28 ms for 6,250 ids and 128x128 hidden
+units on a 2-vCPU VM with one BLAS thread), refusing the rows with
 StoreCorruption unless the re-run ends on checkpoint i. Nothing else
 derivable is stored: checkpoint 0 is ``init_params`` under the config's seed with fresh
 Adam state, the dispatch threshold comes from the config and n, each ledger's
@@ -56,8 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import CostConfig, check_finite_real, threshold
-from .data import SlicePlan, as_int, make_slice_plan
+from .costs import CostConfig, threshold
+from .data import SlicePlan, as_int, check_finite_real, make_slice_plan
 from .errors import (
     InvalidArgument,
     NotFound,
@@ -139,40 +140,19 @@ class Checkpoint:
         )
 
 
-class DerivedRows:
-    """The delta rows of a loaded ledger that was persisted as its mask only.
-    ``UnlearnEngine.from_store`` sets ``derive``, which re-runs the slice on
-    the first row read; later reads index the result. Clones share the
-    ledger, so they derive it once."""
-
-    __slots__ = ("derive", "rows")
-
-    def __init__(self):
-        self.derive, self.rows = None, None
-
-    def __getitem__(self, key):
-        if self.rows is None:
-            if self.derive is None:
-                raise NotFound(
-                    "a ledger persisted as its mask only is derived by the engine serving the store"
-                )
-            self.rows = self.derive()
-        return self.rows[key]
-
-
 class Ledger(NamedTuple):
     """A recorded slice, read-only and shared by clones: one float32 delta row
-    per batch (``DerivedRows`` until first read, for a loaded ledger whose
-    file holds its mask only); ``index``, each as-planned position's row
-    among the slice's live ids at recording time as int32 (-1: not recorded);
-    ``ends``, from 0: batch j spans as-planned ``[ends[j-1], ends[j])``, to its
-    last recorded id; and ``derivable``, whether it was recorded from the
-    stored checkpoint i-1, so that a re-run of the slice gives its rows and
-    ``persist`` writes its mask only. The recorded ids are the positions with
+    per batch (None, for a ledger loaded as its mask only, until the engine
+    serving the store derives them); ``index``, each as-planned position's
+    row among the slice's live ids at recording time as int32 (-1: not
+    recorded); ``ends``, from 0: batch j spans as-planned ``[ends[j-1],
+    ends[j])``, to its last recorded id; and ``derivable``, whether it was
+    recorded from the stored checkpoint i-1, so that a re-run of the slice
+    gives its rows and ``persist`` writes its mask only. The recorded ids are the positions with
     ``index >= 0``, in plan order; batch j is their j-th run of
     ``batch_size``."""
 
-    deltas: np.ndarray | DerivedRows
+    deltas: np.ndarray | None
     index: np.ndarray
     ends: np.ndarray
     derivable: bool
@@ -279,17 +259,16 @@ class StateStore:
             raise PolicyViolation(
                 f"increments are recorded only for slices below {self.threshold}, got {i}"
             )
-        self._put_ledger(i, self.plan.masks[i - 1], deltas, derivable)
+        self._put_ledger(i, self.plan.masks[i - 1], np.asarray(deltas, np.float32), derivable)
 
     def _put_ledger(self, i: int, mask: np.ndarray, deltas, derivable: bool) -> None:
         """Store slice i's ledger over ``mask``, its live mask at recording time:
         one delta row per batch of the ids it sets, its running count as the row
-        index and the batch ends. Float32 deltas are kept, not copied, read-only;
-        ``DerivedRows`` are kept as they are."""
+        index and the batch ends. The float32 deltas are kept, not copied,
+        read-only; None, the rows of a ledger loaded as its mask only, is kept."""
         count = int(np.count_nonzero(mask))
         rows = -(-count // self.config.batch_size)
-        if type(deltas) is not DerivedRows:
-            deltas = np.asarray(deltas, dtype=np.float32)
+        if deltas is not None:
             if deltas.shape != (rows, self.layout.param_count):
                 raise InvalidArgument(
                     f"{count} ids take {rows} delta rows of {self.layout.param_count}, "
@@ -313,9 +292,14 @@ class StateStore:
 
     def get_increment(self, i: int, j: int) -> ParameterVector:
         """Batch j's recorded delta in slice i, widened into a fresh float64
-        vector that the caller owns. The first read of a loaded ledger
-        persisted as its mask only derives its rows (``DerivedRows``)."""
-        return ParameterVector(self._ledger(i, j).deltas[j - 1], self.layout)
+        vector that the caller owns; NotFound for a ledger loaded as its mask
+        only until the engine serving the store derives its rows."""
+        deltas = self._ledger(i, j).deltas
+        if deltas is None:
+            raise NotFound(
+                "a ledger persisted as its mask only is derived by the engine serving the store"
+            )
+        return ParameterVector(deltas[j - 1], self.layout)
 
     def mark_consumed(self, i: int, j: int) -> bool:
         """Whether a request into recorded batch j of slice i consumes it: True
@@ -414,9 +398,9 @@ class StateStore:
     def load(cls, directory) -> "StateStore":
         """Load a persisted store; a damaged manifest, a tombstone outside the
         plan or a file name other than ``persist`` gives among them, and a
-        named file that cannot be read raise StoreCorruption. The rows of a
-        ledger persisted as its mask only are ``DerivedRows`` that
-        ``UnlearnEngine.from_store`` binds to its slice's re-run."""
+        named file that cannot be read raise StoreCorruption. A ledger
+        persisted as its mask only loads with ``deltas`` None: the engine
+        serving the store derives its rows from its slice's re-run."""
         root = Path(directory)
         manifest_path = root / "manifest.json"
         if not manifest_path.exists():
@@ -491,7 +475,7 @@ class StateStore:
             if rows or not held:
                 store._put_ledger(i, mask, payload[words:].reshape(rows, count), False)
             else:
-                store._put_ledger(i, mask, DerivedRows(), True)
+                store._put_ledger(i, mask, None, True)
         served = manifest.get("served")
         if served is not None:
             if served["file"] != SERVED_FILE:

@@ -57,13 +57,15 @@ def recorded_ids(store, i):
 
 def engine_state(eng):
     """Every structure of an engine as bytes: checkpoints with Adam state
-    (checkpoint S has none), ledgers' deltas (derived first, for a loaded
-    ledger persisted as its mask only), index and batch ends, the plan's
-    masks, and last the served params."""
+    (checkpoint S has none), ledgers' deltas (derived first by the engine, for
+    a loaded ledger persisted as its mask only), index and batch ends, the
+    plan's masks, and last the served params."""
     store = eng.store
+    for i in [i for i, x in store.ledgers.items() if x.deltas is None]:
+        eng._derive_ledger(i)
     return (
         {k: _checkpoint_state(c) for k, c in store.checkpoints.items()},
-        {k: _as_bytes(x.deltas[:], x.index, x.ends) for k, x in store.ledgers.items()},
+        {k: _as_bytes(x.deltas, x.index, x.ends) for k, x in store.ledgers.items()},
         _as_bytes(*eng.plan.masks),
         eng.model.params.values.tobytes(),
     )

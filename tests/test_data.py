@@ -11,6 +11,7 @@ from mubench import (
     save_csv,
     split_dataset,
 )
+from mubench.data import split_ids
 from mubench.errors import (
     AlreadyRevoked,
     CsvParseError,
@@ -179,6 +180,15 @@ def test_split_dataset_partitions_rows():
     assert train.n == 400 and hold.n == 100
     stacked = np.vstack([train.features, hold.features])
     assert sorted(map(tuple, stacked)) == sorted(map(tuple, ds.features))
+
+
+@pytest.mark.parametrize("fraction", ["0.2", None, float("nan"), float("inf")])
+def test_split_refuses_a_fraction_that_is_not_a_finite_real(fraction):
+    """Either split raises InvalidArgument, a MuError, not a bare TypeError."""
+    with pytest.raises(InvalidArgument, match="eval_fraction must be a finite real number"):
+        split_dataset(gen_synthetic(50, 4, seed=1), fraction, 1)
+    with pytest.raises(InvalidArgument, match="eval_fraction must be a finite real number"):
+        split_ids(50, fraction, 1)
 
 
 # ----------------------------------------------------------------------- plan

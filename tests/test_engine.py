@@ -39,7 +39,6 @@ from mubench.errors import (
 from mubench.engine import _epoch_orders, _train_slice, train_batches
 from mubench.mia import fit_dense
 from mubench.nn import loss_grad
-from mubench.store import DerivedRows
 
 from conftest import engine_state, forget_training_starts, recorded_ids
 
@@ -618,7 +617,7 @@ def test_reloaded_store_serves_as_the_in_memory_engine(item1_engine, tmp_path, c
         assert (tmp_path / f"ledger_{i:04d}.muck").stat().st_size == 24 + 4 * (words + rows) + 4
     back = UnlearnEngine.from_store(eng.dataset, StateStore.load(tmp_path))
     for ledger in back.store.ledgers.values():
-        assert ledger.deltas.rows is None if ledger.derivable else ledger.deltas.size
+        assert ledger.deltas is None if ledger.derivable else ledger.deltas.size
     memory = eng.clone()
     forget_training_starts(memory)  # a loaded checkpoint has no start to reuse
     for spec in further:
@@ -631,15 +630,17 @@ def test_reloaded_store_serves_as_the_in_memory_engine(item1_engine, tmp_path, c
 
 
 def test_a_restarted_engine_is_freed_when_dropped(tiny_dataset, tiny_config, tmp_path):
-    """The ``DerivedRows`` that ``from_store`` binds hold no engine or store,
-    so dropping a restarted engine frees its store at once, not at the next
-    cycle collection: a service that restarts often holds one store."""
+    """A restarted engine that derived a ledger holds no reference cycle, so
+    dropping it frees its store at once, not at the next cycle collection: a
+    service that restarts often holds one store."""
     UnlearnEngine.train(tiny_dataset, replace(tiny_config, phi=0.0)).store.persist(tmp_path)
     gc.disable()
     try:
         back = UnlearnEngine.from_store(tiny_dataset, StateStore.load(tmp_path))
         store = weakref.ref(back.store)
-        assert all(type(ledger.deltas) is DerivedRows for ledger in back.store.ledgers.values())
+        assert all(ledger.deltas is None for ledger in back.store.ledgers.values())
+        back.dispatch(UnlearnRequest(int(back.plan.slice_ids(1)[5]), "dpus"))
+        assert back.store.ledgers[1].deltas is not None
         del back
         assert store() is None
     finally:
@@ -647,16 +648,37 @@ def test_a_restarted_engine_is_freed_when_dropped(tiny_dataset, tiny_config, tmp
 
 
 def test_from_store_twice_keeps_the_rows_it_derived(item1_engine, tmp_path):
-    """A second ``from_store`` on one loaded store leaves each ledger's
-    binding, and the rows it derived, as they are."""
+    """A second ``from_store`` on one loaded store sees the rows the first
+    engine derived, the same array, and the ledgers it did not derive."""
     item1_engine.store.persist(tmp_path)
     store = StateStore.load(tmp_path)
     first = UnlearnEngine.from_store(item1_engine.dataset, store)
-    rows = first.store.ledgers[1].deltas
-    first.store.get_increment(1, 1)
-    derive, derived = rows.derive, rows.rows
-    UnlearnEngine.from_store(item1_engine.dataset, store)
-    assert store.ledgers[1].deltas is rows and (rows.derive, rows.rows) == (derive, derived)
+    first.dispatch(UnlearnRequest(int(first.plan.slice_ids(1)[5]), "dpus"))
+    rows = store.ledgers[1].deltas
+    assert rows is not None and store.ledgers[2].deltas is None
+    second = UnlearnEngine.from_store(item1_engine.dataset, store)
+    assert second.store.ledgers[1].deltas is rows
+
+
+def test_a_clone_derives_its_own_ledgers(item1_engine, tmp_path):
+    """A clone taken from a restarted engine before any derivation derives
+    its own rows: the parent's derivation leaves the clone's ledgers without
+    rows, and both serve the same direct updates into every recorded slice to
+    the same state."""
+    item1_engine.store.persist(tmp_path)
+    back = UnlearnEngine.from_store(item1_engine.dataset, StateStore.load(tmp_path))
+    twin = back.clone()
+    ids = [int(back.plan.slice_ids(i)[5]) for i in sorted(back.store.ledgers)]
+    assert len(ids) == back.threshold - 1 == 2
+    served = [back.dispatch(UnlearnRequest(sid, "dpus")) for sid in ids]
+    assert all(ledger.deltas is not None for ledger in back.store.ledgers.values())
+    assert all(ledger.deltas is None for ledger in twin.store.ledgers.values())
+    for sid, a in zip(ids, served):
+        b = twin.dispatch(UnlearnRequest(sid, "dpus"))
+        assert (a.strategy_executed, a.located_at) == (b.strategy_executed, b.located_at)
+        assert a.strategy_executed == "dpus" and a.params_after.bits_equal(b.params_after)
+    assert twin.store.ledgers[1].deltas is not back.store.ledgers[1].deltas
+    assert engine_state(twin) == engine_state(back)
 
 
 def test_a_derived_ledger_must_end_on_its_checkpoint(item1_engine, tmp_path):

@@ -18,7 +18,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from mubench import STRATEGIES, StateStore, TrainConfig, UnlearnEngine, UnlearnRequest
 from mubench import gen_synthetic, init_params
-from mubench.engine import _derive_rows
+from mubench.engine import _train_slice
 from mubench.errors import AlreadyRevoked, DispatchError, InvalidArgument, MuError, NotFound
 
 from conftest import engine_state, forget_training_starts, recorded_ids
@@ -217,9 +217,12 @@ class EngineMachine(RuleBasedStateMachine):
                         event("a ledger recorded from an amended start")
                         continue
                     start, end = eng.store.checkpoints[i - 1], eng.store.checkpoints[i]
-                    order = eng.plan.order[i - 1]
-                    rerun = _derive_rows(eng.dataset, eng.config, i, start, end, order, ledger.index)
-                    assert rerun.tobytes() == ledger.deltas[:].tobytes()
+                    ids = eng.plan.order[i - 1][ledger.index >= 0]
+                    params, _, rows = _train_slice(
+                        eng.dataset, eng.config, start.params, start.opt_state, i, ids, True
+                    )
+                    assert params.bits_equal(end.params)
+                    assert rows.tobytes() == ledger.deltas.tobytes()
             for i, held in line.recorded.items():
                 index = store.ledgers[i].index
                 batches = [held[j : j + b] for j in range(0, len(held), b)]

@@ -27,7 +27,7 @@ from mubench.errors import (
     StoreCorruption,
     StoreVersionError,
 )
-from mubench.store import CHECKPOINT_SENTINEL, FORMAT_VERSION, DerivedRows, write_vector_file
+from mubench.store import CHECKPOINT_SENTINEL, FORMAT_VERSION, write_vector_file
 
 from conftest import recorded_ids
 
@@ -703,13 +703,13 @@ def test_served_params_are_persisted_when_they_are_not_checkpoint_s(
 
 def test_ledger_rows_are_kept_only_when_not_derivable(tiny_dataset, tiny_config, tmp_path):
     """A ledger recorded from the stored checkpoint i-1 is written as its mask
-    only and loads as ``DerivedRows``, which only an engine serving the store
-    can read; rows put through ``record_increment`` by another caller are
+    only and loads with no rows, which only an engine serving the store
+    derives; rows put through ``record_increment`` by another caller are
     written and loaded as they are."""
     engine = UnlearnEngine.train(tiny_dataset, replace(tiny_config, phi=0.0))
     engine.store.persist(tmp_path)
     loaded = StateStore.load(tmp_path)
-    assert all(type(ledger.deltas) is DerivedRows for ledger in loaded.ledgers.values())
+    assert all(ledger.deltas is None for ledger in loaded.ledgers.values())
     with pytest.raises(NotFound, match="derived by the engine serving the store"):
         loaded.get_increment(1, 1)
     assert loaded.mark_consumed(1, 1) and loaded.recorded_batch_index(1, 0) >= 1
